@@ -13,10 +13,7 @@ import argparse
 import csv
 import io
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,8 +38,6 @@ IDENTITY_TOL = 1e-10
 SLOPE_RANGE = (1.8, 2.2)
 DEFAULT_WITNESS_LADDER = (0.99, 0.999, 0.9999)
 DEFAULT_ORDER_LADDER = (0.9, 0.99, 0.999, 0.9999)
-
-THREADS_ENV = "BOHRKIT_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,25 +76,6 @@ class SweepSpec:
             floor = -self.fixed.get("m", 0) if self.equation == "bernardi-classic" else 0.0
             if not all(b > floor for b in self.grid):
                 raise ValueError(f"beta grid values must exceed {floor}")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    """Apply fn to items, optionally in parallel; results keep input order."""
-    threads = _thread_count()
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(text: str, path: Optional[str]) -> int:
@@ -155,29 +131,22 @@ def _cmd_radius(args) -> int:
     return EXIT_OK if result.converged else EXIT_NUMERIC
 
 
-def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[int, str]:
-    """Solve the radius equation over the grid; returns (exit code, table text)."""
-
-    def solve_point(value: float) -> RadiusResult:
-        fixed = dict(spec.fixed)
-        fixed[spec.parameter] = value
-        return _solve(spec.equation, fixed, tol)
-
-    results = _map_ordered(solve_point, list(spec.grid))
-    rows = [
-        {spec.parameter: v, "radius": res.value, "residual": res.residual,
-         "iterations": res.iterations}
-        for v, res in zip(spec.grid, results)
-    ]
+def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> str:
+    """Solve the radius equation over the grid; returns the table text."""
+    rows = []
+    for v in spec.grid:
+        res = _solve(spec.equation, {**spec.fixed, spec.parameter: v}, tol)
+        rows.append({spec.parameter: v, "radius": res.value,
+                     "residual": res.residual, "iterations": res.iterations})
     if spec.output_format == "json":
-        return EXIT_OK, json.dumps(rows, sort_keys=True) + "\n"
+        return json.dumps(rows, sort_keys=True) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([spec.parameter, "radius", "residual", "iterations"])
     for row in rows:
         writer.writerow([f"{row[spec.parameter]:.17g}", f"{row['radius']:.17g}",
                          f"{row['residual']:.17g}", row["iterations"]])
-    return EXIT_OK, buf.getvalue()
+    return buf.getvalue()
 
 
 def _cmd_sweep(args) -> int:
@@ -202,10 +171,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    code, text = run_sweep(spec, args.tol)
-    if code != EXIT_OK:
-        return code
-    return _emit(text, spec.output_path)
+    return _emit(run_sweep(spec, args.tol), spec.output_path)
 
 
 def _cmd_verify(args) -> int:

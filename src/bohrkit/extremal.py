@@ -142,7 +142,7 @@ def extremal_coeffs(p: ExtremalParams, n_out: int) -> TruncatedPowerSeries:
     if n_out >= 1:
         coeffs[1:] = -lead * q ** np.arange(1, n_out + 1)
     tail = lead * q ** (n_out + 1)
-    return TruncatedPowerSeries(tuple(coeffs), min(tail, 1.0), schur=True)
+    return TruncatedPowerSeries(coeffs, min(tail, 1.0), schur=True)
 
 
 def extremal_eval(p: ExtremalParams, z: complex) -> complex:
@@ -166,6 +166,17 @@ def cesaro_first_order_factor(gamma: DomainGamma, r: float) -> float:
     return (2.0 * r + (3.0 + g) * (1.0 - r) * math.log1p(-r)) / (r * (1.0 - r))
 
 
+def _cesaro_split(p: ExtremalParams, r: float) -> tuple[Decomposition, float]:
+    """The Cesaro decomposition and the certified error of the summed majorant."""
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"r must lie in (0, 1), got {r}")
+    bound = log_bound(r)
+    first = (1.0 - p.a) / (1.0 - p.a * p.gamma.gamma) * cesaro_first_order_factor(p.gamma, r)
+    series = extremal_coeffs(p, _extremal_majorant_order(p, r))
+    value, err = cesaro_majorant(series, r)
+    return Decomposition(bound, first, value - bound - first), err
+
+
 def cesaro_extremal_decomposition(p: ExtremalParams, r: float) -> Decomposition:
     """Split the Cesaro majorant of the extremal function at radius r.
 
@@ -174,19 +185,36 @@ def cesaro_extremal_decomposition(p: ExtremalParams, r: float) -> Decomposition:
     remainder is the residual against the directly summed majorant and is
     quadratic in (1 - a).
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must lie in (0, 1), got {r}")
-    bound = log_bound(r)
-    first = (1.0 - p.a) / (1.0 - p.a * p.gamma.gamma) * cesaro_first_order_factor(p.gamma, r)
-    series = extremal_coeffs(p, _extremal_majorant_order(p, r))
-    value, _ = cesaro_majorant(series, r)
-    return Decomposition(bound, first, value - bound - first)
+    return _cesaro_split(p, r)[0]
 
 
 def bernardi_first_order_factor(gamma: DomainGamma, beta: float, r: float) -> float:
     """``1/beta - (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)``; changes sign at the radius."""
     value, _ = lerch_tail_sum(r, beta, 1)
     return 1.0 / beta - 2.0 / (1.0 + gamma.gamma) * value
+
+
+def _bernardi_split(p: ExtremalParams, beta: float,
+                    r: float) -> tuple[Decomposition, float]:
+    """The Bernardi decomposition and the certified error of the summed majorant.
+
+    The beta < 1 warning points at the code that called the public function.
+    """
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"r must lie in (0, 1), got {r}")
+    if beta <= 0.0:
+        raise DomainError(f"beta must be positive, got {beta}")
+    if beta < 1.0:
+        warnings.warn(
+            f"beta={beta} < 1: sharpness behaviour is exploratory here",
+            stacklevel=3)
+    bound = 1.0 / beta
+    g = p.gamma.gamma
+    first = (-(1.0 - p.a) * (1.0 + g) / (1.0 - p.a * g)
+             * bernardi_first_order_factor(p.gamma, beta, r))
+    series = extremal_coeffs(p, _extremal_majorant_order(p, r))
+    value, err = bernardi_majorant(series, BernardiParams(beta, 0), r)
+    return Decomposition(bound, first, value - bound - first), err
 
 
 def bernardi_extremal_decomposition(p: ExtremalParams, beta: float,
@@ -199,21 +227,7 @@ def bernardi_extremal_decomposition(p: ExtremalParams, beta: float,
     established for beta >= 1; smaller beta is accepted but flagged as
     exploratory.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must lie in (0, 1), got {r}")
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if beta < 1.0:
-        warnings.warn(
-            f"beta={beta} < 1: sharpness behaviour is exploratory here",
-            stacklevel=2)
-    bound = 1.0 / beta
-    g = p.gamma.gamma
-    first = (-(1.0 - p.a) * (1.0 + g) / (1.0 - p.a * g)
-             * bernardi_first_order_factor(p.gamma, beta, r))
-    series = extremal_coeffs(p, _extremal_majorant_order(p, r))
-    value, _ = bernardi_majorant(series, BernardiParams(beta, 0), r)
-    return Decomposition(bound, first, value - bound - first)
+    return _bernardi_split(p, beta, r)[0]
 
 
 def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
@@ -237,7 +251,7 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
         child_seed = int(master.integers(0, 2 ** 63))
         spec = SchurSampleSpec(degree, child_seed, gamma)
         sample = sample_schur_omega(spec, n_out)
-        mags = np.abs(sample.coeff_array())
+        mags = np.abs(sample.coeffs)
         denom = float(1.0 - mags[0] ** 2)
         if denom < DEGENERATE_A0_TOL or sample.order < 1:
             continue
@@ -312,13 +326,10 @@ def remainder_order_check(kind: str, gamma: DomainGamma, r: float, a_values,
     xs, ys = [], []
     for a in a_values:
         p = ExtremalParams(float(a), gamma)
-        series = extremal_coeffs(p, _extremal_majorant_order(p, r))
         if kind == "cesaro":
-            decomp = cesaro_extremal_decomposition(p, r)
-            _, err = cesaro_majorant(series, r)
+            decomp, err = _cesaro_split(p, r)
         else:
-            decomp = bernardi_extremal_decomposition(p, beta, r)
-            _, err = bernardi_majorant(series, BernardiParams(beta, 0), r)
+            decomp, err = _bernardi_split(p, beta, r)
         if abs(decomp.remainder) > NOISE_FILTER * (err + ROUNDOFF_FLOOR):
             xs.append(math.log(1.0 - p.a))
             ys.append(math.log(abs(decomp.remainder)))

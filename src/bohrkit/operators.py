@@ -61,14 +61,14 @@ def cesaro_transform(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
     coefficients and B the input tail bound; for Schur-class input every
     |a_k| <= 1 so the output tail bound is also capped at 1.
     """
-    a = s.coeff_array()
+    a = s.coeffs
     prefix = np.cumsum(a)
     c = prefix / np.arange(1, s.order + 2)
     p = math.fsum(np.abs(a))
     tail = s.tail_bound + p / (s.order + 2)
     if s.schur:
         tail = min(tail, 1.0)
-    return TruncatedPowerSeries(tuple(c), tail)
+    return TruncatedPowerSeries(c, tail)
 
 
 def cesaro_majorant(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:
@@ -80,7 +80,7 @@ def cesaro_majorant(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:
     """
     if not 0.0 <= r < 1.0:
         raise DomainError(f"majorant radius must lie in [0, 1), got {r}")
-    mags = np.abs(s.coeff_array())
+    mags = np.abs(s.coeffs)
     weights = np.cumsum(mags) / np.arange(1, s.order + 2)
     value = math.fsum(weights * np.power(r, np.arange(s.order + 1)))
     p = math.fsum(mags)
@@ -123,26 +123,30 @@ def cesaro_integral_oracle(s: TruncatedPowerSeries, z: complex) -> complex:
                          "cesaro_integral_oracle")
 
 
+def _require_leading_zeros(s: TruncatedPowerSeries, p: BernardiParams) -> None:
+    """Raise PreconditionError unless the stored a_0..a_(m-1) vanish."""
+    lead = s.coeffs[: p.m]
+    if lead.size and float(np.max(np.abs(lead))) > LEADING_ZERO_TOL:
+        raise PreconditionError(
+            f"coefficients a_0..a_{p.m - 1} must vanish (<= {LEADING_ZERO_TOL}) "
+            f"for m={p.m}")
+
+
 def bernardi_transform(s: TruncatedPowerSeries,
                        p: BernardiParams) -> TruncatedPowerSeries:
     """Coefficients ``c_n = (1+beta) a_n / (beta+n)`` for n >= m, zero below.
 
     Requires the input to actually have the m-fold zero its parameters claim.
     """
-    a = s.coeff_array()
-    if p.m > 0:
-        lead = a[: min(p.m, a.size)]
-        if lead.size and float(np.max(np.abs(lead))) > LEADING_ZERO_TOL:
-            raise PreconditionError(
-                f"coefficients a_0..a_{p.m - 1} must vanish (<= {LEADING_ZERO_TOL}) "
-                f"for m={p.m}")
+    _require_leading_zeros(s, p)
+    a = s.coeffs
     n = np.arange(s.order + 1)
     c = np.zeros_like(a)
     keep = n >= p.m
     c[keep] = (1.0 + p.beta) * a[keep] / (p.beta + n[keep])
     denom = max(s.order + 1, p.m) + p.beta
     tail = (1.0 + p.beta) * s.tail_bound / denom
-    return TruncatedPowerSeries(tuple(c), tail)
+    return TruncatedPowerSeries(c, tail)
 
 
 def bernardi_majorant(s: TruncatedPowerSeries, p: BernardiParams,
@@ -156,7 +160,7 @@ def bernardi_majorant(s: TruncatedPowerSeries, p: BernardiParams,
         raise DomainError(f"majorant radius must lie in [0, 1), got {r}")
     if p.beta <= 0.0:
         raise DomainError("the Bernardi majorant normalization needs beta > 0")
-    mags = np.abs(s.coeff_array())
+    mags = np.abs(s.coeffs)
     n = np.arange(s.order + 1)
     value = math.fsum(mags * np.power(r, n) / (n + p.beta))
     error = s.tail_bound * r ** (s.order + 1) / ((s.order + 1 + p.beta) * (1.0 - r))
@@ -174,14 +178,8 @@ def bernardi_integral_oracle(s: TruncatedPowerSeries, z: complex,
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
-    a = s.coeff_array()
-    if p.m > 0:
-        lead = a[: min(p.m, a.size)]
-        if lead.size and float(np.max(np.abs(lead))) > LEADING_ZERO_TOL:
-            raise PreconditionError(
-                f"coefficients a_0..a_{p.m - 1} must vanish (<= {LEADING_ZERO_TOL}) "
-                f"for m={p.m}")
-    g = TruncatedPowerSeries(tuple(a[p.m:]) or (0.0,), s.tail_bound)
+    _require_leading_zeros(s, p)
+    g = TruncatedPowerSeries(s.coeffs[p.m:] if s.order >= p.m else (0.0,), s.tail_bound)
     if z == 0:
         if p.m >= 1:
             return 0.0 + 0.0j

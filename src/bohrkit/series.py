@@ -56,9 +56,14 @@ def truncation_order(r: float, tail_bound: float = 1.0,
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedPowerSeries:
     """Coefficients c_0..c_N plus a uniform bound on all omitted coefficients.
+
+    ``coeffs`` accepts any 1-D sequence of numbers (tuple, list, ndarray) and
+    is stored as a read-only 1-D complex ndarray copied from it, so the series
+    never aliases its input.  Series compare by identity; compare
+    ``coeffs`` arrays to compare values.
 
     ``tail_bound`` is a real B >= 0 with ``|c_n| <= B`` for every n > order.
     ``schur`` marks series whose underlying function maps the unit disk into
@@ -67,16 +72,18 @@ class TruncatedPowerSeries:
     operator transforms keep sharp certified bounds.
     """
 
-    coeffs: tuple[complex, ...]
+    coeffs: np.ndarray
     tail_bound: float
     schur: bool = False
 
     def __post_init__(self):
-        if len(self.coeffs) == 0:
-            raise DomainError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in self.coeffs):
+        coeffs = np.array(self.coeffs, dtype=complex)
+        if coeffs.ndim != 1 or coeffs.size == 0:
+            raise DomainError("coefficients must form a non-empty 1-D sequence")
+        if not np.isfinite(coeffs).all():
             raise DomainError("all coefficients must be finite")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
         if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0.0):
             raise DomainError("tail_bound must be a finite nonnegative real")
         if self.schur and self.tail_bound > 1.0 + 1e-12:
@@ -84,10 +91,7 @@ class TruncatedPowerSeries:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=complex)
+        return self.coeffs.size - 1
 
     def padded(self, order: int) -> "TruncatedPowerSeries":
         """Extend a polynomial (tail_bound 0) with explicit zero coefficients."""
@@ -97,20 +101,20 @@ class TruncatedPowerSeries:
                 f"got tail_bound {self.tail_bound}")
         if order <= self.order:
             return self
-        pad = (0.0 + 0.0j,) * (order - self.order)
-        return TruncatedPowerSeries(self.coeffs + pad, 0.0, self.schur)
+        return TruncatedPowerSeries(np.pad(self.coeffs, (0, order - self.order)),
+                                    0.0, self.schur)
 
     def eval(self, z: complex) -> complex:
         """Evaluate the truncated part at z (no tail, Horner form)."""
         acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
+        for c in reversed(self.coeffs.tolist()):
             acc = acc * z + c
         return acc
 
 
 def polynomial(coeffs, schur: bool = False) -> TruncatedPowerSeries:
     """Series with exactly the given coefficients and no tail."""
-    return TruncatedPowerSeries(tuple(coeffs), 0.0, schur)
+    return TruncatedPowerSeries(coeffs, 0.0, schur)
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ def majorant_eval(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:
     """
     if not 0.0 <= r < 1.0:
         raise DomainError(f"majorant radius must lie in [0, 1), got {r}")
-    mags = np.abs(s.coeff_array())
+    mags = np.abs(s.coeffs)
     value = math.fsum(mags * np.power(r, np.arange(mags.size)))
     error = s.tail_bound * r ** (s.order + 1) / (1.0 - r)
     return value, error
@@ -201,7 +205,7 @@ def affine_compose(h: TruncatedPowerSeries, gamma: DomainGamma,
     if n_out < 0:
         raise DomainError(f"output order must be >= 0, got {n_out}")
     g = gamma.gamma
-    b = h.coeff_array()
+    b = h.coeffs
     m = _compose_matrix(g, h.order, n_out)
     a = m @ b
     if h.schur:
@@ -211,7 +215,7 @@ def affine_compose(h: TruncatedPowerSeries, gamma: DomainGamma,
         tail, schur = b_all / (1.0 - g), False
         if h.tail_bound == 0.0 and g == 0.0:
             tail = 0.0  # identity map on a polynomial stays a polynomial
-    return TruncatedPowerSeries(tuple(a), tail, schur)
+    return TruncatedPowerSeries(a, tail, schur)
 
 
 @lru_cache(maxsize=256)
@@ -269,7 +273,7 @@ def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
     convolve = fftconvolve if n_out > 256 else np.convolve
     for z in zeros:
         c = convolve(c, _mobius_factor(z, n_out))[: n_out + 1]
-    return TruncatedPowerSeries(tuple(c), 1.0, schur=True)
+    return TruncatedPowerSeries(c, 1.0, schur=True)
 
 
 def sample_schur_omega(spec: SchurSampleSpec, n_out: int) -> TruncatedPowerSeries:

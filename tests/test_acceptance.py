@@ -213,7 +213,7 @@ def test_criterion_09_lemma1_property_suite():
     # Equality case at n=1: a single Mobius factor on the unit disk attains
     # |a_1| = 1 - |a_0|^2 exactly.
     phi = blaschke_coeffs([0.6], 1.0, 4)
-    mags = np.abs(phi.coeff_array())
+    mags = np.abs(phi.coeffs)
     ratio_n1 = mags[1] / (1.0 - mags[0] ** 2)
     assert ratio_n1 >= 1.0 - 1e-9
     assert gamma_zero_max >= 1.0 - 1e-9

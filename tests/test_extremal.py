@@ -208,7 +208,7 @@ def test_lemma1_worst_spec_is_reproducible():
     report = lemma1_check(DomainGamma(0.25), 200, 8, 64, 11)
     from bohrkit.series import sample_schur_omega
     sample = sample_schur_omega(report.worst_spec, 64)
-    mags = np.abs(sample.coeff_array())
+    mags = np.abs(sample.coeffs)
     ratio = float(np.max(mags[1:])) * 1.25 / (1.0 - mags[0] ** 2)
     assert ratio == pytest.approx(report.max_ratio, rel=1e-12)
 

@@ -43,9 +43,9 @@ def test_cesaro_transform_linearity():
     s = rng.normal(size=10) + 1j * rng.normal(size=10)
     t = rng.normal(size=10) + 1j * rng.normal(size=10)
     alpha = 0.7 - 1.3j
-    combined = cesaro_transform(polynomial(alpha * s + t)).coeff_array()
-    separate = (alpha * cesaro_transform(polynomial(s)).coeff_array()
-                + cesaro_transform(polynomial(t)).coeff_array())
+    combined = cesaro_transform(polynomial(alpha * s + t)).coeffs
+    separate = (alpha * cesaro_transform(polynomial(s)).coeffs
+                + cesaro_transform(polynomial(t)).coeffs)
     scale = np.max(np.abs(separate))
     assert np.max(np.abs(combined - separate)) <= 1e-14 * scale
 
@@ -54,7 +54,7 @@ def test_cesaro_transform_schur_tail_capped():
     s = blaschke_coeffs([0.5, 0.2j], 1.0, 32)
     out = cesaro_transform(s)
     assert out.tail_bound == 1.0
-    assert np.max(np.abs(out.coeff_array())) <= 1.0 + 1e-12
+    assert np.max(np.abs(out.coeffs)) <= 1.0 + 1e-12
 
 
 # ------------------------------------------------------------ cesaro majorant

@@ -125,7 +125,7 @@ def test_blaschke_single_real_zero_closed_form():
 
 def test_blaschke_empty_product_is_constant():
     s = blaschke_coeffs([], 1.0, 4)
-    assert s.coeffs == (1.0, 0.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(s.coeffs, [1.0, 0.0, 0.0, 0.0, 0.0])
     assert s.schur and s.tail_bound == 1.0
 
 
@@ -166,7 +166,7 @@ def test_blaschke_truncation_tracks_product_evaluation():
 def test_blaschke_coefficients_never_exceed_one(polar_zeros):
     zeros = [r * complex(math.cos(t), math.sin(t)) for r, t in polar_zeros]
     s = blaschke_coeffs(zeros, 1.0, 24)
-    assert np.max(np.abs(s.coeff_array())) <= 1.0 + 1e-12
+    assert np.max(np.abs(s.coeffs)) <= 1.0 + 1e-12
 
 
 # ------------------------------------------------------- sample_schur_omega
@@ -174,22 +174,22 @@ def test_blaschke_coefficients_never_exceed_one(polar_zeros):
 def test_sample_degree_zero_is_unimodular_constant():
     s = sample_schur_omega(SchurSampleSpec(0, 99, DomainGamma(0.0)), 6)
     assert abs(abs(s.coeffs[0]) - 1.0) < 1e-14
-    assert np.max(np.abs(s.coeff_array()[1:])) == 0.0
+    assert np.max(np.abs(s.coeffs[1:])) == 0.0
 
 
 def test_sample_is_deterministic_per_seed():
     spec = SchurSampleSpec(4, 1234, DomainGamma(0.3))
     s1 = sample_schur_omega(spec, 40)
     s2 = sample_schur_omega(spec, 40)
-    assert s1.coeffs == s2.coeffs
+    assert np.array_equal(s1.coeffs, s2.coeffs)
     other = sample_schur_omega(SchurSampleSpec(4, 1235, DomainGamma(0.3)), 40)
-    assert s1.coeffs != other.coeffs
+    assert not np.array_equal(s1.coeffs, other.coeffs)
 
 
 def test_sample_degree_one_coefficient_bound():
     # A single Mobius factor on the unit disk: |c_n| <= 1 - |c_0|^2 for n >= 1.
     s = sample_schur_omega(SchurSampleSpec(1, 7, DomainGamma(0.0)), 30)
-    mags = np.abs(s.coeff_array())
+    mags = np.abs(s.coeffs)
     assert np.all(mags[1:] <= 1.0 - mags[0] ** 2 + 1e-12)
 
 
@@ -247,4 +247,18 @@ def test_padded_requires_polynomial():
     with pytest.raises(DomainError):
         s.padded(4)
     p = polynomial([1.0, 2.0]).padded(4)
-    assert p.coeffs == (1.0, 2.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(p.coeffs, [1.0, 2.0, 0.0, 0.0, 0.0])
+
+
+def test_series_coeffs_are_a_read_only_copy():
+    source = np.array([1.0, 2.0 + 1.0j, 3.0])
+    s = TruncatedPowerSeries(source, 0.0)
+    source[1] = 99.0
+    assert np.array_equal(s.coeffs, [1.0, 2.0 + 1.0j, 3.0])
+    assert s.coeffs.dtype == complex and s.coeffs.ndim == 1
+    with pytest.raises(ValueError):
+        s.coeffs[0] = 5.0
+    with pytest.raises(DomainError):
+        TruncatedPowerSeries((), 0.0)
+    with pytest.raises(DomainError):
+        TruncatedPowerSeries(np.ones((2, 2)), 0.0)
