@@ -17,10 +17,9 @@ from .extremal import (Decomposition, ExtremalParams, Lemma1Report,
                        cesaro_first_order_factor, extremal_coeffs, extremal_eval,
                        identity_suite, lemma1_check, remainder_order_check,
                        sharpness_scan_bernardi, sharpness_scan_cesaro)
-from .operators import (BernardiParams, bernardi_integral_oracle,
-                        bernardi_majorant, bernardi_transform,
-                        cesaro_integral_oracle, cesaro_majorant,
-                        cesaro_transform, lerch_tail_sum, log_bound)
+from .operators import (BernardiParams, bernardi_majorant, bernardi_transform,
+                        cesaro_majorant, cesaro_transform, lerch_tail_sum,
+                        log_bound)
 from .radii import (RadiusResult, bernardi_radius, bernardi_radius_classic,
                     bohr_radius_omega, cesaro_radius, solve_bracketed)
 from .series import (DomainGamma, SchurSampleSpec, TruncatedPowerSeries,
@@ -35,8 +34,7 @@ __all__ = [
     "majorant_eval", "affine_compose", "blaschke_coeffs", "sample_schur_omega",
     "polynomial", "truncation_order",
     "BernardiParams", "cesaro_transform", "cesaro_majorant",
-    "cesaro_integral_oracle", "bernardi_transform", "bernardi_majorant",
-    "bernardi_integral_oracle", "log_bound", "lerch_tail_sum",
+    "bernardi_transform", "bernardi_majorant", "log_bound", "lerch_tail_sum",
     "RadiusResult", "solve_bracketed", "cesaro_radius", "bernardi_radius",
     "bernardi_radius_classic", "bohr_radius_omega",
     "ExtremalParams", "SharpnessReport", "Lemma1Report", "Decomposition",

@@ -86,7 +86,11 @@ class SharpnessReport:
 
 @dataclass(frozen=True)
 class Lemma1Report:
-    """Worst observed coefficient ratio ``|a_n|(1+gamma)/(1-|a_0|^2)`` over samples."""
+    """Worst observed coefficient ratio ``|a_n|(1+gamma)/(1-|a_0|^2)`` over samples.
+
+    ``samples`` counts the requested draws, including the degenerate ones
+    that ``lemma1_check`` skips without computing a ratio.
+    """
 
     gamma: float
     samples: int

@@ -1,11 +1,10 @@
-"""Cesaro and Bernardi transforms in coefficient space, with quadrature oracles.
+"""Cesaro and Bernardi transforms in coefficient space.
 
 The Cesaro transform averages partial sums, ``a_n -> (1/(n+1)) sum_{k<=n} a_k``,
 and equals the integral ``int_0^1 f(tz)/(1 - tz) dt``.  The Bernardi transform
 scales coefficients, ``a_n -> (1+beta) a_n / (beta+n)``, and equals
-``(1+beta) z^{-beta} int_0^z f(xi) xi^{beta-1} dxi``.  Both directions are
-implemented so every coefficient computation can be cross-checked against an
-independent quadrature of the defining integral.
+``(1+beta) z^{-beta} int_0^z f(xi) xi^{beta-1} dxi``.  The test suite checks
+the coefficient route against an independent quadrature of these integrals.
 
 Majorant evaluations follow the normalizations of the radius equations: the
 Cesaro majorant carries the 1/(n+1) averaging weights, the Bernardi majorant
@@ -16,17 +15,13 @@ operator itself carries.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError, NumericalError, PreconditionError
 from .series import ORDER_CAP, TruncatedPowerSeries
 
-QUAD_TARGET = 1e-12
-QUAD_LIMIT = 200
 LERCH_TAIL_TARGET = 1e-13
 LEADING_ZERO_TOL = 1e-14
 
@@ -91,38 +86,6 @@ def cesaro_majorant(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:
     return value, error
 
 
-def _quad_complex(f, a: float, b: float, what: str) -> complex:
-    """Adaptive quadrature of a complex integrand over [a, b]."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            re, re_err = quad(lambda t: f(t).real, a, b,
-                              epsabs=QUAD_TARGET, epsrel=QUAD_TARGET, limit=QUAD_LIMIT)
-            im, im_err = quad(lambda t: f(t).imag, a, b,
-                              epsabs=QUAD_TARGET, epsrel=QUAD_TARGET, limit=QUAD_LIMIT)
-        except IntegrationWarning as exc:
-            raise NumericalError(f"{what}: quadrature did not converge ({exc})") from exc
-    if re_err + im_err > 1e-8:
-        raise NumericalError(
-            f"{what}: quadrature error estimate {re_err + im_err:.3e} exceeds 1e-8")
-    return complex(re, im)
-
-
-def cesaro_integral_oracle(s: TruncatedPowerSeries, z: complex) -> complex:
-    """Quadrature of ``int_0^1 f(tz) / (1 - tz) dt`` for the truncated f.
-
-    Independent of the coefficient route: f is evaluated directly, so the
-    result checks cesaro_transform within quadrature plus truncation error.
-    """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
-    if z == 0:
-        return complex(s.coeffs[0])
-    return _quad_complex(lambda t: s.eval(t * z) / (1.0 - t * z), 0.0, 1.0,
-                         "cesaro_integral_oracle")
-
-
 def _require_leading_zeros(s: TruncatedPowerSeries, p: BernardiParams) -> None:
     """Raise PreconditionError unless the stored a_0..a_(m-1) vanish."""
     lead = s.coeffs[: p.m]
@@ -165,33 +128,6 @@ def bernardi_majorant(s: TruncatedPowerSeries, p: BernardiParams,
     value = math.fsum(mags * np.power(r, n) / (n + p.beta))
     error = s.tail_bound * r ** (s.order + 1) / ((s.order + 1 + p.beta) * (1.0 - r))
     return value, error
-
-
-def bernardi_integral_oracle(s: TruncatedPowerSeries, z: complex,
-                             p: BernardiParams) -> complex:
-    """Quadrature of ``(1+beta) int_0^1 f(tz) t^(beta-1) dt``.
-
-    The m-fold zero is factored out analytically, leaving the exponent
-    m + beta - 1 > -1; when m + beta < 1 the remaining integrable endpoint
-    singularity is removed exactly by substituting t = u**(1/(m+beta)).
-    """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
-    _require_leading_zeros(s, p)
-    g = TruncatedPowerSeries(s.coeffs[p.m:] if s.order >= p.m else (0.0,), s.tail_bound)
-    if z == 0:
-        if p.m >= 1:
-            return 0.0 + 0.0j
-        return (1.0 + p.beta) * complex(s.coeffs[0]) / p.beta
-    exponent = p.m + p.beta
-    if exponent >= 1.0:
-        val = _quad_complex(lambda t: g.eval(t * z) * t ** (exponent - 1.0),
-                            0.0, 1.0, "bernardi_integral_oracle")
-    else:
-        val = _quad_complex(lambda u: g.eval(u ** (1.0 / exponent) * z) / exponent,
-                            0.0, 1.0, "bernardi_integral_oracle")
-    return (1.0 + p.beta) * z ** p.m * val
 
 
 def log_bound(r: float) -> float:

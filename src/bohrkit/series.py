@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DomainError, NumericalError
 
@@ -251,6 +250,23 @@ def _mobius_factor(zero: complex, n: int) -> np.ndarray:
     return c
 
 
+def _fft_length(n: int) -> int:
+    """Smallest integer >= n with no prime factor above 11.
+
+    Complex FFTs are fast at these lengths.  Keep this choice: another
+    padding length changes the last digits of the products, and with them
+    reported ratios such as ``lemma1_check``'s ``max_ratio``.
+    """
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
     """Taylor coefficients of ``phase * prod (a_j - z)/(1 - conj(a_j) z)``.
 
@@ -270,9 +286,15 @@ def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
             raise DomainError(f"Blaschke zeros must lie strictly inside the unit disk, got {z}")
     c = np.zeros(n_out + 1, dtype=complex)
     c[0] = phase
-    convolve = fftconvolve if n_out > 256 else np.convolve
-    for z in zeros:
-        c = convolve(c, _mobius_factor(z, n_out))[: n_out + 1]
+    if n_out > 256:
+        # FFT products beat np.convolve's O(n^2) at long orders.
+        length = _fft_length(2 * n_out + 1)
+        for z in zeros:
+            c = np.fft.ifft(np.fft.fft(c, length)
+                            * np.fft.fft(_mobius_factor(z, n_out), length))[: n_out + 1]
+    else:
+        for z in zeros:
+            c = np.convolve(c, _mobius_factor(z, n_out))[: n_out + 1]
     return TruncatedPowerSeries(c, 1.0, schur=True)
 
 

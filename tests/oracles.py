@@ -2,15 +2,25 @@
 
 Everything here deliberately avoids the library's own computation paths:
 coefficients come from Cauchy-integral quadrature or exact rational
-bookkeeping, radii from 40-digit bisection on the defining equations, and
+bookkeeping, radii from 40-digit bisection on the defining equations,
+operator values from adaptive quadrature of the defining integrals, and
 closed forms are written out directly.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
+from scipy.integrate import IntegrationWarning, quad
+
+from bohrkit.errors import DomainError, NumericalError
+from bohrkit.operators import _require_leading_zeros
+from bohrkit.series import TruncatedPowerSeries
+
+QUAD_TARGET = 1e-12
+QUAD_LIMIT = 200
 
 
 def cauchy_coeffs(f, n_max, radius=0.5, samples=4096):
@@ -129,3 +139,61 @@ def bernardi_extremal_closed_form(a, gamma, beta, r, terms=200000):
     lead = (1.0 - a * a) / (a * (1.0 - a * gamma))
     ns = np.arange(1, terms + 1)
     return a0 / beta + lead * math.fsum(np.power(q * r, ns) / (ns + beta))
+
+
+def _quad_complex(f, a, b, what):
+    """Adaptive quadrature of a complex integrand over [a, b]."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            re, re_err = quad(lambda t: f(t).real, a, b,
+                              epsabs=QUAD_TARGET, epsrel=QUAD_TARGET, limit=QUAD_LIMIT)
+            im, im_err = quad(lambda t: f(t).imag, a, b,
+                              epsabs=QUAD_TARGET, epsrel=QUAD_TARGET, limit=QUAD_LIMIT)
+        except IntegrationWarning as exc:
+            raise NumericalError(f"{what}: quadrature did not converge ({exc})") from exc
+    if re_err + im_err > 1e-8:
+        raise NumericalError(
+            f"{what}: quadrature error estimate {re_err + im_err:.3e} exceeds 1e-8")
+    return complex(re, im)
+
+
+def cesaro_integral_oracle(s, z):
+    """Quadrature of ``int_0^1 f(tz) / (1 - tz) dt`` for the truncated f.
+
+    Independent of the coefficient route: f is evaluated directly, so the
+    result checks cesaro_transform within quadrature plus truncation error.
+    """
+    z = complex(z)
+    if abs(z) >= 1.0:
+        raise DomainError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
+    if z == 0:
+        return complex(s.coeffs[0])
+    return _quad_complex(lambda t: s.eval(t * z) / (1.0 - t * z), 0.0, 1.0,
+                         "cesaro_integral_oracle")
+
+
+def bernardi_integral_oracle(s, z, p):
+    """Quadrature of ``(1+beta) int_0^1 f(tz) t^(beta-1) dt``.
+
+    The m-fold zero is factored out analytically, leaving the exponent
+    m + beta - 1 > -1; when m + beta < 1 the remaining integrable endpoint
+    singularity is removed exactly by substituting t = u**(1/(m+beta)).
+    """
+    z = complex(z)
+    if abs(z) >= 1.0:
+        raise DomainError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
+    _require_leading_zeros(s, p)
+    g = TruncatedPowerSeries(s.coeffs[p.m:] if s.order >= p.m else (0.0,), s.tail_bound)
+    if z == 0:
+        if p.m >= 1:
+            return 0.0 + 0.0j
+        return (1.0 + p.beta) * complex(s.coeffs[0]) / p.beta
+    exponent = p.m + p.beta
+    if exponent >= 1.0:
+        val = _quad_complex(lambda t: g.eval(t * z) * t ** (exponent - 1.0),
+                            0.0, 1.0, "bernardi_integral_oracle")
+    else:
+        val = _quad_complex(lambda u: g.eval(u ** (1.0 / exponent) * z) / exponent,
+                            0.0, 1.0, "bernardi_integral_oracle")
+    return (1.0 + p.beta) * z ** p.m * val

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 
@@ -10,12 +9,8 @@ import pytest
 BOHRKIT = [sys.executable, "-m", "bohrkit"]
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("BOHRKIT_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(BOHRKIT + list(args), capture_output=True, text=True, env=env)
+def run_cli(*args):
+    return subprocess.run(BOHRKIT + list(args), capture_output=True, text=True)
 
 
 # ---------------------------------------------------------------- radius
@@ -122,12 +117,11 @@ def test_sweep_writes_file(tmp_path):
     assert len(rows) == 2
 
 
-def test_sweep_deterministic_and_thread_invariant():
+def test_sweep_deterministic():
     args = ("sweep", "--op", "cesaro", "--parameter", "gamma", "--grid", "0,0.3,0.6")
     first = run_cli(*args)
     second = run_cli(*args)
-    threaded = run_cli(*args, env_extra={"BOHRKIT_THREADS": "4"})
-    assert first.stdout == second.stdout == threaded.stdout
+    assert first.stdout == second.stdout
 
 
 # ---------------------------------------------------------------- verify
@@ -217,3 +211,11 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("bohrkit ")
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, bohrkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

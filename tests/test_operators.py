@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from bohrkit.errors import DomainError, PreconditionError
-from bohrkit.operators import (BernardiParams, bernardi_integral_oracle,
-                               bernardi_majorant, bernardi_transform,
-                               cesaro_integral_oracle, cesaro_majorant,
+from bohrkit.operators import (BernardiParams, bernardi_majorant,
+                               bernardi_transform, cesaro_majorant,
                                cesaro_transform, lerch_tail_sum, log_bound)
 from bohrkit.series import (DomainGamma, SchurSampleSpec, TruncatedPowerSeries,
                             blaschke_coeffs, polynomial, sample_schur_omega,
                             truncation_order)
+from oracles import bernardi_integral_oracle, cesaro_integral_oracle
 
 TWO_LN2 = 2.0 * math.log(2.0)
 

@@ -129,11 +129,13 @@ def test_blaschke_empty_product_is_constant():
     assert s.schur and s.tail_bound == 1.0
 
 
-def test_blaschke_matches_exact_rational_oracle():
+# Order 260 takes the FFT product branch of blaschke_coeffs (orders above 256).
+@pytest.mark.parametrize("n_out", [10, 260])
+def test_blaschke_matches_exact_rational_oracle(n_out):
     zeros = [0.5, -0.3j]
-    s = blaschke_coeffs(zeros, 1.0, 10)
+    s = blaschke_coeffs(zeros, 1.0, n_out)
     expected = rational_blaschke_coeffs(
-        [(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(-3, 10))], 10)
+        [(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(-3, 10))], n_out)
     assert np.max(np.abs(np.asarray(s.coeffs) - expected)) < 1e-12
 
 
