@@ -122,6 +122,7 @@ def _cmd_radius(args) -> int:
         "radius": result.value,
         "residual": result.residual,
         "iterations": result.iterations,
+        "evaluations": result.evaluations,
         "converged": result.converged,
         "version": __version__,
     }

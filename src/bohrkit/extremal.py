@@ -88,14 +88,15 @@ class SharpnessReport:
 class Lemma1Report:
     """Worst observed coefficient ratio ``|a_n|(1+gamma)/(1-|a_0|^2)`` over samples.
 
-    ``samples`` counts the requested draws, including the degenerate ones
-    that ``lemma1_check`` skips without computing a ratio.
+    ``samples`` counts the requested draws; ``skipped`` counts the degenerate
+    ones among them that ``lemma1_check`` skips without computing a ratio.
     """
 
     gamma: float
     samples: int
     max_ratio: float
     worst_spec: Optional[SchurSampleSpec] = None
+    skipped: int = 0
 
     def as_dict(self) -> dict:
         worst = None
@@ -108,6 +109,7 @@ class Lemma1Report:
         return {
             "gamma": self.gamma,
             "samples": self.samples,
+            "skipped": self.skipped,
             "max_ratio": self.max_ratio,
             "worst_spec": worst,
         }
@@ -239,8 +241,8 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
     """Stress the bound ``|a_n| <= (1-|a_0|^2)/(1+gamma)`` over random samples.
 
     Samples with ``1 - |a_0|^2 < 1e-8`` (near-unimodular constants) are
-    skipped: the bound forces their higher coefficients to vanish and the
-    ratio degenerates to 0/0.
+    skipped and counted in the report's ``skipped``: the bound forces their
+    higher coefficients to vanish and the ratio degenerates to 0/0.
     """
     if num_samples < 1:
         raise DomainError(f"need at least one sample, got {num_samples}")
@@ -250,6 +252,7 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
     g = gamma.gamma
     max_ratio = 0.0
     worst = None
+    skipped = 0
     for _ in range(num_samples):
         degree = int(master.integers(0, degree_max + 1))
         child_seed = int(master.integers(0, 2 ** 63))
@@ -258,11 +261,12 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
         mags = np.abs(sample.coeffs)
         denom = float(1.0 - mags[0] ** 2)
         if denom < DEGENERATE_A0_TOL or sample.order < 1:
+            skipped += 1
             continue
         ratio = float(np.max(mags[1:])) * (1.0 + g) / denom
         if ratio > max_ratio:
             max_ratio, worst = ratio, spec
-    return Lemma1Report(g, num_samples, max_ratio, worst)
+    return Lemma1Report(g, num_samples, max_ratio, worst, skipped)
 
 
 def _scan(bound: float, r: float, gamma: DomainGamma, a_values,

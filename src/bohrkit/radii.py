@@ -8,34 +8,48 @@ equation on (0, 1):
 * Bernardi (unit disk, m-fold zero):
                    ``x^m/(m+beta) = 2 sum_{n>=m+1} x^n/(n+beta)``
 
-The solver bisects to the requested bracket width and then polishes with a
-few finite-difference Newton steps, so every result carries a sign-certified
-bracket and a reported residual.
+Every equation returns its value, a certified bound on that value's
+truncation and rounding error, and its analytic slope.  The solver takes
+safeguarded Newton steps on the slope and accepts a sign only where the
+value exceeds its error bound, so a converged result carries a bracket whose
+end signs are certified.  The tail sum costs the same at any r < 1
+(``operators.lerch_tail_sum``), so Bernardi radii within a few 1e-6 of 1
+solve like any other; a root closer to 1 than double resolution raises
+NumericalError.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 from .errors import BracketingError, DomainError, NumericalError
-from .operators import lerch_tail_sum
+from .operators import UNIT_ROUNDOFF, lerch_tail_sum
 from .series import DomainGamma
 
 DEFAULT_TOL = 1e-12
-NEWTON_POLISH_STEPS = 8
-MAX_BISECTIONS = 200
+# Safety net for the step loop; Newton needs well under 20 steps here.
+MAX_STEPS = 100
+# Shortest upper-bracket walk step in ln(1/(1-r)) for the tail balance.
+WALK_MIN_STEP = 1.0 / 64
 
 
 @dataclass(frozen=True)
 class RadiusResult:
-    """A computed radius with its certifying bracket and convergence data."""
+    """A computed radius with its certifying bracket and convergence data.
+
+    ``iterations`` counts solver steps (Newton or bisection, each with its
+    closing probes); ``evaluations`` counts every call of the equation,
+    bracket ends, upper-bracket walk and probes included.
+    """
 
     value: float
     bracket_lo: float
     bracket_hi: float
     residual: float
     iterations: int
+    evaluations: int
     converged: bool
 
     def as_dict(self) -> dict:
@@ -45,93 +59,134 @@ class RadiusResult:
             "bracket_hi": self.bracket_hi,
             "residual": self.residual,
             "iterations": self.iterations,
+            "evaluations": self.evaluations,
             "converged": self.converged,
         }
 
 
 def solve_bracketed(g, lo: float, hi: float, tol: float = DEFAULT_TOL) -> RadiusResult:
-    """Root of g on [lo, hi] by bisection plus finite-difference Newton polish.
+    """Root of g on [lo, hi] by safeguarded Newton steps with certified signs.
 
-    g(lo) and g(hi) must have opposite signs.  Bisection narrows the bracket
-    to width tol; up to NEWTON_POLISH_STEPS Newton steps (centered-difference
-    derivative) then refine the residual, falling back to the bracket
-    midpoint whenever a step would leave the bracket.
+    ``g(x)`` returns ``(value, error, slope)``: the equation's value, a bound
+    on that value's error, and its derivative.  A sign counts only where
+    ``|value| > error``, and g(lo), g(hi) must have certified, opposite signs.
+
+    Each step moves from the latest point along the Newton step, or to the
+    bracket midpoint when that step would leave the bracket or the slope is
+    unusable; every certified sign shrinks the bracket.  Once a Newton step
+    is shorter than tol/2, the step lands on its target (clamped into the
+    bracket) and probes 0.4 tol on either side of it, which closes a
+    certified bracket of width <= tol around a simple root.  If the probes
+    leave a wider bracket, the next step bisects; if they certify no sign,
+    the error bound hides the root and the solve stops there.
+
+    Returns the evaluated point inside the final bracket with the smallest
+    |value|; ``converged`` is true only when the certified bracket is at most
+    tol wide.
     """
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     if tol <= 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    g_lo, g_hi = g(lo), g(hi)
-    for name, val in (("g(lo)", g_lo), ("g(hi)", g_hi)):
-        if not math.isfinite(val):
-            raise NumericalError(f"{name} is not finite: {val}")
-    if g_lo == 0.0:
-        return RadiusResult(lo, lo, lo, 0.0, 0, True)
-    if g_hi == 0.0:
-        return RadiusResult(hi, hi, hi, 0.0, 0, True)
-    if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
+    points = []  # (|value|, x) of every evaluation
+
+    def sample(x):
+        value, error, slope = g(x)
+        if not (math.isfinite(value) and math.isfinite(error)):
+            raise NumericalError(f"g({x}) is not finite: {value} +- {error}")
+        points.append((abs(value), x))
+        return value, error, slope
+
+    f_lo, f_hi = sample(lo), sample(hi)
+    for x, (value, error, _) in ((lo, f_lo), (hi, f_hi)):
+        if value == 0.0 and error == 0.0:
+            return RadiusResult(x, x, x, 0.0, 0, len(points), True)
+    if not (abs(f_lo[0]) > f_lo[1] and abs(f_hi[0]) > f_hi[1]) or (
+            (f_lo[0] > 0.0) == (f_hi[0] > 0.0)):
         raise BracketingError(
-            f"no sign change on [{lo}, {hi}]: g(lo)={g_lo:.3e}, g(hi)={g_hi:.3e}")
+            f"no certified sign change on [{lo}, {hi}]: g(lo)={f_lo[0]:.3e} +- "
+            f"{f_lo[1]:.1e}, g(hi)={f_hi[0]:.3e} +- {f_hi[1]:.1e}")
+    lo_positive = f_lo[0] > 0.0
 
-    iterations = 0
-    while hi - lo > tol and iterations < MAX_BISECTIONS:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket width at rounding floor
-        g_mid = g(mid)
+    def narrow(x, value, error):
+        """Move a bracket end to x if the sign there is certified."""
+        nonlocal lo, hi
+        if abs(value) > error and lo < x < hi:
+            if (value > 0.0) == lo_positive:
+                lo = x
+            else:
+                hi = x
+            return True
+        return False
+
+    x, (value, error, slope) = (lo, f_lo) if abs(f_lo[0]) <= abs(f_hi[0]) else (hi, f_hi)
+    iterations, bisect = 0, False
+    while hi - lo > tol and iterations < MAX_STEPS:
         iterations += 1
-        if not math.isfinite(g_mid):
-            raise NumericalError(f"g({mid}) is not finite")
-        if g_mid == 0.0:
-            lo = hi = mid
-            g_lo = g_hi = 0.0
-            break
-        if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
-            lo, g_lo = mid, g_mid
+        step = value / slope if slope != 0.0 and math.isfinite(slope) else math.inf
+        close = not bisect and abs(step) < 0.5 * tol
+        if close:
+            t = min(max(x - step, lo), hi)
         else:
-            hi, g_hi = mid, g_mid
-    converged = hi - lo <= tol
-
-    x = 0.5 * (lo + hi)
-    best_x, best_res = x, abs(g(x))
-    step = 1e-7 * (abs(x) + 1e-3)
-    for _ in range(NEWTON_POLISH_STEPS):
-        d = (g(x + step) - g(x - step)) / (2.0 * step)
-        if d == 0.0 or not math.isfinite(d):
-            break
-        x_next = x - g(x) / d
-        if not lo <= x_next <= hi:
-            x = 0.5 * (lo + hi)
-            break
-        x = x_next
-        res = abs(g(x))
-        if res < best_res:
-            best_x, best_res = x, res
-        if res == 0.0:
-            break
-    return RadiusResult(best_x, lo, hi, best_res, iterations, converged)
+            t = x - step
+            if bisect or not lo < t < hi:
+                t = 0.5 * (lo + hi)
+                if not lo < t < hi:
+                    break  # bracket at rounding floor
+        if lo < t < hi and t != x:
+            x, (value, error, slope) = t, sample(t)
+            narrow(x, value, error)
+        bisect = close  # probes that leave the bracket wider than tol: bisect next
+        if close:
+            certified = False
+            for p in (t - 0.4 * tol, t + 0.4 * tol):
+                if lo < p < hi:
+                    p_value, p_error, _ = sample(p)
+                    certified |= narrow(p, p_value, p_error)
+            if not certified:
+                break  # the error bound hides the sign around the root
+    inside = [point for point in points if lo <= point[1] <= hi]
+    residual, best = min(inside)
+    return RadiusResult(best, lo, hi, residual, iterations, len(points), hi - lo <= tol)
 
 
 def cesaro_radius(gamma: DomainGamma, tol: float = DEFAULT_TOL) -> RadiusResult:
     """Positive root of ``(3+gamma)(1-x) ln(1/(1-x)) - 2x`` on (0, 1).
 
     x = 0 also solves the equation; the bracket starts at 1e-6, where the
-    function is positive because its slope at 0 is 1+gamma > 0.
+    function is positive because its slope at 0 is 1+gamma > 0.  The slope
+    is ``(1+gamma) - (3+gamma) ln(1/(1-x))``; the value's error bound allows
+    one unit roundoff for each of its six roundings, libm counted twice.
     """
     g = gamma.gamma
 
-    def equation(x: float) -> float:
-        return (3.0 + g) * (1.0 - x) * (-math.log1p(-x)) - 2.0 * x
+    def equation(x: float) -> tuple[float, float, float]:
+        log_term = -math.log1p(-x)
+        first = (3.0 + g) * (1.0 - x) * log_term
+        error = 8.0 * UNIT_ROUNDOFF * (first + 2.0 * x)
+        return first - 2.0 * x, error, (1.0 + g) - (3.0 + g) * log_term
 
     return solve_bracketed(equation, 1e-6, 1.0 - 1e-9, tol)
 
 
-def _tail_balance_equation(beta_eff: float, prefactor: float, sum_target: float):
-    """Function ``r -> 1/beta_eff - prefactor * sum_{n>=1} r^n/(n+beta_eff)``."""
+def _tail_balance_equation(beta_eff: float, prefactor: float):
+    """``r -> 1/beta_eff - prefactor * sum_{n>=1} r^n/(n+beta_eff)``.
 
-    def equation(r: float) -> float:
-        value, _ = lerch_tail_sum(r, beta_eff, 1, target=sum_target)
-        return 1.0 / beta_eff - prefactor * value
+    The slope uses ``d/dr sum = 1/(1-r) - (beta_eff/r) sum`` (1/(1+beta_eff)
+    at r = 0), free once the sum is known.  The error bound adds the rounding
+    of 1/beta_eff, the product and the difference to the scaled sum's bound.
+    A direct sum is truncated below the rounding of ``1/beta_eff``, which the
+    scaled sum matches at the root.
+    """
+    sum_target = UNIT_ROUNDOFF / (16.0 * beta_eff)
+
+    def equation(r: float) -> tuple[float, float, float]:
+        total, total_err = lerch_tail_sum(r, beta_eff, 1, target=sum_target)
+        value = 1.0 / beta_eff - prefactor * total
+        error = (prefactor * total_err
+                 + 3.0 * UNIT_ROUNDOFF * (1.0 / beta_eff + prefactor * total))
+        d_sum = 1.0 / (1.0 - r) - beta_eff / r * total if r > 0.0 else 1.0 / (1.0 + beta_eff)
+        return value, error, -prefactor * d_sum
 
     return equation
 
@@ -140,21 +195,34 @@ def _solve_tail_balance(beta_eff: float, prefactor: float, tol: float) -> Radius
     """Solve the decreasing tail-balance equation with an expanding upper bracket.
 
     The equation is 1/beta_eff at r = 0 and diverges to -inf as r -> 1
-    (harmonic tail), so a sign change always exists; the upper end is walked
-    toward 1 until the value is certifiably negative.
+    (harmonic tail), so a sign change always exists.  The upper end walks
+    toward 1 until the value there is certifiably negative; the last
+    certifiably positive point becomes the lower end.  Each walk step is a
+    Newton step in ``u = ln(1/(1-r))``, at least WALK_MIN_STEP long.  In u
+    the sum's slope ``(1-r) d/dr sum = 1 - (beta_eff (1-r)/r) sum`` grows with
+    r, so the equation is concave there and the step from a positive value
+    lands at or just past the root.  Every step moves by at least one double,
+    and the walk stops at the largest double below 1.
     """
-    sum_target = min(tol / 10.0, 1e-13)
-    equation = _tail_balance_equation(beta_eff, prefactor, sum_target)
-    hi = 0.5
-    for _ in range(16):
-        value, err = lerch_tail_sum(hi, beta_eff, 1, target=sum_target)
-        if 1.0 / beta_eff - prefactor * (value - err) < 0.0:
+    equation = _tail_balance_equation(beta_eff, prefactor)
+    lo, hi, walked = 0.0, 0.5, 0
+    while True:
+        value, error, slope = equation(hi)
+        walked += 1
+        if value < -error:
             break
-        hi = 1.0 - 0.25 * (1.0 - hi)
-    else:
-        raise BracketingError(
-            f"could not certify a negative upper bracket for beta={beta_eff}")
-    return solve_bracketed(equation, 0.0, hi, tol)
+        if value > error:
+            lo = hi
+        if hi == 1.0 - UNIT_ROUNDOFF:
+            raise NumericalError(
+                f"the radius for beta={beta_eff} lies within double resolution of 1: "
+                f"the equation is still {value:.3e} +- {error:.1e} at r = 1 - 2**-53")
+        w = 1.0 - hi
+        jump = max(value / (-slope * w), WALK_MIN_STEP)
+        hi = min(max(1.0 - w * math.exp(-jump), math.nextafter(hi, 1.0)),
+                 1.0 - UNIT_ROUNDOFF)
+    result = solve_bracketed(equation, lo, hi, tol)
+    return dataclasses.replace(result, evaluations=result.evaluations + walked)
 
 
 def bernardi_radius(gamma: DomainGamma, beta: float,

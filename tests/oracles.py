@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's own computation paths:
 coefficients come from Cauchy-integral quadrature or exact rational
-bookkeeping, radii from 40-digit bisection on the defining equations,
-operator values from adaptive quadrature of the defining integrals, and
-closed forms are written out directly.
+bookkeeping, radii from 40-digit bracketed root finding on the defining
+equations, tail sums from mpmath's Gauss function, operator values from
+adaptive quadrature of the defining integrals, and closed forms are written
+out directly.
 """
 
 import math
@@ -86,37 +87,50 @@ def blaschke_eval(zeros, phase, z):
     return out
 
 
-def mp_bisect(f, lo, hi, steps=220):
-    """Plain bisection at mp.dps digits; f(lo) and f(hi) must differ in sign."""
+def mp_findroot(f, lo, hi):
+    """Root of f on [lo, hi] at mp.dps digits by Anderson's bracketing method.
+
+    f(lo) and f(hi) must differ in sign; the sign change is asserted again
+    at root -+ 1e-35, so the root is certified to that width.
+    """
     lo, hi = mp.mpf(lo), mp.mpf(hi)
-    flo = f(lo)
-    assert mp.sign(flo) != mp.sign(f(hi))
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if mp.sign(fm) == mp.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    assert mp.sign(f(lo)) != mp.sign(f(hi))
+    root = mp.findroot(f, (lo, hi), solver="anderson")
+    eps = mp.mpf("1e-35")
+    assert mp.sign(f(root - eps)) * mp.sign(f(root + eps)) < 0
+    return root
 
 
 def mp_cesaro_radius(gamma, dps=40):
-    """40-digit root of (3+gamma)(1-x) ln(1/(1-x)) = 2x, independent bisection."""
+    """40-digit root of (3+gamma)(1-x) ln(1/(1-x)) = 2x on [1e-6, 1 - 1e-12]."""
     with mp.workdps(dps):
         g = mp.mpf(gamma)
         f = lambda x: (3 + g) * (1 - x) * mp.log(1 / (1 - x)) - 2 * x
-        return float(mp_bisect(f, mp.mpf("1e-6"), 1 - mp.mpf("1e-12")))
+        return float(mp_findroot(f, mp.mpf("1e-6"), 1 - mp.mpf("1e-12")))
+
+
+def mp_tail_sum(r, beta, start=1):
+    """``sum_{n>=start} r^n/(n+beta)`` at mp.dps digits, through the Gauss function
+    ``r^start/(start+beta) 2F1(1, start+beta; start+beta+1; r)``."""
+    r, a = mp.mpf(r), start + mp.mpf(beta)
+    return r ** start / a * mp.hyp2f1(1, a, a + 1, r)
+
+
+def mp_bernardi_equation(gamma, beta):
+    """``r -> 1/beta - (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)`` at mp.dps digits."""
+    g, b = mp.mpf(gamma), mp.mpf(beta)
+    return lambda r: 1 / b - (2 / (1 + g)) * mp_tail_sum(r, b)
 
 
 def mp_bernardi_radius(gamma, beta, dps=40):
-    """40-digit root of 1/beta = (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)."""
+    """40-digit root of 1/beta = (2/(1+gamma)) sum_{n>=1} r^n/(n+beta).
+
+    The bracket [1e-6, 1 - 1e-15] also holds the roots within 1e-13 of 1
+    that small beta gives.
+    """
     with mp.workdps(dps):
-        g, b = mp.mpf(gamma), mp.mpf(beta)
-        f = lambda r: 1 / b - (2 / (1 + g)) * r * mp.lerchphi(r, 1, 1 + b)
-        return float(mp_bisect(f, mp.mpf("1e-6"), 1 - mp.mpf("1e-9")))
+        f = mp_bernardi_equation(gamma, beta)
+        return float(mp_findroot(f, mp.mpf("1e-6"), 1 - mp.mpf("1e-15")))
 
 
 def cesaro_extremal_closed_form(a, gamma, r):

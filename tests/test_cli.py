@@ -22,6 +22,7 @@ def test_radius_cesaro_gamma_zero():
     assert abs(doc["radius"] - 0.5335) <= 5e-4
     assert doc["residual"] <= 1e-10
     assert doc["converged"] is True
+    assert doc["evaluations"] >= doc["iterations"] >= 1
     assert doc["equation"] == "cesaro"
     assert doc["parameters"] == {"gamma": 0.0, "tol": 1e-12}
     assert "version" in doc
@@ -48,9 +49,10 @@ def test_radius_bernardi_classic():
 
 
 def test_radius_numerical_failure_exit_code():
-    # beta so small the certified tail sum cannot bracket within the cap.
+    # beta so small that the root lies closer to 1 than double resolution.
     proc = run_cli("radius", "bernardi", "--gamma", "0", "--beta", "0.001")
     assert proc.returncode == 3
+    assert "double resolution" in proc.stderr
 
 
 def test_malformed_flags_exit_one():
@@ -140,6 +142,7 @@ def test_verify_lemma1_deterministic():
     assert first.returncode == 0
     doc = json.loads(first.stdout)
     assert doc["report"]["max_ratio"] <= 1.0 + 1e-9
+    assert 0 < doc["report"]["skipped"] < doc["report"]["samples"] == 300
     assert first.stdout == run_cli(*args).stdout
 
 

@@ -202,6 +202,21 @@ def test_lemma1_skips_degenerate_constants():
     report = lemma1_check(DomainGamma(0.3), 50, 0, 16, 5)
     assert report.max_ratio == 0.0
     assert report.worst_spec is None
+    assert report.skipped == 50
+    assert report.as_dict()["skipped"] == 50
+
+
+def test_lemma1_counts_skipped_draws():
+    # Replay the draws (degree, then child seed): every degree-0 draw is a
+    # unimodular constant and is skipped; no other draw is.
+    master = np.random.default_rng(7)
+    zero_degree = 0
+    for _ in range(1000):
+        zero_degree += int(master.integers(0, 9)) == 0
+        master.integers(0, 2 ** 63)
+    report = lemma1_check(DomainGamma(0.4), 1000, 8, 64, 7)
+    assert report.samples == 1000
+    assert report.skipped == zero_degree == 86
 
 
 def test_lemma1_worst_spec_is_reproducible():

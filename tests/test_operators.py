@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from bohrkit.errors import DomainError, PreconditionError
 from bohrkit.operators import (BernardiParams, bernardi_majorant,
@@ -10,7 +11,7 @@ from bohrkit.operators import (BernardiParams, bernardi_majorant,
 from bohrkit.series import (DomainGamma, SchurSampleSpec, TruncatedPowerSeries,
                             blaschke_coeffs, polynomial, sample_schur_omega,
                             truncation_order)
-from oracles import bernardi_integral_oracle, cesaro_integral_oracle
+from oracles import bernardi_integral_oracle, cesaro_integral_oracle, mp_tail_sum
 
 TWO_LN2 = 2.0 * math.log(2.0)
 
@@ -269,6 +270,34 @@ def test_lerch_tail_monotonicity_grids():
     betas = np.linspace(0.5, 6.0, 10)
     values = [lerch_tail_sum(0.6, b, 1)[0] for b in betas]
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+KERNEL_BETAS = (1e-3, 0.05, 0.1, 0.5, 1.0, 2.5, 7.0, 55.0)
+KERNEL_RADII = (0.0, 0.3, 0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-10)
+
+
+@pytest.mark.parametrize("start", (0, 1, 2, 6))
+@pytest.mark.parametrize("beta", KERNEL_BETAS)
+def test_lerch_tail_certified_against_mpmath(beta, start):
+    # Both branches (direct sum, ln r expansion near 1): the reported error
+    # bounds the true one and stays within 1e-13 relative.
+    with mp.workdps(40):
+        for r in KERNEL_RADII:
+            value, error = lerch_tail_sum(r, beta, start)
+            ref = mp_tail_sum(r, beta, start)
+            assert abs(mp.mpf(value) - ref) <= error <= 1e-13 * max(1.0, ref), r
+
+
+@pytest.mark.parametrize("beta", (1e-3, 0.1, 1.0, 7.0))
+def test_lerch_tail_derivative_identity(beta):
+    # d/dr sum_{n>=1} r^n/(n+beta) = 1/(1-r) - (beta/r) sum, the slope the
+    # radius solver uses, against the 40-digit numerical derivative.
+    with mp.workdps(40):
+        for r in (0.3, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-10):
+            value, _ = lerch_tail_sum(r, beta, 1)
+            slope = 1.0 / (1.0 - r) - beta / r * value
+            ref = mp.diff(lambda t: mp_tail_sum(t, beta, 1), mp.mpf(r))
+            assert slope == pytest.approx(float(ref), rel=1e-12), r
 
 
 def test_lerch_tail_domain_errors():

@@ -1,16 +1,17 @@
 import math
 
 import pytest
+from mpmath import mp
 
-from bohrkit.errors import BracketingError, DomainError
+from bohrkit.errors import BracketingError, DomainError, NumericalError
 from bohrkit.operators import lerch_tail_sum
 from bohrkit.radii import (RadiusResult, bernardi_radius, bernardi_radius_classic,
                            bohr_radius_omega, cesaro_radius, solve_bracketed)
 from bohrkit.series import DomainGamma
 
-from oracles import mp_bernardi_radius, mp_cesaro_radius
+from oracles import mp_bernardi_equation, mp_bernardi_radius, mp_cesaro_radius
 
-# 40-digit bisection values, frozen; the mpmath consistency tests below
+# 40-digit roots, frozen; the mpmath consistency tests below
 # recompute a few of them at runtime.
 CESARO_ORACLE = {
     0.0: 0.5335892339199948,
@@ -37,9 +38,10 @@ SOLVER_TOL = 5e-12
 
 
 # -------------------------------------------------------------- root engine
+# Equations return (value, error bound, slope).
 
 def test_solver_linear_root():
-    res = solve_bracketed(lambda x: x - 0.25, 0.0, 1.0, 1e-12)
+    res = solve_bracketed(lambda x: (x - 0.25, 0.0, 1.0), 0.0, 1.0, 1e-12)
     assert res.value == pytest.approx(0.25, abs=1e-12)
     assert res.converged
     assert res.bracket_hi - res.bracket_lo <= 1e-12
@@ -47,26 +49,50 @@ def test_solver_linear_root():
 
 
 def test_solver_sqrt2():
-    res = solve_bracketed(lambda x: x * x - 2.0, 1.0, 2.0, 1e-12)
+    res = solve_bracketed(lambda x: (x * x - 2.0, 4e-16 * x * x, 2.0 * x), 1.0, 2.0, 1e-12)
     assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_solver_cesaro_log_equation():
-    g = lambda x: 2.0 * x - 3.0 * (1.0 - x) * math.log(1.0 / (1.0 - x))
+    def g(x):
+        log_term = math.log(1.0 / (1.0 - x))
+        return 2.0 * x - 3.0 * (1.0 - x) * log_term, 1e-15, 3.0 * log_term - 1.0
     res = solve_bracketed(g, 1e-6, 1.0 - 1e-9, 1e-12)
     assert abs(res.value - 0.5335) < 5e-4
 
 
 def test_solver_requires_sign_change():
     with pytest.raises(BracketingError):
-        solve_bracketed(lambda x: x * x + 1.0, 0.0, 1.0, 1e-12)
+        solve_bracketed(lambda x: (x * x + 1.0, 0.0, 2.0 * x), 0.0, 1.0, 1e-12)
 
 
 def test_solver_input_validation():
     with pytest.raises(DomainError):
-        solve_bracketed(lambda x: x, 1.0, 0.0, 1e-12)
+        solve_bracketed(lambda x: (x, 0.0, 1.0), 1.0, 0.0, 1e-12)
     with pytest.raises(DomainError):
-        solve_bracketed(lambda x: x, -1.0, 1.0, 0.0)
+        solve_bracketed(lambda x: (x, 0.0, 1.0), -1.0, 1.0, 0.0)
+
+
+def test_solver_stops_when_the_error_hides_the_sign():
+    # |value| <= error within 1e-3 of the root: no sign there counts, so the
+    # solver cannot close a 1e-12 bracket and must say so.
+    res = solve_bracketed(lambda x: (x - 0.3, 1e-3, 1.0), 0.0, 1.0, 1e-12)
+    assert not res.converged
+    assert res.bracket_lo < 0.3 < res.bracket_hi
+    assert res.bracket_lo <= res.value <= res.bracket_hi
+    assert res.evaluations >= res.iterations
+
+
+def test_solver_counts_steps_and_evaluations():
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x - 0.25, 0.0, 1.0
+    res = solve_bracketed(g, 0.0, 1.0, 1e-12)
+    assert res.evaluations == len(calls)
+    assert 1 <= res.iterations < res.evaluations
+    assert res.as_dict()["evaluations"] == res.evaluations
 
 
 # ------------------------------------------------------------- cesaro radius
@@ -119,6 +145,29 @@ def test_bernardi_radius_against_frozen_oracle(key, expected):
 def test_bernardi_radius_matches_runtime_mp_oracle():
     assert bernardi_radius(DomainGamma(0.0), 1.0).value == pytest.approx(
         mp_bernardi_radius(0.0, 1.0), abs=SOLVER_TOL)
+
+
+# Roots from 1 - 1.5e-3 up to 1 - 1e-13, where a direct tail sum to 1e-13
+# would need more than the 20000-term order cap.
+NEAR_ONE = [(0.2, 0.05), (0.5, 0.1), (0.9, 0.15), (0.2, 0.03), (0.2, 0.02)]
+
+
+@pytest.mark.parametrize("gamma,beta", NEAR_ONE)
+def test_bernardi_radius_near_one_matches_mp_root(gamma, beta):
+    res = bernardi_radius(DomainGamma(gamma), beta)
+    assert res.converged
+    assert res.bracket_hi - res.bracket_lo <= 1e-12
+    assert res.bracket_lo <= res.value <= res.bracket_hi < 1.0
+    assert res.value == pytest.approx(mp_bernardi_radius(gamma, beta), abs=1e-12)
+    with mp.workdps(40):
+        f = mp_bernardi_equation(gamma, beta)
+        assert f(res.bracket_lo) > 0 > f(res.bracket_hi)
+
+
+def test_bernardi_radius_below_double_resolution_says_so():
+    # At beta = 0.01 the root is within 2**-53 of 1: no double lies between.
+    with pytest.raises(NumericalError, match="double resolution"):
+        bernardi_radius(DomainGamma(0.2), 0.01)
 
 
 def test_bernardi_radius_closed_form_reduction_at_gamma_zero():
