@@ -22,4 +22,4 @@ class NumericalError(BohrkitError, RuntimeError):
 
 
 class InconclusiveError(NumericalError):
-    """Too few data points survived noise filtering to support a conclusion."""
+    """Too few certified data points to support a conclusion."""

@@ -6,15 +6,24 @@ The extremal family is ``psi(G(z))`` with ``psi(w) = (a - w)/(1 - a w)`` and
     A_0 = (a - gamma)/(1 - a*gamma),
     A_n = ((1 - a^2)/(a (1 - a*gamma))) * q^n   with   q = a(1-gamma)/(1-a*gamma)
 
-carried with alternating sign, f(z) = A_0 - sum A_n z^n.  Both operator
-majorants of this family decompose, exactly, into the operator's sharp bound
-plus a term linear in (1 - a) whose sign flips at the computed radius plus a
-residual remainder quadratic in (1 - a).  With eps = 1 - a the first-order
-terms come from ``A_0 = 1 - eps (1+gamma)/(1-gamma) + O(eps^2)`` and
-``(1 - a^2)/(a (1 - a*gamma)) = 2 eps/(1-gamma) + O(eps^2)``.  The suites
-below evaluate those decompositions, scan for above-radius witnesses, and
-stress the coefficient inequality
-``|a_n| <= (1 - |a_0|^2)/(1 + gamma)`` over seeded random samples.
+carried with alternating sign, f(z) = A_0 - sum A_n z^n.  The paper proves
+its radii sharp by expanding both operator majorants of this family as
+a -> 1 into the operator's sharp bound, a term linear in (1 - a) whose sign
+flips at the radius, and a remainder of order (1 - a)^2.  With eps = 1 - a
+the first-order terms come from ``A_0 = 1 - eps (1+gamma)/(1-gamma) +
+O(eps^2)`` and ``(1 - a^2)/(a (1 - a*gamma)) = 2 eps/(1-gamma) + O(eps^2)``.
+With d = 1 - a*gamma, 1 - q = (1-a)/d, S_n = (1 - q^n)/(1 - q),
+c_n = 1 - ((1+a)/d) S_n and K = (1-a)^2/(a d) the remainder is exactly
+
+    Bernardi:  K sum_{n>=1} r^n/(n+beta) c_n
+    Cesaro:    K sum_{n>=1} r^n/(n+1) (c_1 + ... + c_n)
+
+and every c_n is negative.  ``_remainders`` sums these series for a whole
+ladder of a in one array; the decompositions, witness scans and order fits
+take their remainders from it, never from a summed majorant minus its other
+parts.  Every error they use is certified: it bounds truncation and rounding.
+The Lemma-1 suite stresses ``|a_n| <= (1 - |a_0|^2)/(1 + gamma)`` over seeded
+random samples.
 """
 
 from __future__ import annotations
@@ -26,19 +35,20 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError, InconclusiveError, PreconditionError
-from .operators import (BernardiParams, bernardi_majorant, cesaro_majorant,
-                        lerch_tail_sum, log_bound)
+from .errors import (DomainError, InconclusiveError, NumericalError,
+                     PreconditionError)
+from .operators import UNIT_ROUNDOFF, lerch_tail_sum, log_bound
 from .radii import bernardi_radius, cesaro_radius
-from .series import (DomainGamma, SchurSampleSpec, TruncatedPowerSeries,
-                     sample_schur_omega, truncation_order)
+from .series import (ORDER_CAP, DomainGamma, SchurSampleSpec,
+                     TruncatedPowerSeries, sample_schur_omega,
+                     truncation_order)
 
-MAJORANT_TAIL_TARGET = 1e-13
-# Allowance for double-precision roundoff in residual-computed remainders.
-ROUNDOFF_FLOOR = 1e-14
 DEGENERATE_A0_TOL = 1e-8
 WITNESS_SLACK = 10.0
-NOISE_FILTER = 100.0
+# Truncation of the remainder series, relative to the remainder.
+REMAINDER_TAIL_TARGET = 8.0 * UNIT_ROUNDOFF
+# Covers second-order rounding terms and the rounding of a bound itself.
+BOUND_SLACK = 1.01
 
 
 @dataclass(frozen=True)
@@ -157,30 +167,159 @@ def extremal_eval(p: ExtremalParams, z: complex) -> complex:
     return (a - g - (1.0 - g) * z) / (1.0 - a * g - a * (1.0 - g) * z)
 
 
-def _extremal_majorant_order(p: ExtremalParams, r: float) -> int:
-    """Truncation order certifying MAJORANT_TAIL_TARGET for the extremal series."""
-    q = extremal_ratio(p)
-    a0 = (p.a - p.gamma.gamma) / (1.0 - p.a * p.gamma.gamma)
-    lead = (1.0 - p.a * p.a) / (p.a * (1.0 - p.a * p.gamma.gamma))
-    abs_sum = a0 + lead * q / (1.0 - q)
-    return truncation_order(r, tail_bound=max(1.0, abs_sum), target=MAJORANT_TAIL_TARGET)
+def _remainders(gamma: float, r: float, a_values,
+                beta: Optional[float] = None) -> tuple[list, list]:
+    """Extremal remainders for every a at once, and their certified errors.
+
+    beta=None selects Cesaro.  With weights w_n = r^n/(n+beta) (Cesaro:
+    r^n/(n+1)) the remainder is ``K sum_{n>=1} w_n C_n``, C_n = c_n for
+    Bernardi and c_1 + ... + c_n for Cesaro, which sums ``c_k W_k`` with the
+    weight tails W_k = w_k + ... + w_N instead.  ``log q = log1p(-(1-q))``
+    and ``c_n = 1 + ((1+a)/(1-a)) expm1(n log q)``; one (len(a), N) array
+    holds every c_n, N set by the largest a's need.  Since 1 + a > d and
+    S_n >= 1, ``|c_n| = ((1+a)/d) S_n - 1 >= S_n |c_1|`` with
+    ``|c_1| = a(1+gamma)/d``: all terms are negative.
+
+    Truncation.  By ``S_n <= min(n, 1/(1-q))``, the terms after N = M - 1
+    sum to at most ``((1+a)/d) r^M/(1-r) h(M)``, where Bernardi's
+    ``h = min(1, 1/((1-q)(M+beta)))`` and Cesaro's
+    ``h = min((M(1-r)+r)/(2(1-r)), 1/(1-q))``.  M takes three fixed-point
+    steps towards REMAINDER_TAIL_TARGET times a lower bound of the sum,
+    ``|c_1| ln(1 + (1-q)r/(1-r))/((1+beta)(1-q))`` for Bernardi (as
+    n + beta <= n(1+beta)) and ``|c_1| r/(2(1-r)(1-qr))`` for Cesaro (S_k
+    is concave, so ``|C_n| >= |c_1| S_n (n+1)/2``).  The bound takes the
+    tail at the N summed, so a short M only loosens it.
+
+    Rounding, to first order in u = 2**-53, with 8u for each log1p, expm1
+    and pow (numpy's SIMD loops are within 4 ulp) and e = a*gamma/d: 1 - q
+    carries (3 + e)u.  1 - q^n has relative condition at most 1 both in
+    1 - q (``n q^(n-1)(1-q)/(1-q^n)``) and in n log q (``x/(e^x-1)``), so
+    after log1p, the product and expm1 it carries (20 + e)u, and times
+    (1+a)/(1-a) it carries p = (24 + e)u.  ``c_n = 1 - P_n`` with
+    ``P_n = 1 + |c_n| <= (1 + 1/|c_1|)|c_n|`` carries p(1 + 1/|c_1|) + u.
+    The weights carry 10u, their products u, K (6 + e)u and the last
+    product u; each row's sum, and Cesaro's weight tails, add (N-1)u in any
+    order since their terms share one sign.  The certified error is
+    BOUND_SLACK times the relative bound times |remainder|, plus K times
+    the tail bound.  Beyond 2 * ORDER_CAP terms (r above about 0.999) it
+    raises NumericalError.
+    """
+    log_r = math.log(r)
+
+    def shape(m, t):  # h(M) above, with t = 1 - q
+        if beta is None:
+            return min((m * (1.0 - r) + r) / (2.0 * (1.0 - r)), 1.0 / t)
+        return min(1.0 / (t * (m + beta)), 1.0)
+
+    rows, m_max = [], 2
+    for a in a_values:
+        d = 1.0 - a * gamma
+        t = (1.0 - a) / d
+        growth, c1 = (1.0 + a) / d, a * (1.0 + gamma) / d
+        if beta is None:
+            lower = 0.5 * c1 * r / ((1.0 - r) * (1.0 - r + t * r))
+        else:
+            lower = c1 * math.log1p(t * r / (1.0 - r)) / ((1.0 + beta) * t)
+        goal = REMAINDER_TAIL_TARGET * lower * (1.0 - r) / growth
+        m = 1
+        for _ in range(3):
+            m = max(2, math.ceil(math.log(goal / shape(m, t)) / log_r))
+        m_max = max(m_max, m)
+        rows.append((a, d, t, growth, c1))
+    n_terms = m_max - 1
+    if n_terms > 2 * ORDER_CAP:
+        raise NumericalError(f"the extremal remainder at r={r} needs {n_terms} "
+                             f"terms, above the order cap {2 * ORDER_CAP}")
+    n = np.arange(1.0, n_terms + 1.0)
+    if beta is None:
+        weights = np.cumsum((np.power(r, n) / (n + 1.0))[::-1])[::-1]
+    else:
+        weights = np.power(r, n) / (n + beta)
+    log_q = np.log1p(-np.array([row[2] for row in rows]))
+    ratio = np.array([(1.0 + row[0]) / (1.0 - row[0]) for row in rows])
+    c = 1.0 + ratio[:, None] * np.expm1(np.multiply.outer(log_q, n))
+    sums = (c * weights).sum(axis=1).tolist()
+
+    passes = 2 if beta is None else 1
+    tail_power = r ** m_max / (1.0 - r)
+    remainders, errors = [], []
+    for (a, d, t, growth, c1), total in zip(rows, sums):
+        scale, e = (1.0 - a) * (1.0 - a) / (a * d), a * gamma / d
+        relative = ((24.0 + e) * (1.0 + 1.0 / c1) + 19.0 + e
+                    + passes * (n_terms - 1)) * UNIT_ROUNDOFF
+        remainders.append(scale * total)
+        errors.append(BOUND_SLACK * (relative * abs(scale * total)
+                                     + scale * growth * tail_power * shape(m_max, t)))
+    return remainders, errors
+
+
+def _cesaro_factor(gamma: float, r: float) -> tuple[float, float]:
+    """The Cesaro first-order factor and its rounding bound (8u for log1p)."""
+    log_term = (3.0 + gamma) * (1.0 - r) * math.log1p(-r)
+    scale = r * (1.0 - r)
+    value = (2.0 * r + log_term) / scale
+    error = (12.0 * abs(log_term) + 4.0 * abs(2.0 * r + log_term)) * UNIT_ROUNDOFF / scale
+    return value, error
 
 
 def cesaro_first_order_factor(gamma: DomainGamma, r: float) -> float:
     """``(2r + (3+gamma)(1-r) ln(1-r)) / (r (1-r))``; changes sign at the radius."""
-    g = gamma.gamma
-    return (2.0 * r + (3.0 + g) * (1.0 - r) * math.log1p(-r)) / (r * (1.0 - r))
+    return _cesaro_factor(gamma.gamma, r)[0]
 
 
-def _cesaro_split(p: ExtremalParams, r: float) -> tuple[Decomposition, float]:
-    """The Cesaro decomposition and the certified error of the summed majorant."""
+def _bernardi_factor(gamma: float, beta: float, r: float) -> tuple[float, float]:
+    """The tail-balance factor and its error: the tail sum's plus 4u per part."""
+    total, total_err = lerch_tail_sum(r, beta, 1)
+    prefactor = 2.0 / (1.0 + gamma)
+    value = 1.0 / beta - prefactor * total
+    error = prefactor * total_err + 4.0 * UNIT_ROUNDOFF * (1.0 / beta + prefactor * total)
+    return value, error
+
+
+def bernardi_first_order_factor(gamma: DomainGamma, beta: float, r: float) -> float:
+    """``1/beta - (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)``; changes sign at the radius."""
+    return _bernardi_factor(gamma.gamma, beta, r)[0]
+
+
+def _check_r(r: float) -> None:
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
-    bound = log_bound(r)
-    first = (1.0 - p.a) / (1.0 - p.a * p.gamma.gamma) * cesaro_first_order_factor(p.gamma, r)
-    series = extremal_coeffs(p, _extremal_majorant_order(p, r))
-    value, err = cesaro_majorant(series, r)
-    return Decomposition(bound, first, value - bound - first), err
+
+
+def _check_beta(beta: float) -> None:
+    """Reject beta <= 0; for beta < 1, warn the public function's caller."""
+    if beta <= 0.0:
+        raise DomainError(f"beta must be positive, got {beta}")
+    if beta < 1.0:
+        warnings.warn(f"beta={beta} < 1: sharpness behaviour is exploratory here",
+                      stacklevel=3)
+
+
+def _expand(gamma: DomainGamma, r: float, a_values,
+            beta: Optional[float]) -> tuple[list, list, list]:
+    """First-order terms, remainders and certified margin errors over a ladder.
+
+    beta=None selects Cesaro.  The first-order factor is evaluated once and
+    the remainders come from one ``_remainders`` call.  A margin
+    ``first + remainder`` is certified to the remainder's error, plus the
+    factor's error times its coefficient, (5 + a*gamma/d)u of the
+    first-order term and u of the sum.
+    """
+    g = gamma.gamma
+    if beta is None:
+        value, value_err = _cesaro_factor(g, r)
+    else:
+        value, value_err = _bernardi_factor(g, beta, r)
+    remainders, rem_errors = _remainders(g, r, a_values, beta)
+    firsts, errors = [], []
+    for a, remainder, rem_err in zip(a_values, remainders, rem_errors):
+        d = 1.0 - a * g
+        coeff = (1.0 - a) / d if beta is None else -(1.0 - a) * (1.0 + g) / d
+        first = coeff * value
+        firsts.append(first)
+        errors.append(BOUND_SLACK * (abs(coeff) * value_err + rem_err + UNIT_ROUNDOFF * (
+            (5.0 + a * g / d) * abs(first) + abs(first + remainder))))
+    return firsts, remainders, errors
 
 
 def cesaro_extremal_decomposition(p: ExtremalParams, r: float) -> Decomposition:
@@ -188,39 +327,12 @@ def cesaro_extremal_decomposition(p: ExtremalParams, r: float) -> Decomposition:
 
     bound is ``(1/r) ln(1/(1-r))``; first_order is
     ``((1-a)/(1-a*gamma)) * (2r + (3+gamma)(1-r) ln(1-r)) / (r(1-r))``;
-    remainder is the residual against the directly summed majorant and is
+    remainder is the closed-form sum of ``_remainders``, negative and
     quadratic in (1 - a).
     """
-    return _cesaro_split(p, r)[0]
-
-
-def bernardi_first_order_factor(gamma: DomainGamma, beta: float, r: float) -> float:
-    """``1/beta - (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)``; changes sign at the radius."""
-    value, _ = lerch_tail_sum(r, beta, 1)
-    return 1.0 / beta - 2.0 / (1.0 + gamma.gamma) * value
-
-
-def _bernardi_split(p: ExtremalParams, beta: float,
-                    r: float) -> tuple[Decomposition, float]:
-    """The Bernardi decomposition and the certified error of the summed majorant.
-
-    The beta < 1 warning points at the code that called the public function.
-    """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must lie in (0, 1), got {r}")
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if beta < 1.0:
-        warnings.warn(
-            f"beta={beta} < 1: sharpness behaviour is exploratory here",
-            stacklevel=3)
-    bound = 1.0 / beta
-    g = p.gamma.gamma
-    first = (-(1.0 - p.a) * (1.0 + g) / (1.0 - p.a * g)
-             * bernardi_first_order_factor(p.gamma, beta, r))
-    series = extremal_coeffs(p, _extremal_majorant_order(p, r))
-    value, err = bernardi_majorant(series, BernardiParams(beta, 0), r)
-    return Decomposition(bound, first, value - bound - first), err
+    _check_r(r)
+    (first,), (remainder,), _ = _expand(p.gamma, r, (p.a,), None)
+    return Decomposition(log_bound(r), first, remainder)
 
 
 def bernardi_extremal_decomposition(p: ExtremalParams, beta: float,
@@ -228,12 +340,15 @@ def bernardi_extremal_decomposition(p: ExtremalParams, beta: float,
     """Split the Bernardi majorant ``sum |A_n| r^n/(n+beta)`` at radius r.
 
     bound is 1/beta; first_order is ``-(1-a)(1+gamma)/(1-a*gamma)`` times the
-    tail-balance factor; remainder is the residual against the directly
-    summed majorant and is quadratic in (1 - a).  The sharpness argument is
+    tail-balance factor; remainder is the closed-form sum of ``_remainders``,
+    negative and quadratic in (1 - a).  The sharpness argument is
     established for beta >= 1; smaller beta is accepted but flagged as
     exploratory.
     """
-    return _bernardi_split(p, beta, r)[0]
+    _check_r(r)
+    _check_beta(beta)
+    (first,), (remainder,), _ = _expand(p.gamma, r, (p.a,), beta)
+    return Decomposition(1.0 / beta, first, remainder)
 
 
 def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
@@ -269,17 +384,14 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
     return Lemma1Report(g, num_samples, max_ratio, worst, skipped)
 
 
-def _scan(bound: float, r: float, gamma: DomainGamma, a_values,
-          majorant) -> tuple[tuple, tuple, bool]:
-    margins, found = [], False
-    for a in a_values:
-        p = ExtremalParams(float(a), gamma)
-        value, err = majorant(extremal_coeffs(p, _extremal_majorant_order(p, r)))
-        margin = value - bound
-        margins.append(margin)
-        if margin > WITNESS_SLACK * (err + ROUNDOFF_FLOOR):
-            found = True
-    return tuple(a_values), tuple(margins), found
+def _scan(gamma: DomainGamma, r: float, a_values,
+          beta: Optional[float]) -> tuple[tuple, tuple, bool]:
+    """Margins ``first_order + remainder`` over the ladder; a witness needs a
+    margin above WITNESS_SLACK times its certified error."""
+    a_vals = tuple(ExtremalParams(float(a), gamma).a for a in a_values)
+    firsts, remainders, errors = _expand(gamma, r, a_vals, beta)
+    margins = tuple(first + rem for first, rem in zip(firsts, remainders))
+    return a_vals, margins, any(m > WITNESS_SLACK * e for m, e in zip(margins, errors))
 
 
 def sharpness_scan_cesaro(gamma: DomainGamma, r: float, a_values) -> SharpnessReport:
@@ -293,60 +405,51 @@ def sharpness_scan_cesaro(gamma: DomainGamma, r: float, a_values) -> SharpnessRe
     if r <= radius:
         raise PreconditionError(
             f"sharpness scan needs r > radius {radius:.6f}, got r={r}")
-    a_vals, margins, found = _scan(
-        log_bound(r), r, gamma, [float(a) for a in a_values],
-        lambda s: cesaro_majorant(s, r))
+    a_vals, margins, found = _scan(gamma, r, a_values, None)
     return SharpnessReport(gamma.gamma, None, r, radius, a_vals, margins, found)
 
 
 def sharpness_scan_bernardi(gamma: DomainGamma, beta: float, r: float,
                             a_values) -> SharpnessReport:
     """Look for extremal functions whose Bernardi majorant exceeds 1/beta."""
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if beta < 1.0:
-        warnings.warn(
-            f"beta={beta} < 1: sharpness behaviour is exploratory here",
-            stacklevel=2)
+    _check_beta(beta)
     radius = bernardi_radius(gamma, beta).value
     if r <= radius:
         raise PreconditionError(
             f"sharpness scan needs r > radius {radius:.6f}, got r={r}")
-    params = BernardiParams(beta, 0)
-    a_vals, margins, found = _scan(
-        1.0 / beta, r, gamma, [float(a) for a in a_values],
-        lambda s: bernardi_majorant(s, params, r))
+    a_vals, margins, found = _scan(gamma, r, a_values, beta)
     return SharpnessReport(gamma.gamma, beta, r, radius, a_vals, margins, found)
 
 
 def remainder_order_check(kind: str, gamma: DomainGamma, r: float, a_values,
                           beta: Optional[float] = None) -> float:
-    """Least-squares slope of log|remainder| against log(1-a); expected near 2.
+    """Least-squares slope of ln|remainder| against ln(1-a); expected near 2.
 
-    Points whose remainder is within NOISE_FILTER times the certified
-    evaluation error are discarded; fewer than two surviving points raise
-    InconclusiveError.
+    The remainders come from one ``_remainders`` call.  Raises
+    InconclusiveError for fewer than two distinct a, or for a remainder that
+    is not certifiably nonzero.
     """
     if kind not in ("cesaro", "bernardi"):
         raise DomainError(f"kind must be 'cesaro' or 'bernardi', got {kind!r}")
     if kind == "bernardi" and beta is None:
         raise DomainError("bernardi remainder check needs beta")
-    xs, ys = [], []
-    for a in a_values:
-        p = ExtremalParams(float(a), gamma)
-        if kind == "cesaro":
-            decomp, err = _cesaro_split(p, r)
-        else:
-            decomp, err = _bernardi_split(p, beta, r)
-        if abs(decomp.remainder) > NOISE_FILTER * (err + ROUNDOFF_FLOOR):
-            xs.append(math.log(1.0 - p.a))
-            ys.append(math.log(abs(decomp.remainder)))
-    if len(xs) < 2:
-        raise InconclusiveError(
-            "fewer than two remainders cleared the noise filter; "
-            "cannot fit an order slope")
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return slope
+    a_vals = [ExtremalParams(float(a), gamma).a for a in a_values]
+    _check_r(r)
+    if kind == "bernardi":
+        _check_beta(beta)
+    if len(set(a_vals)) < 2:
+        raise InconclusiveError("an order slope needs at least two distinct a values")
+    remainders, errors = _remainders(gamma.gamma, r, a_vals,
+                                     beta if kind == "bernardi" else None)
+    for a, remainder, error in zip(a_vals, remainders, errors):
+        if not abs(remainder) > error:
+            raise InconclusiveError(f"the remainder at a={a!r} is {remainder:.3e} +- "
+                                    f"{error:.1e}, not certifiably nonzero")
+    xs = [math.log1p(-a) for a in a_vals]
+    ys = [math.log(-remainder) for remainder in remainders]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    return sxy / sum((x - x_mean) ** 2 for x in xs)
 
 
 def identity_suite(r_grid=None) -> dict:

@@ -153,9 +153,11 @@ def solve_bracketed(g, lo: float, hi: float, tol: float = DEFAULT_TOL) -> Radius
 def cesaro_radius(gamma: DomainGamma, tol: float = DEFAULT_TOL) -> RadiusResult:
     """Positive root of ``(3+gamma)(1-x) ln(1/(1-x)) - 2x`` on (0, 1).
 
-    x = 0 also solves the equation; the bracket starts at 1e-6, where the
-    function is positive because its slope at 0 is 1+gamma > 0.  The slope
-    is ``(1+gamma) - (3+gamma) ln(1/(1-x))``; the value's error bound allows
+    x = 0 also solves the equation, so the bracket is [0.5, 0.75].  The
+    equation is linear in gamma, and it is positive at 0.5 (0.040 and 0.386)
+    and negative at 0.75 (-0.460 and -0.114) for gamma = 0 and gamma = 1, so
+    both signs hold for every gamma in [0, 1).  The slope is
+    ``(1+gamma) - (3+gamma) ln(1/(1-x))``; the value's error bound allows
     one unit roundoff for each of its six roundings, libm counted twice.
     """
     g = gamma.gamma
@@ -166,7 +168,7 @@ def cesaro_radius(gamma: DomainGamma, tol: float = DEFAULT_TOL) -> RadiusResult:
         error = 8.0 * UNIT_ROUNDOFF * (first + 2.0 * x)
         return first - 2.0 * x, error, (1.0 + g) - (3.0 + g) * log_term
 
-    return solve_bracketed(equation, 1e-6, 1.0 - 1e-9, tol)
+    return solve_bracketed(equation, 0.5, 0.75, tol)
 
 
 def _tail_balance_equation(beta_eff: float, prefactor: float):

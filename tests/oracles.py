@@ -155,6 +155,34 @@ def bernardi_extremal_closed_form(a, gamma, beta, r, terms=200000):
     return a0 / beta + lead * math.fsum(np.power(q * r, ns) / (ns + beta))
 
 
+def mp_extremal_remainder(a, gamma, r, beta=None, dps=50):
+    """``majorant - bound - first_order`` of the extremal family at dps digits.
+
+    beta=None selects Cesaro, whose majorant is the two-logarithm closed form
+    ``((a-g) + (1+a)(1-g))/(r d) L(r) - ((1+a)/(a r)) L(q r)`` with
+    L(x) = ln(1/(1-x)), d = 1 - a g and q = a(1-g)/d; its bound is L(r)/r
+    and its first-order term ``((1-a)/d) (2r + (3+g)(1-r) ln(1-r))/(r(1-r))``.
+    The Bernardi majorant is ``A_0/beta + lead * sum_{n>=1} (qr)^n/(n+beta)``
+    through the Gauss function (``mp_tail_sum``); its bound is 1/beta and its
+    first-order term ``-((1-a)(1+g)/d) (1/beta - (2/(1+g)) sum r^n/(n+beta))``.
+    The inputs are taken as exact binary values.
+    """
+    with mp.workdps(dps):
+        a, g, r = mp.mpf(a), mp.mpf(gamma), mp.mpf(r)
+        d = 1 - a * g
+        q = a * (1 - g) / d
+        if beta is None:
+            ell = lambda x: -mp.log(1 - x)
+            majorant = (((a - g) + (1 + a) * (1 - g)) / (r * d) * ell(r)
+                        - (1 + a) / (a * r) * ell(q * r))
+            first = (1 - a) / d * (2 * r + (3 + g) * (1 - r) * mp.log(1 - r)) / (r * (1 - r))
+            return majorant - ell(r) / r - first
+        b = mp.mpf(beta)
+        majorant = (a - g) / d / b + (1 - a * a) / (a * d) * mp_tail_sum(q * r, b)
+        first = -(1 - a) * (1 + g) / d * (1 / b - 2 / (1 + g) * mp_tail_sum(r, b))
+        return majorant - 1 / b - first
+
+
 def _quad_complex(f, a, b, what):
     """Adaptive quadrature of a complex integrand over [a, b]."""
     with warnings.catch_warnings():

@@ -13,8 +13,7 @@ import pytest
 
 import bohrkit as bk
 from bohrkit import cli
-from bohrkit.extremal import (ExtremalParams, _extremal_majorant_order,
-                              bernardi_extremal_decomposition,
+from bohrkit.extremal import (ExtremalParams, bernardi_extremal_decomposition,
                               bernardi_first_order_factor,
                               cesaro_extremal_decomposition,
                               cesaro_first_order_factor, extremal_coeffs,
@@ -175,7 +174,12 @@ def test_criterion_08_decomposition_exactness_and_sign_flip():
         for a in (0.65, 0.8, 0.9, 0.99):
             p = ExtremalParams(a, dg)
             for r in (0.2, 0.4, 0.6, 0.8):
-                series = extremal_coeffs(p, _extremal_majorant_order(p, r))
+                # Order certifying 1e-13 for the series' majorant tail.
+                q = a * (1.0 - gamma) / (1.0 - a * gamma)
+                lead = (1.0 - a * a) / (a * (1.0 - a * gamma))
+                abs_sum = (a - gamma) / (1.0 - a * gamma) + lead * q / (1.0 - q)
+                series = extremal_coeffs(
+                    p, truncation_order(r, tail_bound=max(1.0, abs_sum), target=1e-13))
                 d = cesaro_extremal_decomposition(p, r)
                 direct, _ = cesaro_majorant(series, r)
                 worst = max(worst, abs(d.bound + d.first_order + d.remainder - direct))

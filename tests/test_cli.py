@@ -183,6 +183,17 @@ def test_verify_remainder_order_pass_and_assertion_failure():
     assert not low <= doc["slope"] <= high
 
 
+def test_verify_remainder_order_deep_ladder():
+    # 1-a = 1e-7 and 1e-8: the closed-form remainders stay certified there,
+    # so both points enter the fit.
+    proc = run_cli("verify", "remainder-order", "--op", "cesaro", "--gamma", "0.3",
+                   "--r", "0.4", "--a-list", "0.9999999,0.99999999")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["pass"] is True
+    assert 1.8 <= doc["slope"] <= 2.2
+
+
 # ----------------------------------------------------------------- table
 
 def test_table_paper_constants():

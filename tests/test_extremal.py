@@ -5,7 +5,8 @@ import pytest
 
 import bohrkit as bk
 from bohrkit.errors import (DomainError, InconclusiveError, PreconditionError)
-from bohrkit.extremal import (ExtremalParams, bernardi_extremal_decomposition,
+from bohrkit.extremal import (ExtremalParams, _remainders,
+                              bernardi_extremal_decomposition,
                               bernardi_first_order_factor,
                               cesaro_extremal_decomposition,
                               cesaro_first_order_factor, extremal_coeffs,
@@ -17,7 +18,7 @@ from bohrkit.radii import bernardi_radius, cesaro_radius
 from bohrkit.series import DomainGamma, truncation_order
 
 from oracles import (bernardi_extremal_closed_form, cauchy_coeffs,
-                     cesaro_extremal_closed_form)
+                     cesaro_extremal_closed_form, mp_extremal_remainder)
 
 WITNESS_LADDER = (0.99, 0.999, 0.9999)
 
@@ -184,6 +185,32 @@ def test_bernardi_decomposition_flags_small_beta_as_exploratory():
         bernardi_extremal_decomposition(ExtremalParams(0.9, DomainGamma(0.1)), 0.5, 0.3)
 
 
+# ---------------------------------------------------- closed-form remainders
+
+@pytest.mark.parametrize("beta", [None, 1.0, 2.0, 5.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("r", [0.3, 0.6, 0.95])
+def test_remainders_certified_against_mpmath(r, gamma, beta):
+    # One call for the whole ladder 1-a = 1e-2 .. 1e-10 (beta=None is
+    # Cesaro): every remainder is negative, lies within its certified error
+    # of the 50-digit value, and that error is at most 1e-12 relative.
+    a_values = [1.0 - 10.0 ** -k for k in range(2, 11)]
+    remainders, errors = _remainders(gamma, r, a_values, beta)
+    for a, rem, err in zip(a_values, remainders, errors):
+        ref = mp_extremal_remainder(a, gamma, r, beta)
+        assert rem < 0.0
+        assert abs(rem - ref) <= err <= 1e-12 * abs(ref)
+
+
+def test_decompositions_take_the_kernel_remainder():
+    gamma, r = 0.3, 0.6
+    p = ExtremalParams(1.0 - 1e-8, DomainGamma(gamma))
+    (rem_c,), _ = _remainders(gamma, r, [p.a])
+    (rem_b,), _ = _remainders(gamma, r, [p.a], 2.0)
+    assert cesaro_extremal_decomposition(p, r).remainder == rem_c
+    assert bernardi_extremal_decomposition(p, 2.0, r).remainder == rem_b
+
+
 # -------------------------------------------------------------- lemma 1 suite
 
 def test_lemma1_bound_holds_at_gamma_04():
@@ -308,6 +335,15 @@ def test_remainder_order_bernardi_slope_at_positive_gamma_is_linear():
 def test_remainder_order_single_point_is_inconclusive():
     with pytest.raises(InconclusiveError):
         remainder_order_check("cesaro", DomainGamma(0.3), 0.4, [0.9])
+
+
+def test_remainder_order_uncertified_remainder_is_inconclusive():
+    # At a = 1e-16 every c_n is lost to rounding (|c_1| = a), and the
+    # certified error says so.
+    (rem,), (err,) = _remainders(0.0, 0.4, [1e-16])
+    assert err > abs(rem)
+    with pytest.raises(InconclusiveError, match="not certifiably nonzero"):
+        remainder_order_check("cesaro", DomainGamma(0.0), 0.4, [1e-16, 0.5])
 
 
 def test_remainder_order_rejects_unknown_kind():
