@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
@@ -38,6 +37,9 @@ IDENTITY_TOL = 1e-10
 SLOPE_RANGE = (1.8, 2.2)
 DEFAULT_WITNESS_LADDER = (0.99, 0.999, 0.9999)
 DEFAULT_ORDER_LADDER = (0.9, 0.99, 0.999, 0.9999)
+# The parameters of each radius equation, in the order its solver takes them.
+EQUATIONS = {"cesaro": ("gamma",), "bernardi": ("gamma", "beta"),
+             "bernardi-classic": ("beta", "m")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,36 +48,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter sweep request for a radius equation."""
-
-    equation: str
-    parameter: str
-    grid: tuple[float, ...]
-    fixed: dict = field(default_factory=dict)
-    output_format: str = "csv"
-    output_path: Optional[str] = None
-
-    def __post_init__(self):
-        if self.equation not in ("cesaro", "bernardi", "bernardi-classic"):
-            raise ValueError(f"unknown equation {self.equation!r}")
-        if self.parameter not in ("gamma", "beta"):
-            raise ValueError(f"sweep parameter must be gamma or beta, got {self.parameter!r}")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"output format must be csv or json, got {self.output_format!r}")
-        if len(self.grid) == 0:
-            raise ValueError("sweep grid must not be empty")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("sweep grid must be strictly increasing")
-        if self.parameter == "gamma" and not all(0.0 <= g < 1.0 for g in self.grid):
-            raise ValueError("gamma grid values must lie in [0, 1)")
-        if self.parameter == "beta":
-            floor = -self.fixed.get("m", 0) if self.equation == "bernardi-classic" else 0.0
-            if not all(b > floor for b in self.grid):
-                raise ValueError(f"beta grid values must exceed {floor}")
 
 
 def _emit(text: str, path: Optional[str]) -> int:
@@ -91,7 +63,7 @@ def _emit(text: str, path: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _json_doc(payload: dict) -> str:
+def _json_doc(payload) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
@@ -100,6 +72,8 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise ValueError(f"{flag} expects a comma-separated list of numbers, got {text!r}")
+    if not values:
+        raise ValueError(f"{flag} must list at least one number")
     return values
 
 
@@ -112,9 +86,7 @@ def _solve(equation: str, fixed: dict, tol: float) -> RadiusResult:
 
 
 def _cmd_radius(args) -> int:
-    fixed = {"gamma": args.gamma} if args.equation == "cesaro" else (
-        {"gamma": args.gamma, "beta": args.beta} if args.equation == "bernardi"
-        else {"beta": args.beta, "m": args.m})
+    fixed = {name: getattr(args, name) for name in EQUATIONS[args.equation]}
     result = _solve(args.equation, fixed, args.tol)
     doc = {
         "equation": args.equation,
@@ -132,111 +104,81 @@ def _cmd_radius(args) -> int:
     return EXIT_OK if result.converged else EXIT_NUMERIC
 
 
-def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> str:
+def run_sweep(equation: str, parameter: str, grid, fixed: dict,
+              output_format: str = "csv", tol: float = DEFAULT_TOL) -> str:
     """Solve the radius equation over the grid; returns the table text."""
     rows = []
-    for v in spec.grid:
-        res = _solve(spec.equation, {**spec.fixed, spec.parameter: v}, tol)
-        rows.append({spec.parameter: v, "radius": res.value,
+    for v in grid:
+        res = _solve(equation, {**fixed, parameter: v}, tol)
+        rows.append({parameter: v, "radius": res.value,
                      "residual": res.residual, "iterations": res.iterations})
-    if spec.output_format == "json":
-        return json.dumps(rows, sort_keys=True) + "\n"
+    if output_format == "json":
+        return _json_doc(rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([spec.parameter, "radius", "residual", "iterations"])
+    writer.writerow([parameter, "radius", "residual", "iterations"])
     for row in rows:
-        writer.writerow([f"{row[spec.parameter]:.17g}", f"{row['radius']:.17g}",
+        writer.writerow([f"{row[parameter]:.17g}", f"{row['radius']:.17g}",
                          f"{row['residual']:.17g}", row["iterations"]])
     return buf.getvalue()
 
 
 def _cmd_sweep(args) -> int:
-    fixed = {}
-    if args.gamma is not None:
-        fixed["gamma"] = args.gamma
-    if args.beta is not None:
-        fixed["beta"] = args.beta
-    if args.equation == "bernardi-classic":
-        fixed["m"] = args.m
-    try:
-        grid = _parse_float_list(args.grid, "--grid")
-        spec = SweepSpec(args.equation, args.parameter, tuple(grid), fixed,
-                         args.format, args.out)
-        needed = {"cesaro": {"gamma"}, "bernardi": {"gamma", "beta"},
-                  "bernardi-classic": {"beta", "m"}}[args.equation]
-        missing = needed - set(fixed) - {args.parameter}
-        if missing:
-            raise ValueError(f"missing fixed parameter(s): {', '.join(sorted(missing))}")
-        if args.parameter not in needed:
-            raise ValueError(f"{args.equation} has no parameter {args.parameter!r}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return _emit(run_sweep(spec, args.tol), spec.output_path)
+    grid = _parse_float_list(args.grid, "--grid")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("sweep grid must be strictly increasing")
+    if args.parameter == "gamma" and not all(0.0 <= g < 1.0 for g in grid):
+        raise ValueError("gamma grid values must lie in [0, 1)")
+    if args.parameter == "beta":
+        floor = -args.m if args.equation == "bernardi-classic" else 0.0
+        if not all(b > floor for b in grid):
+            raise ValueError(f"beta grid values must exceed {floor}")
+    needed = EQUATIONS[args.equation]
+    fixed = {name: getattr(args, name) for name in needed
+             if getattr(args, name) is not None}
+    missing = set(needed) - set(fixed) - {args.parameter}
+    if missing:
+        raise ValueError(f"missing fixed parameter(s): {', '.join(sorted(missing))}")
+    if args.parameter not in needed:
+        raise ValueError(f"{args.equation} has no parameter {args.parameter!r}")
+    return _emit(run_sweep(args.equation, args.parameter, grid, fixed, args.format,
+                           args.tol), args.out)
 
 
 def _cmd_verify(args) -> int:
+    doc = {"check": args.check}
     if args.check == "lemma1":
         report = lemma1_check(DomainGamma(args.gamma), args.samples,
                               args.degree_max, args.order, args.seed)
         ok = report.max_ratio <= 1.0 + LEMMA1_TOL
-        doc = {
-            "check": "lemma1",
-            "parameters": {"gamma": args.gamma, "samples": args.samples,
-                           "degree_max": args.degree_max, "order": args.order,
-                           "seed": args.seed},
-            "report": report.as_dict(),
-            "tolerance": LEMMA1_TOL,
-            "pass": ok,
-            "version": __version__,
-        }
-    elif args.check == "sharpness":
-        ladder = tuple(_parse_float_list(args.a_list, "--a-list"))
-        if args.op == "cesaro":
-            report = sharpness_scan_cesaro(DomainGamma(args.gamma), args.r, ladder)
-        else:
-            if args.beta is None:
-                print("error: --beta is required for --op bernardi", file=sys.stderr)
-                return EXIT_USAGE
-            report = sharpness_scan_bernardi(DomainGamma(args.gamma), args.beta,
-                                             args.r, ladder)
-        ok = report.witness_found
-        doc = {
-            "check": "sharpness",
-            "parameters": {"op": args.op, "gamma": args.gamma, "beta": args.beta,
-                           "r": args.r, "a_list": list(ladder)},
-            "report": report.as_dict(),
-            "pass": ok,
-            "version": __version__,
-        }
-    elif args.check == "remainder-order":
-        ladder = tuple(_parse_float_list(args.a_list, "--a-list"))
-        if args.op == "bernardi" and args.beta is None:
-            print("error: --beta is required for --op bernardi", file=sys.stderr)
-            return EXIT_USAGE
-        slope = remainder_order_check(args.op, DomainGamma(args.gamma), args.r,
-                                      ladder, beta=args.beta)
-        ok = SLOPE_RANGE[0] <= slope <= SLOPE_RANGE[1]
-        doc = {
-            "check": "remainder-order",
-            "parameters": {"op": args.op, "gamma": args.gamma, "beta": args.beta,
-                           "r": args.r, "a_list": list(ladder)},
-            "slope": slope,
-            "expected_range": list(SLOPE_RANGE),
-            "pass": ok,
-            "version": __version__,
-        }
-    else:  # identities
+        doc.update(parameters={"gamma": args.gamma, "samples": args.samples,
+                               "degree_max": args.degree_max, "order": args.order,
+                               "seed": args.seed},
+                   report=report.as_dict(), tolerance=LEMMA1_TOL)
+    elif args.check == "identities":
         report = identity_suite()
         ok = report["max_deviation"] <= IDENTITY_TOL
-        doc = {
-            "check": "identities",
-            "report": report,
-            "tolerance": IDENTITY_TOL,
-            "pass": ok,
-            "version": __version__,
-        }
-    code = _emit(_json_doc(doc), getattr(args, "out", None))
+        doc.update(report=report, tolerance=IDENTITY_TOL)
+    else:  # sharpness, remainder-order
+        ladder = tuple(_parse_float_list(args.a_list, "--a-list"))
+        if args.op == "bernardi" and args.beta is None:
+            raise ValueError("--beta is required for --op bernardi")
+        gamma = DomainGamma(args.gamma)
+        doc["parameters"] = {"op": args.op, "gamma": args.gamma, "beta": args.beta,
+                             "r": args.r, "a_list": list(ladder)}
+        if args.check == "remainder-order":
+            slope = remainder_order_check(args.op, gamma, args.r, ladder, beta=args.beta)
+            ok = SLOPE_RANGE[0] <= slope <= SLOPE_RANGE[1]
+            doc.update(slope=slope, expected_range=list(SLOPE_RANGE))
+        else:
+            if args.op == "cesaro":
+                report = sharpness_scan_cesaro(gamma, args.r, ladder)
+            else:
+                report = sharpness_scan_bernardi(gamma, args.beta, args.r, ladder)
+            ok = report.witness_found
+            doc["report"] = report.as_dict()
+    doc.update({"pass": ok, "version": __version__})
+    code = _emit(_json_doc(doc), args.out)
     if code != EXIT_OK:
         return code
     return EXIT_OK if ok else EXIT_ASSERTION
@@ -288,22 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     radius = sub.add_parser("radius", help="solve one radius equation")
     radius_sub = radius.add_subparsers(dest="equation", required=True)
-    p = radius_sub.add_parser("cesaro")
-    p.add_argument("--gamma", type=float, required=True)
-    p = radius_sub.add_parser("bernardi")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p = radius_sub.add_parser("bernardi-classic")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    for p in radius_sub.choices.values():
+    for equation, names in EQUATIONS.items():
+        p = radius_sub.add_parser(equation)
+        for name in names:
+            p.add_argument(f"--{name}", type=int if name == "m" else float, required=True)
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--out", default=None)
         p.set_defaults(handler=_cmd_radius)
 
     sweep = sub.add_parser("sweep", help="tabulate a radius over a parameter grid")
-    sweep.add_argument("--op", dest="equation", required=True,
-                       choices=["cesaro", "bernardi", "bernardi-classic"])
+    sweep.add_argument("--op", dest="equation", required=True, choices=list(EQUATIONS))
     sweep.add_argument("--parameter", required=True, choices=["gamma", "beta"])
     sweep.add_argument("--grid", required=True,
                        help="comma-separated strictly increasing values")
@@ -323,20 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--degree-max", dest="degree_max", type=int, default=8)
     p.add_argument("--order", type=int, default=64)
-    p = verify_sub.add_parser("sharpness")
-    p.add_argument("--op", required=True, choices=["cesaro", "bernardi"])
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--a-list", dest="a_list",
-                   default=",".join(str(a) for a in DEFAULT_WITNESS_LADDER))
-    p = verify_sub.add_parser("remainder-order")
-    p.add_argument("--op", required=True, choices=["cesaro", "bernardi"])
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--a-list", dest="a_list",
-                   default=",".join(str(a) for a in DEFAULT_ORDER_LADDER))
+    for check, ladder in (("sharpness", DEFAULT_WITNESS_LADDER),
+                          ("remainder-order", DEFAULT_ORDER_LADDER)):
+        p = verify_sub.add_parser(check)
+        p.add_argument("--op", required=True, choices=["cesaro", "bernardi"])
+        p.add_argument("--gamma", type=float, required=True)
+        p.add_argument("--beta", type=float, default=None)
+        p.add_argument("--r", type=float, required=True)
+        p.add_argument("--a-list", dest="a_list", default=",".join(map(str, ladder)))
     verify_sub.add_parser("identities")
     for p in verify_sub.choices.values():
         p.add_argument("--out", default=None)
@@ -359,11 +289,8 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ValueError as exc:
         # DomainError and PreconditionError subclass ValueError.
-        if isinstance(exc, (DomainError, PreconditionError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_DOMAIN if isinstance(exc, (DomainError, PreconditionError)) else EXIT_USAGE
     except (NumericalError, BracketingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -287,9 +287,10 @@ def _check_r(r: float) -> None:
 
 
 def _check_beta(beta: float) -> None:
-    """Reject beta <= 0; for beta < 1, warn the public function's caller."""
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    """Reject a non-finite or nonpositive beta; for beta < 1, warn the public
+    function's caller."""
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise DomainError(f"beta must be a positive real, got {beta}")
     if beta < 1.0:
         warnings.warn(f"beta={beta} < 1: sharpness behaviour is exploratory here",
                       stacklevel=3)
@@ -355,6 +356,7 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
                  n_out: int, seed: int) -> Lemma1Report:
     """Stress the bound ``|a_n| <= (1-|a_0|^2)/(1+gamma)`` over random samples.
 
+    Each sample is checked at n = 1 .. n_out, so n_out must be at least 1.
     Samples with ``1 - |a_0|^2 < 1e-8`` (near-unimodular constants) are
     skipped and counted in the report's ``skipped``: the bound forces their
     higher coefficients to vanish and the ratio degenerates to 0/0.
@@ -363,6 +365,8 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
         raise DomainError(f"need at least one sample, got {num_samples}")
     if degree_max < 0:
         raise DomainError(f"degree_max must be >= 0, got {degree_max}")
+    if n_out < 1:
+        raise DomainError(f"output order must be >= 1, got {n_out}")
     master = np.random.default_rng(seed)
     g = gamma.gamma
     max_ratio = 0.0
@@ -375,7 +379,7 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
         sample = sample_schur_omega(spec, n_out)
         mags = np.abs(sample.coeffs)
         denom = float(1.0 - mags[0] ** 2)
-        if denom < DEGENERATE_A0_TOL or sample.order < 1:
+        if denom < DEGENERATE_A0_TOL:
             skipped += 1
             continue
         ratio = float(np.max(mags[1:])) * (1.0 + g) / denom

@@ -86,8 +86,8 @@ def solve_bracketed(g, lo: float, hi: float, tol: float = DEFAULT_TOL) -> Radius
     """
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be a positive real, got {tol}")
     points = []  # (|value|, x) of every evaluation
 
     def sample(x):

@@ -6,17 +6,30 @@ import sys
 
 import pytest
 
+from bohrkit.cli import main
+
 BOHRKIT = [sys.executable, "-m", "bohrkit"]
 
 
 def run_cli(*args):
+    """Run the CLI in a fresh interpreter, for what only a cold process shows."""
     return subprocess.run(BOHRKIT + list(args), capture_output=True, text=True)
+
+
+@pytest.fixture
+def cli(capsys):
+    """Run ``bohrkit.cli.main`` in process; returns a CompletedProcess."""
+    def run(*args):
+        code = main(list(args))
+        captured = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, captured.out, captured.err)
+    return run
 
 
 # ---------------------------------------------------------------- radius
 
-def test_radius_cesaro_gamma_zero():
-    proc = run_cli("radius", "cesaro", "--gamma", "0")
+def test_radius_cesaro_gamma_zero(cli):
+    proc = cli("radius", "cesaro", "--gamma", "0")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert abs(doc["radius"] - 0.5335) <= 5e-4
@@ -28,31 +41,42 @@ def test_radius_cesaro_gamma_zero():
     assert "version" in doc
 
 
-def test_radius_rejects_gamma_one():
-    proc = run_cli("radius", "cesaro", "--gamma", "1.0")
+def test_radius_rejects_gamma_one(cli):
+    proc = cli("radius", "cesaro", "--gamma", "1.0")
     assert proc.returncode == 2
     assert "gamma must lie in [0, 1)" in proc.stderr
 
 
-def test_radius_bernardi():
-    proc = run_cli("radius", "bernardi", "--gamma", "0", "--beta", "1")
+def test_radius_bernardi(cli):
+    proc = cli("radius", "bernardi", "--gamma", "0", "--beta", "1")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["radius"] == pytest.approx(0.5827, abs=5e-4)
 
 
-def test_radius_bernardi_classic():
-    proc = run_cli("radius", "bernardi-classic", "--beta", "1", "--m", "1")
+def test_radius_bernardi_classic(cli):
+    proc = cli("radius", "bernardi-classic", "--beta", "1", "--m", "1")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["radius"] == pytest.approx(0.474, abs=5e-4)
 
 
-def test_radius_numerical_failure_exit_code():
+def test_radius_numerical_failure_exit_code(cli):
     # beta so small that the root lies closer to 1 than double resolution.
-    proc = run_cli("radius", "bernardi", "--gamma", "0", "--beta", "0.001")
+    proc = cli("radius", "bernardi", "--gamma", "0", "--beta", "0.001")
     assert proc.returncode == 3
     assert "double resolution" in proc.stderr
+
+
+@pytest.mark.parametrize("equation", [("cesaro",), ("bernardi", "--beta", "1")])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_radius_rejects_non_finite_tol(cli, equation, tol):
+    # A NaN tol reported an unsolved bracket end as the radius (exit 3), an
+    # inf tol the bracket end 0.5 as a converged radius (exit 0).
+    proc = cli("radius", *equation, "--gamma", "0", "--tol", tol)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "tolerance must be a positive real" in proc.stderr
 
 
 def test_malformed_flags_exit_one():
@@ -63,22 +87,22 @@ def test_malformed_flags_exit_one():
 
 # ----------------------------------------------------------------- sweep
 
-def test_sweep_cesaro_csv_monotone_and_round_trip():
+def test_sweep_cesaro_csv_monotone_and_round_trip(cli):
     grid = ",".join(str(round(0.1 * k, 1)) for k in range(10))
-    proc = run_cli("sweep", "--op", "cesaro", "--parameter", "gamma", "--grid", grid)
+    proc = cli("sweep", "--op", "cesaro", "--parameter", "gamma", "--grid", grid)
     assert proc.returncode == 0
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
     assert len(rows) == 10
     radii = [float(r["radius"]) for r in rows]
     assert all(b > a for a, b in zip(radii, radii[1:]))
     # 17 significant digits round-trip exactly through text.
-    direct = json.loads(run_cli("radius", "cesaro", "--gamma", "0.5").stdout)["radius"]
+    direct = json.loads(cli("radius", "cesaro", "--gamma", "0.5").stdout)["radius"]
     assert float(rows[5]["radius"]) == direct
 
 
-def test_sweep_bernardi_beta_grid():
-    proc = run_cli("sweep", "--op", "bernardi", "--parameter", "beta",
-                   "--grid", "1,2,5", "--gamma", "0.2", "--format", "json")
+def test_sweep_bernardi_beta_grid(cli):
+    proc = cli("sweep", "--op", "bernardi", "--parameter", "beta",
+               "--grid", "1,2,5", "--gamma", "0.2", "--format", "json")
     assert proc.returncode == 0
     rows = json.loads(proc.stdout)
     assert len(rows) == 3
@@ -87,18 +111,18 @@ def test_sweep_bernardi_beta_grid():
     assert all(d < 0 for d in diffs) or all(d > 0 for d in diffs)
 
 
-def test_sweep_empty_grid_is_validation_error():
-    proc = run_cli("sweep", "--op", "cesaro", "--parameter", "gamma", "--grid", "")
+def test_sweep_empty_grid_is_validation_error(cli):
+    proc = cli("sweep", "--op", "cesaro", "--parameter", "gamma", "--grid", "")
     assert proc.returncode == 1
 
 
-def test_sweep_non_increasing_grid_is_validation_error():
-    proc = run_cli("sweep", "--op", "cesaro", "--parameter", "gamma", "--grid", "0.5,0.2")
+def test_sweep_non_increasing_grid_is_validation_error(cli):
+    proc = cli("sweep", "--op", "cesaro", "--parameter", "gamma", "--grid", "0.5,0.2")
     assert proc.returncode == 1
 
 
-def test_sweep_missing_fixed_parameter():
-    proc = run_cli("sweep", "--op", "bernardi", "--parameter", "beta", "--grid", "1,2")
+def test_sweep_missing_fixed_parameter(cli):
+    proc = cli("sweep", "--op", "bernardi", "--parameter", "beta", "--grid", "1,2")
     assert proc.returncode == 1
     assert "gamma" in proc.stderr
 
@@ -110,72 +134,72 @@ def test_sweep_unwritable_output_exit_four(tmp_path):
     assert proc.returncode == 4
 
 
-def test_sweep_writes_file(tmp_path):
+def test_sweep_writes_file(cli, tmp_path):
     out = tmp_path / "table.csv"
-    proc = run_cli("sweep", "--op", "cesaro", "--parameter", "gamma",
-                   "--grid", "0,0.5", "--out", str(out))
+    proc = cli("sweep", "--op", "cesaro", "--parameter", "gamma",
+               "--grid", "0,0.5", "--out", str(out))
     assert proc.returncode == 0
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 2
 
 
-def test_sweep_deterministic():
+def test_sweep_deterministic(cli):
     args = ("sweep", "--op", "cesaro", "--parameter", "gamma", "--grid", "0,0.3,0.6")
-    first = run_cli(*args)
-    second = run_cli(*args)
+    first = cli(*args)
+    second = cli(*args)
     assert first.stdout == second.stdout
 
 
 # ---------------------------------------------------------------- verify
 
-def test_verify_identities():
-    proc = run_cli("verify", "identities")
+def test_verify_identities(cli):
+    proc = cli("verify", "identities")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["pass"] is True
     assert doc["report"]["max_deviation"] <= 1e-10
 
 
-def test_verify_lemma1_deterministic():
+def test_verify_lemma1_deterministic(cli):
     args = ("verify", "lemma1", "--gamma", "0.4", "--samples", "300", "--seed", "7")
-    first = run_cli(*args)
+    first = cli(*args)
     assert first.returncode == 0
     doc = json.loads(first.stdout)
     assert doc["report"]["max_ratio"] <= 1.0 + 1e-9
     assert 0 < doc["report"]["skipped"] < doc["report"]["samples"] == 300
-    assert first.stdout == run_cli(*args).stdout
+    assert first.stdout == cli(*args).stdout
 
 
-def test_verify_sharpness_below_radius_guard():
-    proc = run_cli("verify", "sharpness", "--op", "cesaro", "--gamma", "0", "--r", "0.50")
+def test_verify_sharpness_below_radius_guard(cli):
+    proc = cli("verify", "sharpness", "--op", "cesaro", "--gamma", "0", "--r", "0.50")
     assert proc.returncode == 2
 
 
-def test_verify_sharpness_finds_witness():
-    proc = run_cli("verify", "sharpness", "--op", "cesaro", "--gamma", "0", "--r", "0.55")
+def test_verify_sharpness_finds_witness(cli):
+    proc = cli("verify", "sharpness", "--op", "cesaro", "--gamma", "0", "--r", "0.55")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["report"]["witness_found"] is True
 
 
-def test_verify_sharpness_bernardi_requires_beta():
-    proc = run_cli("verify", "sharpness", "--op", "bernardi", "--gamma", "0", "--r", "0.62")
+def test_verify_sharpness_bernardi_requires_beta(cli):
+    proc = cli("verify", "sharpness", "--op", "bernardi", "--gamma", "0", "--r", "0.62")
     assert proc.returncode == 1
 
 
-def test_verify_remainder_order_pass_and_assertion_failure():
-    ok = run_cli("verify", "remainder-order", "--op", "cesaro", "--gamma", "0.3",
-                 "--r", "0.4")
+def test_verify_remainder_order_pass_and_assertion_failure(cli):
+    ok = cli("verify", "remainder-order", "--op", "cesaro", "--gamma", "0.3",
+             "--r", "0.4")
     assert ok.returncode == 0
     assert json.loads(ok.stdout)["pass"] is True
-    bernardi = run_cli("verify", "remainder-order", "--op", "bernardi", "--gamma",
-                       "0.2", "--beta", "1", "--r", "0.3")
+    bernardi = cli("verify", "remainder-order", "--op", "bernardi", "--gamma",
+                   "0.2", "--beta", "1", "--r", "0.3")
     assert bernardi.returncode == 0
     assert json.loads(bernardi.stdout)["pass"] is True
     # A ladder far from a -> 1 lies outside the asymptotic regime of the
     # quadratic remainder, so the slope assertion genuinely fails there.
-    red = run_cli("verify", "remainder-order", "--op", "bernardi", "--gamma", "0.3",
-                  "--beta", "1", "--r", "0.95", "--a-list", "0.4,0.5,0.6")
+    red = cli("verify", "remainder-order", "--op", "bernardi", "--gamma", "0.3",
+              "--beta", "1", "--r", "0.95", "--a-list", "0.4,0.5,0.6")
     assert red.returncode == 5
     doc = json.loads(red.stdout)
     assert doc["pass"] is False
@@ -183,11 +207,40 @@ def test_verify_remainder_order_pass_and_assertion_failure():
     assert not low <= doc["slope"] <= high
 
 
-def test_verify_remainder_order_deep_ladder():
+@pytest.mark.parametrize("beta", ["inf", "nan"])
+def test_verify_remainder_order_rejects_non_finite_beta(cli, beta):
+    proc = cli("verify", "remainder-order", "--op", "bernardi", "--gamma", "0.2",
+               "--beta", beta, "--r", "0.3")
+    assert proc.returncode == 2
+    assert "beta must be a positive real" in proc.stderr
+
+
+@pytest.mark.parametrize("check", ["sharpness", "remainder-order"])
+def test_verify_empty_a_list_is_validation_error(cli, check):
+    # An empty ladder checked no a at all: sharpness reported exit 5 and
+    # remainder-order exit 3.
+    proc = cli("verify", check, "--op", "cesaro", "--gamma", "0", "--r", "0.55",
+               "--a-list", ",")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "--a-list must list at least one number" in proc.stderr
+
+
+@pytest.mark.parametrize("gamma, order", [("0.4", "0"), ("0.5", "-1")])
+def test_verify_lemma1_rejects_order_below_one(cli, gamma, order):
+    # Order 0 skipped every sample and still passed.
+    proc = cli("verify", "lemma1", "--gamma", gamma, "--samples", "5", "--seed", "1",
+               "--order", order)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "output order must be >= 1" in proc.stderr
+
+
+def test_verify_remainder_order_deep_ladder(cli):
     # 1-a = 1e-7 and 1e-8: the closed-form remainders stay certified there,
     # so both points enter the fit.
-    proc = run_cli("verify", "remainder-order", "--op", "cesaro", "--gamma", "0.3",
-                   "--r", "0.4", "--a-list", "0.9999999,0.99999999")
+    proc = cli("verify", "remainder-order", "--op", "cesaro", "--gamma", "0.3",
+               "--r", "0.4", "--a-list", "0.9999999,0.99999999")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["pass"] is True
@@ -196,8 +249,8 @@ def test_verify_remainder_order_deep_ladder():
 
 # ----------------------------------------------------------------- table
 
-def test_table_paper_constants():
-    proc = run_cli("table", "paper-constants")
+def test_table_paper_constants(cli):
+    proc = cli("table", "paper-constants")
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["quantity", "computed", "reference"]
@@ -207,17 +260,17 @@ def test_table_paper_constants():
     assert "0.474278" in body
 
 
-def test_table_theorem_grids():
-    t1 = run_cli("table", "theorem1")
+def test_table_theorem_grids(cli):
+    t1 = cli("table", "theorem1")
     assert t1.returncode == 0
     assert len(t1.stdout.splitlines()) == 11
-    t2 = run_cli("table", "theorem2")
+    t2 = cli("table", "theorem2")
     assert t2.returncode == 0
     assert len(t2.stdout.splitlines()) == 13
 
 
-def test_table_unknown_name_exit_one():
-    proc = run_cli("table", "nosuch")
+def test_table_unknown_name_exit_one(cli):
+    proc = cli("table", "nosuch")
     assert proc.returncode == 1
 
 
@@ -233,3 +286,15 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--op", "bernardi", "--parameter", "beta", "--grid", "1,2,5",
+     "--gamma", "0.2", "--format", "json"),
+    ("verify", "lemma1", "--gamma", "0.4", "--samples", "100", "--seed", "7"),
+])
+def test_subprocess_and_main_print_the_same_stdout(cli, argv):
+    cold = run_cli(*argv)
+    warm = cli(*argv)
+    assert cold.returncode == warm.returncode == 0
+    assert cold.stdout == warm.stdout

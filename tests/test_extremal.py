@@ -180,6 +180,17 @@ def test_bernardi_remainder_linear_coefficient_for_positive_gamma():
         assert quadratic[0] == pytest.approx(quadratic[1], rel=2e-3)
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan])
+def test_bernardi_checks_reject_non_finite_beta(beta):
+    p = ExtremalParams(0.9, DomainGamma(0.2))
+    with pytest.raises(DomainError, match="beta must be a positive real"):
+        bernardi_extremal_decomposition(p, beta, 0.3)
+    with pytest.raises(DomainError, match="beta must be a positive real"):
+        remainder_order_check("bernardi", DomainGamma(0.2), 0.3, [0.9, 0.99], beta=beta)
+    with pytest.raises(DomainError, match="beta must be a positive real"):
+        sharpness_scan_bernardi(DomainGamma(0.2), beta, 0.9, WITNESS_LADDER)
+
+
 def test_bernardi_decomposition_flags_small_beta_as_exploratory():
     with pytest.warns(UserWarning, match="exploratory"):
         bernardi_extremal_decomposition(ExtremalParams(0.9, DomainGamma(0.1)), 0.5, 0.3)
@@ -258,6 +269,13 @@ def test_lemma1_worst_spec_is_reproducible():
 def test_lemma1_rejects_bad_arguments():
     with pytest.raises(DomainError):
         lemma1_check(DomainGamma(0.0), 0, 8, 64, 1)
+
+
+@pytest.mark.parametrize("gamma, n_out", [(0.4, 0), (0.5, -1)])
+def test_lemma1_rejects_order_below_one(gamma, n_out):
+    # Order 0 leaves no coefficient a_n with n >= 1 to check.
+    with pytest.raises(DomainError, match="output order must be >= 1"):
+        lemma1_check(DomainGamma(gamma), 5, 8, n_out, 1)
 
 
 # ------------------------------------------------------------ sharpness scans

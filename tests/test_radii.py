@@ -73,6 +73,18 @@ def test_solver_input_validation():
         solve_bracketed(lambda x: (x, 0.0, 1.0), -1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_solver_rejects_non_finite_tolerance(tol):
+    # A NaN tol never enters the step loop, and an inf tol accepts the whole
+    # bracket: either would report a bracket end as the root.
+    with pytest.raises(DomainError, match="tolerance"):
+        solve_bracketed(lambda x: (x, 0.0, 1.0), -1.0, 2.0, tol)
+    with pytest.raises(DomainError, match="tolerance"):
+        cesaro_radius(DomainGamma(0.0), tol)
+    with pytest.raises(DomainError, match="tolerance"):
+        bernardi_radius(DomainGamma(0.0), 1.0, tol)
+
+
 def test_solver_stops_when_the_error_hides_the_sign():
     # |value| <= error within 1e-3 of the root: no sign there counts, so the
     # solver cannot close a 1e-12 bracket and must say so.
