@@ -127,20 +127,25 @@ def _cmd_sweep(args) -> int:
     grid = _parse_float_list(args.grid, "--grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sweep grid must be strictly increasing")
+    needed = EQUATIONS[args.equation]
+    if args.parameter not in needed:
+        raise ValueError(f"{args.equation} has no parameter {args.parameter!r}")
+    fixed = {name: getattr(args, name) for name in ("gamma", "beta", "m")
+             if getattr(args, name) is not None}
+    if args.equation == "bernardi-classic":
+        fixed.setdefault("m", 0)
+    takes = set(needed) - {args.parameter}
+    if set(fixed) - takes:
+        raise ValueError(f"{args.equation} sweeping {args.parameter} takes no "
+                         + ", ".join(f"--{name}" for name in sorted(set(fixed) - takes)))
+    if takes - set(fixed):
+        raise ValueError(f"missing fixed parameter(s): {', '.join(sorted(takes - set(fixed)))}")
     if args.parameter == "gamma" and not all(0.0 <= g < 1.0 for g in grid):
         raise ValueError("gamma grid values must lie in [0, 1)")
     if args.parameter == "beta":
-        floor = -args.m if args.equation == "bernardi-classic" else 0.0
+        floor = -fixed["m"] if args.equation == "bernardi-classic" else 0.0
         if not all(b > floor for b in grid):
             raise ValueError(f"beta grid values must exceed {floor}")
-    needed = EQUATIONS[args.equation]
-    fixed = {name: getattr(args, name) for name in needed
-             if getattr(args, name) is not None}
-    missing = set(needed) - set(fixed) - {args.parameter}
-    if missing:
-        raise ValueError(f"missing fixed parameter(s): {', '.join(sorted(missing))}")
-    if args.parameter not in needed:
-        raise ValueError(f"{args.equation} has no parameter {args.parameter!r}")
     return _emit(run_sweep(args.equation, args.parameter, grid, fixed, args.format,
                            args.tol), args.out)
 
@@ -245,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated strictly increasing values")
     sweep.add_argument("--gamma", type=float, default=None)
     sweep.add_argument("--beta", type=float, default=None)
-    sweep.add_argument("--m", type=int, default=0)
+    sweep.add_argument("--m", type=int, default=None)  # bernardi-classic: 0
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sweep.add_argument("--out", default=None)

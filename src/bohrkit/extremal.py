@@ -12,8 +12,11 @@ a -> 1 into the operator's sharp bound, a term linear in (1 - a) whose sign
 flips at the radius, and a remainder of order (1 - a)^2.  With eps = 1 - a
 the first-order terms come from ``A_0 = 1 - eps (1+gamma)/(1-gamma) +
 O(eps^2)`` and ``(1 - a^2)/(a (1 - a*gamma)) = 2 eps/(1-gamma) + O(eps^2)``.
-With d = 1 - a*gamma, 1 - q = (1-a)/d, S_n = (1 - q^n)/(1 - q),
-c_n = 1 - ((1+a)/d) S_n and K = (1-a)^2/(a d) the remainder is exactly
+The linear term's factor is the radius equation at r, taken from ``radii``
+with its certified error: ``-E(r)/(r(1-r))`` for Cesaro's E, the tail
+balance itself for Bernardi.  With d = 1 - a*gamma, 1 - q = (1-a)/d,
+S_n = (1 - q^n)/(1 - q), c_n = 1 - ((1+a)/d) S_n and K = (1-a)^2/(a d) the
+remainder is exactly
 
     Bernardi:  K sum_{n>=1} r^n/(n+beta) c_n
     Cesaro:    K sum_{n>=1} r^n/(n+1) (c_1 + ... + c_n)
@@ -37,8 +40,9 @@ import numpy as np
 
 from .errors import (DomainError, InconclusiveError, NumericalError,
                      PreconditionError)
-from .operators import UNIT_ROUNDOFF, lerch_tail_sum, log_bound
-from .radii import bernardi_radius, cesaro_radius
+from .operators import UNIT_ROUNDOFF, log_bound
+from .radii import (_cesaro_equation, _tail_balance_equation, bernardi_radius,
+                    cesaro_radius)
 from .series import (ORDER_CAP, DomainGamma, SchurSampleSpec,
                      TruncatedPowerSeries, sample_schur_omega,
                      truncation_order)
@@ -253,32 +257,14 @@ def _remainders(gamma: float, r: float, a_values,
     return remainders, errors
 
 
-def _cesaro_factor(gamma: float, r: float) -> tuple[float, float]:
-    """The Cesaro first-order factor and its rounding bound (8u for log1p)."""
-    log_term = (3.0 + gamma) * (1.0 - r) * math.log1p(-r)
-    scale = r * (1.0 - r)
-    value = (2.0 * r + log_term) / scale
-    error = (12.0 * abs(log_term) + 4.0 * abs(2.0 * r + log_term)) * UNIT_ROUNDOFF / scale
-    return value, error
-
-
 def cesaro_first_order_factor(gamma: DomainGamma, r: float) -> float:
-    """``(2r + (3+gamma)(1-r) ln(1-r)) / (r (1-r))``; changes sign at the radius."""
-    return _cesaro_factor(gamma.gamma, r)[0]
-
-
-def _bernardi_factor(gamma: float, beta: float, r: float) -> tuple[float, float]:
-    """The tail-balance factor and its error: the tail sum's plus 4u per part."""
-    total, total_err = lerch_tail_sum(r, beta, 1)
-    prefactor = 2.0 / (1.0 + gamma)
-    value = 1.0 / beta - prefactor * total
-    error = prefactor * total_err + 4.0 * UNIT_ROUNDOFF * (1.0 / beta + prefactor * total)
-    return value, error
+    """``-E(r)/(r(1-r))`` for the Cesaro radius equation E; changes sign at the radius."""
+    return -_cesaro_equation(gamma.gamma)(r)[0] / (r * (1.0 - r))
 
 
 def bernardi_first_order_factor(gamma: DomainGamma, beta: float, r: float) -> float:
-    """``1/beta - (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)``; changes sign at the radius."""
-    return _bernardi_factor(gamma.gamma, beta, r)[0]
+    """The Bernardi radius equation ``1/beta - (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)``."""
+    return _tail_balance_equation(beta, 2.0 / (1.0 + gamma.gamma))(r)[0]
 
 
 def _check_r(r: float) -> None:
@@ -300,17 +286,20 @@ def _expand(gamma: DomainGamma, r: float, a_values,
             beta: Optional[float]) -> tuple[list, list, list]:
     """First-order terms, remainders and certified margin errors over a ladder.
 
-    beta=None selects Cesaro.  The first-order factor is evaluated once and
-    the remainders come from one ``_remainders`` call.  A margin
-    ``first + remainder`` is certified to the remainder's error, plus the
-    factor's error times its coefficient, (5 + a*gamma/d)u of the
-    first-order term and u of the sum.
+    beta=None selects Cesaro.  The first-order factor is evaluated once (its
+    error gains 3u from Cesaro's division by r(1-r)) and the remainders come
+    from one ``_remainders`` call.  A margin ``first + remainder`` is
+    certified to the remainder's error, plus the factor's error times its
+    coefficient, (5 + a*gamma/d)u of the first-order term and u of the sum.
     """
+    _check_r(r)
     g = gamma.gamma
     if beta is None:
-        value, value_err = _cesaro_factor(g, r)
+        value, value_err, _ = _cesaro_equation(g)(r)
+        value = -value / (r * (1.0 - r))
+        value_err = value_err / (r * (1.0 - r)) + 3.0 * UNIT_ROUNDOFF * abs(value)
     else:
-        value, value_err = _bernardi_factor(g, beta, r)
+        value, value_err, _ = _tail_balance_equation(beta, 2.0 / (1.0 + g))(r)
     remainders, rem_errors = _remainders(g, r, a_values, beta)
     firsts, errors = [], []
     for a, remainder, rem_err in zip(a_values, remainders, rem_errors):
@@ -331,7 +320,6 @@ def cesaro_extremal_decomposition(p: ExtremalParams, r: float) -> Decomposition:
     remainder is the closed-form sum of ``_remainders``, negative and
     quadratic in (1 - a).
     """
-    _check_r(r)
     (first,), (remainder,), _ = _expand(p.gamma, r, (p.a,), None)
     return Decomposition(log_bound(r), first, remainder)
 
@@ -346,7 +334,6 @@ def bernardi_extremal_decomposition(p: ExtremalParams, beta: float,
     established for beta >= 1; smaller beta is accepted but flagged as
     exploratory.
     """
-    _check_r(r)
     _check_beta(beta)
     (first,), (remainder,), _ = _expand(p.gamma, r, (p.a,), beta)
     return Decomposition(1.0 / beta, first, remainder)
@@ -388,14 +375,19 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
     return Lemma1Report(g, num_samples, max_ratio, worst, skipped)
 
 
-def _scan(gamma: DomainGamma, r: float, a_values,
-          beta: Optional[float]) -> tuple[tuple, tuple, bool]:
-    """Margins ``first_order + remainder`` over the ladder; a witness needs a
-    margin above WITNESS_SLACK times its certified error."""
+def _scan(gamma: DomainGamma, r: float, a_values, beta: Optional[float],
+          radius: float) -> SharpnessReport:
+    """Margins ``first_order + remainder`` over the ladder at r above the
+    radius; a witness needs a margin above WITNESS_SLACK times its certified
+    error."""
+    if r <= radius:
+        raise PreconditionError(
+            f"sharpness scan needs r > radius {radius:.6f}, got r={r}")
     a_vals = tuple(ExtremalParams(float(a), gamma).a for a in a_values)
     firsts, remainders, errors = _expand(gamma, r, a_vals, beta)
     margins = tuple(first + rem for first, rem in zip(firsts, remainders))
-    return a_vals, margins, any(m > WITNESS_SLACK * e for m, e in zip(margins, errors))
+    found = any(m > WITNESS_SLACK * e for m, e in zip(margins, errors))
+    return SharpnessReport(gamma.gamma, beta, r, radius, a_vals, margins, found)
 
 
 def sharpness_scan_cesaro(gamma: DomainGamma, r: float, a_values) -> SharpnessReport:
@@ -405,24 +397,14 @@ def sharpness_scan_cesaro(gamma: DomainGamma, r: float, a_values) -> SharpnessRe
     term of the decomposition is positive there and must dominate, so a
     witness is expected to exist.
     """
-    radius = cesaro_radius(gamma).value
-    if r <= radius:
-        raise PreconditionError(
-            f"sharpness scan needs r > radius {radius:.6f}, got r={r}")
-    a_vals, margins, found = _scan(gamma, r, a_values, None)
-    return SharpnessReport(gamma.gamma, None, r, radius, a_vals, margins, found)
+    return _scan(gamma, r, a_values, None, cesaro_radius(gamma).value)
 
 
 def sharpness_scan_bernardi(gamma: DomainGamma, beta: float, r: float,
                             a_values) -> SharpnessReport:
     """Look for extremal functions whose Bernardi majorant exceeds 1/beta."""
     _check_beta(beta)
-    radius = bernardi_radius(gamma, beta).value
-    if r <= radius:
-        raise PreconditionError(
-            f"sharpness scan needs r > radius {radius:.6f}, got r={r}")
-    a_vals, margins, found = _scan(gamma, r, a_values, beta)
-    return SharpnessReport(gamma.gamma, beta, r, radius, a_vals, margins, found)
+    return _scan(gamma, r, a_values, beta, bernardi_radius(gamma, beta).value)
 
 
 def remainder_order_check(kind: str, gamma: DomainGamma, r: float, a_values,
@@ -473,11 +455,11 @@ def identity_suite(r_grid=None) -> dict:
         n = truncation_order(r, tail_bound=1.0, target=1e-13)
         ns = np.arange(1, n + 1)
         powers = np.power(r, ns)
-        lhs1 = math.fsum(ns / (ns + 1.0) * powers)
+        lhs1 = math.fsum((ns / (ns + 1.0) * powers).tolist())
         rhs1 = 1.0 / (1.0 - r) - log_bound(r)
-        lhs2 = 1.0 + math.fsum(powers / (ns + 1.0))
+        lhs2 = 1.0 + math.fsum((powers / (ns + 1.0)).tolist())
         rhs2 = log_bound(r)
-        lhs3 = math.fsum(powers / (ns + 1.0) * (1.0 - q ** ns) / (1.0 - q))
+        lhs3 = math.fsum((powers / (ns + 1.0) * (1.0 - q ** ns) / (1.0 - q)).tolist())
         rhs3 = (log_bound(r) - log_bound(q * r)) / (1.0 - q)
         deviations["weighted_geometric"] = max(
             deviations["weighted_geometric"], abs(lhs1 - rhs1))

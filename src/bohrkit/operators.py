@@ -295,8 +295,9 @@ def lerch_tail_sum(r: float, beta: float, start: int,
         raise DomainError(f"radius must lie in [0, 1), got {r}")
     if not (isinstance(start, (int, np.integer)) and start >= 0):
         raise DomainError(f"start must be a nonnegative integer, got {start}")
-    if beta <= -start:
-        raise DomainError(f"beta must exceed -start, got beta={beta}, start={start}")
+    if not (math.isfinite(beta) and beta > -start):
+        raise DomainError(f"beta must be a finite real above -start, got beta={beta}, "
+                          f"start={start}")
     if r == 0.0:
         value = 1.0 / beta if start == 0 else 0.0
         return value, UNIT_ROUNDOFF * value
@@ -318,5 +319,5 @@ def lerch_tail_sum(r: float, beta: float, start: int,
     if n < start:
         return 0.0, tail_err(n)
     ks = np.arange(start, n + 1)
-    value = math.fsum(np.power(r, ks) / (ks + beta))
+    value = math.fsum((np.power(r, ks) / (ks + beta)).tolist())
     return value, tail_err(n) + 5.0 * UNIT_ROUNDOFF * value

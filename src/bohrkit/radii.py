@@ -156,29 +156,33 @@ def cesaro_radius(gamma: DomainGamma, tol: float = DEFAULT_TOL) -> RadiusResult:
     x = 0 also solves the equation, so the bracket is [0.5, 0.75].  The
     equation is linear in gamma, and it is positive at 0.5 (0.040 and 0.386)
     and negative at 0.75 (-0.460 and -0.114) for gamma = 0 and gamma = 1, so
-    both signs hold for every gamma in [0, 1).  The slope is
-    ``(1+gamma) - (3+gamma) ln(1/(1-x))``; the value's error bound allows
-    one unit roundoff for each of its six roundings, libm counted twice.
+    both signs hold for every gamma in [0, 1).
     """
-    g = gamma.gamma
+    return solve_bracketed(_cesaro_equation(gamma.gamma), 0.5, 0.75, tol)
 
+
+def _cesaro_equation(gamma: float):
+    """``x -> (3+gamma)(1-x) ln(1/(1-x)) - 2x`` with slope
+    ``(1+gamma) - (3+gamma) ln(1/(1-x))``; the value's error bound allows one
+    unit roundoff for each of its six roundings, libm counted twice."""
     def equation(x: float) -> tuple[float, float, float]:
         log_term = -math.log1p(-x)
-        first = (3.0 + g) * (1.0 - x) * log_term
+        first = (3.0 + gamma) * (1.0 - x) * log_term
         error = 8.0 * UNIT_ROUNDOFF * (first + 2.0 * x)
-        return first - 2.0 * x, error, (1.0 + g) - (3.0 + g) * log_term
+        return first - 2.0 * x, error, (1.0 + gamma) - (3.0 + gamma) * log_term
 
-    return solve_bracketed(equation, 0.5, 0.75, tol)
+    return equation
 
 
 def _tail_balance_equation(beta_eff: float, prefactor: float):
     """``r -> 1/beta_eff - prefactor * sum_{n>=1} r^n/(n+beta_eff)``.
 
     The slope uses ``d/dr sum = 1/(1-r) - (beta_eff/r) sum`` (1/(1+beta_eff)
-    at r = 0), free once the sum is known.  The error bound adds the rounding
-    of 1/beta_eff, the product and the difference to the scaled sum's bound.
-    A direct sum is truncated below the rounding of ``1/beta_eff``, which the
-    scaled sum matches at the root.
+    at r = 0), free once the sum is known.  The error bound adds to the
+    scaled sum's bound the roundings of 1/beta_eff (u), of the product (3u,
+    two of them in ``2/(1+gamma)``) and of the difference (u of both parts):
+    ``4u (1/beta_eff + prefactor * sum)``.  A direct sum is truncated below
+    the rounding of ``1/beta_eff``, which the scaled sum matches at the root.
     """
     sum_target = UNIT_ROUNDOFF / (16.0 * beta_eff)
 
@@ -186,7 +190,7 @@ def _tail_balance_equation(beta_eff: float, prefactor: float):
         total, total_err = lerch_tail_sum(r, beta_eff, 1, target=sum_target)
         value = 1.0 / beta_eff - prefactor * total
         error = (prefactor * total_err
-                 + 3.0 * UNIT_ROUNDOFF * (1.0 / beta_eff + prefactor * total))
+                 + 4.0 * UNIT_ROUNDOFF * (1.0 / beta_eff + prefactor * total))
         d_sum = 1.0 / (1.0 - r) - beta_eff / r * total if r > 0.0 else 1.0 / (1.0 + beta_eff)
         return value, error, -prefactor * d_sum
 

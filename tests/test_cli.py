@@ -150,6 +150,48 @@ def test_sweep_deterministic(cli):
     assert first.stdout == second.stdout
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--op", "cesaro", "--parameter", "gamma", "--grid", "0,0.5", "--beta", "5"),
+     "cesaro sweeping gamma takes no --beta"),
+    (("--op", "cesaro", "--parameter", "gamma", "--grid", "0,0.5", "--gamma", "0.3"),
+     "cesaro sweeping gamma takes no --gamma"),
+    (("--op", "bernardi-classic", "--parameter", "beta", "--grid", "1,2", "--gamma", "0.3"),
+     "bernardi-classic sweeping beta takes no --gamma"),
+    (("--op", "bernardi", "--parameter", "beta", "--grid", "1,2", "--gamma", "0.2",
+      "--m", "3"), "bernardi sweeping beta takes no --m"),
+])
+def test_sweep_rejects_fixed_flag_it_would_ignore(cli, argv, message):
+    # Each of these printed the table it prints without the flag.
+    proc = cli("sweep", *argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert message in proc.stderr
+
+
+def test_sweep_bernardi_classic_m_defaults_to_zero(cli):
+    grid = ("sweep", "--op", "bernardi-classic", "--parameter", "beta", "--grid", "1,2")
+    assert cli(*grid).stdout == cli(*grid, "--m", "0").stdout != ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--op", "cesaro", "--parameter", "gamma", "--grid", "0,x"),
+     "--grid expects a comma-separated list of numbers"),
+    (("--op", "cesaro", "--parameter", "gamma", "--grid", "0,1"),
+     "gamma grid values must lie in [0, 1)"),
+    (("--op", "bernardi", "--parameter", "beta", "--grid", "0,1", "--gamma", "0"),
+     "beta grid values must exceed 0.0"),
+    (("--op", "bernardi-classic", "--parameter", "beta", "--grid=-1.5,2", "--m", "1"),
+     "beta grid values must exceed -1"),
+    (("--op", "cesaro", "--parameter", "beta", "--grid", "1,2", "--gamma", "0"),
+     "cesaro has no parameter 'beta'"),
+])
+def test_sweep_validation_messages(cli, argv, message):
+    proc = cli("sweep", *argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert message in proc.stderr
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_identities(cli):
@@ -185,6 +227,30 @@ def test_verify_sharpness_finds_witness(cli):
 def test_verify_sharpness_bernardi_requires_beta(cli):
     proc = cli("verify", "sharpness", "--op", "bernardi", "--gamma", "0", "--r", "0.62")
     assert proc.returncode == 1
+
+
+def test_verify_sharpness_bernardi(cli):
+    proc = cli("verify", "sharpness", "--op", "bernardi", "--gamma", "0", "--beta", "1",
+               "--r", "0.62")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["pass"] is True
+    assert doc["report"]["witness_found"] is True
+    below = cli("verify", "sharpness", "--op", "bernardi", "--gamma", "0", "--beta", "1",
+                "--r", "0.5")
+    assert below.returncode == 2
+    assert "sharpness scan needs r > radius" in below.stderr
+
+
+@pytest.mark.parametrize("op", [("cesaro",), ("bernardi", "--beta", "1")])
+@pytest.mark.parametrize("r", ["1.0", "1.5", "nan"])
+def test_verify_sharpness_rejects_r_outside_unit_interval(cli, op, r):
+    # The Cesaro scan exited 1 with "math domain error" (r >= 1) or "cannot
+    # convert float NaN to integer" (r = nan).
+    proc = cli("verify", "sharpness", "--op", *op, "--gamma", "0", "--r", r)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "r must lie in (0, 1)" in proc.stderr
 
 
 def test_verify_remainder_order_pass_and_assertion_failure(cli):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import bohrkit as bk
 from bohrkit.errors import (DomainError, InconclusiveError, PreconditionError)
@@ -18,7 +19,8 @@ from bohrkit.radii import bernardi_radius, cesaro_radius
 from bohrkit.series import DomainGamma, truncation_order
 
 from oracles import (bernardi_extremal_closed_form, cauchy_coeffs,
-                     cesaro_extremal_closed_form, mp_extremal_remainder)
+                     cesaro_extremal_closed_form, mp_extremal_remainder,
+                     mp_tail_sum)
 
 WITNESS_LADDER = (0.99, 0.999, 0.9999)
 
@@ -326,6 +328,40 @@ def test_bernardi_sharpness_first_order_consistency():
 def test_bernardi_sharpness_small_beta_warns():
     with pytest.warns(UserWarning, match="exploratory"):
         sharpness_scan_bernardi(DomainGamma(0.0), 0.5, 0.78, (0.999,))
+
+
+@pytest.mark.parametrize("gamma, beta, r", [(0.0, 1.0, 0.62), (0.3, 5.0, 0.7),
+                                            (0.9, 2.0, 0.75)])
+def test_bernardi_sharpness_margins_match_mpmath(gamma, beta, r):
+    # A margin is the majorant minus 1/beta; with the first-order factor
+    # taken from the radius equation's tail sum it holds to a few ulp of the
+    # 50-digit value (it was off by up to 3.6e-14 relative with a factor
+    # summed to 1e-13 absolute).
+    report = sharpness_scan_bernardi(DomainGamma(gamma), beta, r, WITNESS_LADDER)
+    with mp.workdps(50):
+        g, b, x = mp.mpf(gamma), mp.mpf(beta), mp.mpf(r)
+        for a, margin in zip(report.a_values, report.margins):
+            a = mp.mpf(a)
+            d = 1 - a * g
+            majorant = ((a - g) / d / b
+                        + (1 - a * a) / (a * d) * mp_tail_sum(a * (1 - g) / d * x, b))
+            reference = majorant - 1 / b
+            assert abs(margin - reference) <= 2e-15 * abs(reference), float(a)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, math.nan])
+def test_sharpness_scans_and_decompositions_reject_r_outside_unit_interval(r):
+    # The Cesaro scan raised ValueError from math.log1p (r >= 1) or from
+    # math.ceil (r = nan) instead of a DomainError.
+    dg = DomainGamma(0.0)
+    with pytest.raises(DomainError, match="r must lie in"):
+        sharpness_scan_cesaro(dg, r, WITNESS_LADDER)
+    with pytest.raises(DomainError, match="r must lie in"):
+        sharpness_scan_bernardi(dg, 1.0, r, WITNESS_LADDER)
+    with pytest.raises(DomainError, match="r must lie in"):
+        cesaro_extremal_decomposition(ExtremalParams(0.9, dg), r)
+    with pytest.raises(DomainError, match="r must lie in"):
+        bernardi_extremal_decomposition(ExtremalParams(0.9, dg), 1.0, r)
 
 
 # ------------------------------------------------------- remainder-order fits

@@ -309,6 +309,13 @@ def test_lerch_tail_domain_errors():
         lerch_tail_sum(0.5, 1.0, -1)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_lerch_tail_rejects_non_finite_beta(beta):
+    # A NaN beta returned (0.0, nan): a value with no certified error.
+    with pytest.raises(DomainError, match="beta must be a finite real"):
+        lerch_tail_sum(0.5, beta, 1)
+
+
 def test_weighted_geometric_identity_on_grid():
     # sum_{n>=1} (n/(n+1)) r^n = 1/(1-r) - (1/r) ln(1/(1-r))
     for r in [0.1 * k for k in range(1, 10)]:
