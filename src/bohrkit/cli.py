@@ -140,6 +140,8 @@ def _cmd_sweep(args) -> int:
                          + ", ".join(f"--{name}" for name in sorted(set(fixed) - takes)))
     if takes - set(fixed):
         raise ValueError(f"missing fixed parameter(s): {', '.join(sorted(takes - set(fixed)))}")
+    if fixed.get("m", 0) < 0:  # before the beta floor, which reads m
+        raise DomainError(f"m must be a nonnegative integer, got {fixed['m']}")
     if args.parameter == "gamma" and not all(0.0 <= g < 1.0 for g in grid):
         raise ValueError("gamma grid values must lie in [0, 1)")
     if args.parameter == "beta":

@@ -44,8 +44,7 @@ from .operators import UNIT_ROUNDOFF, log_bound
 from .radii import (_cesaro_equation, _tail_balance_equation, bernardi_radius,
                     cesaro_radius)
 from .series import (ORDER_CAP, DomainGamma, SchurSampleSpec,
-                     TruncatedPowerSeries, sample_schur_omega,
-                     truncation_order)
+                     TruncatedPowerSeries, _sample_batches, truncation_order)
 
 DEGENERATE_A0_TOL = 1e-8
 WITNESS_SLACK = 10.0
@@ -259,11 +258,14 @@ def _remainders(gamma: float, r: float, a_values,
 
 def cesaro_first_order_factor(gamma: DomainGamma, r: float) -> float:
     """``-E(r)/(r(1-r))`` for the Cesaro radius equation E; changes sign at the radius."""
+    _check_r(r)
     return -_cesaro_equation(gamma.gamma)(r)[0] / (r * (1.0 - r))
 
 
 def bernardi_first_order_factor(gamma: DomainGamma, beta: float, r: float) -> float:
     """The Bernardi radius equation ``1/beta - (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)``."""
+    _check_beta(beta)
+    _check_r(r)
     return _tail_balance_equation(beta, 2.0 / (1.0 + gamma.gamma))(r)[0]
 
 
@@ -355,23 +357,22 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
     if n_out < 1:
         raise DomainError(f"output order must be >= 1, got {n_out}")
     master = np.random.default_rng(seed)
+    # Per sample the master draws a degree, then a child seed.
+    specs = (SchurSampleSpec(int(master.integers(0, degree_max + 1)),
+                             int(master.integers(0, 2 ** 63)), gamma)
+             for _ in range(num_samples))
     g = gamma.gamma
-    max_ratio = 0.0
-    worst = None
-    skipped = 0
-    for _ in range(num_samples):
-        degree = int(master.integers(0, degree_max + 1))
-        child_seed = int(master.integers(0, 2 ** 63))
-        spec = SchurSampleSpec(degree, child_seed, gamma)
-        sample = sample_schur_omega(spec, n_out)
-        mags = np.abs(sample.coeffs)
-        denom = float(1.0 - mags[0] ** 2)
-        if denom < DEGENERATE_A0_TOL:
-            skipped += 1
-            continue
-        ratio = float(np.max(mags[1:])) * (1.0 + g) / denom
-        if ratio > max_ratio:
-            max_ratio, worst = ratio, spec
+    max_ratio, worst, skipped = 0.0, None, 0
+    for batch, rows in _sample_batches(specs, gamma, n_out):
+        mags = np.abs(rows)
+        denom = 1.0 - mags[:, 0] ** 2
+        keep = denom >= DEGENERATE_A0_TOL
+        skipped += len(batch) - int(np.count_nonzero(keep))
+        ratios = np.zeros(len(batch))
+        ratios[keep] = np.max(mags[keep, 1:], axis=1) * (1.0 + g) / denom[keep]
+        i = int(np.argmax(ratios))  # the first maximum, as a sample loop finds it
+        if ratios[i] > max_ratio:
+            max_ratio, worst = float(ratios[i]), batch[i]
     return Lemma1Report(g, num_samples, max_ratio, worst, skipped)
 
 

@@ -9,7 +9,7 @@ Test functions for the function class bounded by 1 on the disk Omega_gamma
 (the disk ``|z + gamma/(1-gamma)| < 1/(1-gamma)``, which contains the unit
 disk) are produced by composing finite Blaschke products with the affine map
 ``G(z) = (1 - gamma) * z + gamma`` that carries Omega_gamma onto the unit
-disk.
+disk, many samples at a time in batches of bounded memory.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -30,6 +31,9 @@ DEFAULT_TAIL_TARGET = 1e-12
 
 MAX_BLASCHKE_DEGREE = 16
 ZERO_SAMPLING_RADIUS = 0.95
+# Complex entries (rows times FFT length) one batch of Schur samples holds,
+# so peak memory does not grow with the number of samples.
+BATCH_ELEMENTS = 2 ** 13
 
 
 def truncation_order(r: float, tail_bound: float = 1.0,
@@ -229,7 +233,8 @@ def compose_input_order(gamma: float, n_out: int, target: float = 1e-13) -> int:
         return n_out
     k = n_out + 32
     while True:
-        m = _compose_matrix(gamma, k, n_out)
+        # Uncached: only the matrix of the returned order is used again.
+        m = _compose_matrix.__wrapped__(gamma, k, n_out)
         deficit = 1.0 / (1.0 - gamma) - m.sum(axis=1)
         if float(deficit.max()) <= target:
             return k
@@ -238,16 +243,6 @@ def compose_input_order(gamma: float, n_out: int, target: float = 1e-13) -> int:
                 f"cannot certify affine composition to {target} for gamma={gamma} "
                 f"and order {n_out} within the cap {ORDER_CAP}")
         k = min(2 * k + 32, ORDER_CAP)
-
-
-def _mobius_factor(zero: complex, n: int) -> np.ndarray:
-    """Taylor coefficients to order n of ``(zero - z) / (1 - conj(zero) z)``."""
-    c = np.zeros(n + 1, dtype=complex)
-    c[0] = zero
-    if n >= 1:
-        zc = np.conj(zero)
-        c[1:] = -(1.0 - abs(zero) ** 2) * zc ** np.arange(n)
-    return c
 
 
 def _fft_length(n: int) -> int:
@@ -267,13 +262,40 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
+def _blaschke_rows(zeros: np.ndarray, degrees: np.ndarray, phases: np.ndarray,
+                   n_out: int) -> np.ndarray:
+    """Coefficients 0..n_out of ``phase * prod (a_j - z)/(1 - conj(a_j) z)``, a row each.
+
+    Row i has the zeros ``zeros[i, :degrees[i]]``.  Factor rows
+    ``a, -(1-|a|^2) conj(a)^(n-1)`` are running products.  The first scales
+    the phase directly (no FFT rounding for one factor); each further one is
+    a batched FFT product over the rows that have it, exact through n_out
+    because the convolution is lower triangular.
+    """
+    c = np.zeros((phases.size, n_out + 1), dtype=complex)
+    c[:, 0] = phases
+    length = _fft_length(2 * n_out + 1)
+    for j in range(zeros.shape[1]):
+        live = degrees > j
+        a = zeros[live, j, None]
+        f = np.empty((a.size, n_out + 1), dtype=complex)
+        f[:, :1] = a
+        f[:, 1:] = np.conj(a)
+        f[:, 1:2] = -(1.0 - np.abs(a) ** 2)  # an empty slice when n_out = 0
+        f[:, 1:] = np.cumprod(f[:, 1:], axis=1)
+        if j == 0:
+            c[live] = phases[live, None] * f
+        else:
+            c[live] = np.fft.ifft(np.fft.fft(c[live], length)
+                                  * np.fft.fft(f, length))[:, : n_out + 1]
+    return c
+
+
 def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
     """Taylor coefficients of ``phase * prod (a_j - z)/(1 - conj(a_j) z)``.
 
     A finite Blaschke product maps the unit disk onto itself, so the result
-    is Schur-class with tail_bound 1.  Truncated products of the factor
-    series are exact through order n_out (the convolution is lower
-    triangular).
+    is Schur-class with tail_bound 1.
     """
     if n_out < 0:
         raise DomainError(f"output order must be >= 0, got {n_out}")
@@ -284,38 +306,48 @@ def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
     for z in zeros:
         if abs(z) >= 1.0:
             raise DomainError(f"Blaschke zeros must lie strictly inside the unit disk, got {z}")
-    c = np.zeros(n_out + 1, dtype=complex)
-    c[0] = phase
-    if n_out > 256:
-        # FFT products beat np.convolve's O(n^2) at long orders.
-        length = _fft_length(2 * n_out + 1)
-        for z in zeros:
-            c = np.fft.ifft(np.fft.fft(c, length)
-                            * np.fft.fft(_mobius_factor(z, n_out), length))[: n_out + 1]
-    else:
-        for z in zeros:
-            c = np.convolve(c, _mobius_factor(z, n_out))[: n_out + 1]
-    return TruncatedPowerSeries(c, 1.0, schur=True)
+    c = _blaschke_rows(np.array([zeros], dtype=complex), np.array([len(zeros)]),
+                       np.array([phase]), n_out)
+    return TruncatedPowerSeries(c[0], 1.0, schur=True)
+
+
+def _sample_batches(specs, gamma: DomainGamma, n_out: int):
+    """Yield ``(batch, rows)``: consecutive specs, all on gamma, and their
+    coefficients 0..n_out, a row each.  A batch holds at most BATCH_ELEMENTS
+    complex entries per FFT product and specs are drawn one batch at a time,
+    so peak memory does not grow with the number of specs."""
+    k_in = compose_input_order(gamma.gamma, n_out)
+    m = _compose_matrix(gamma.gamma, k_in, n_out)
+    step = max(1, BATCH_ELEMENTS // _fft_length(2 * k_in + 1))
+    specs = iter(specs)
+    while batch := list(islice(specs, step)):
+        degrees = np.array([spec.degree for spec in batch])
+        zeros = np.zeros((len(batch), degrees.max()), dtype=complex)
+        phases = np.empty(len(batch), dtype=complex)
+        for row, spec in enumerate(batch):  # one random(2d+1) call gives the 2d+1 draws
+            u = np.random.default_rng(spec.seed).random(2 * spec.degree + 1)
+            angle = 2.0 * math.pi * u[1::2]
+            zeros[row, : spec.degree] = (ZERO_SAMPLING_RADIUS * np.sqrt(u[:-1:2])
+                                         * (np.cos(angle) + 1j * np.sin(angle)))
+            theta = 2.0 * math.pi * u[-1]
+            phases[row] = complex(math.cos(theta), math.sin(theta))
+        b = _blaschke_rows(zeros, degrees, phases, k_in)
+        # The composition with G: one real matrix product, both parts stacked.
+        parts = np.concatenate([b.real, b.imag]) @ m.T
+        rows = parts[: len(batch)] + 1j * parts[len(batch):]
+        if not np.isfinite(rows).all():
+            raise DomainError("all coefficients must be finite")
+        yield batch, rows
 
 
 def sample_schur_omega(spec: SchurSampleSpec, n_out: int) -> TruncatedPowerSeries:
     """Seeded random member of the class bounded by 1 on Omega_gamma.
 
-    Draws ``spec.degree`` Blaschke zeros uniformly in the disk of radius
-    0.95 plus a uniform phase, then composes with the affine map onto the
+    From ``default_rng(spec.seed)`` each of ``spec.degree`` Blaschke zeros
+    takes a radius ``0.95 sqrt(u)`` and an angle ``2 pi u``, then the phase
+    an angle ``2 pi u``: zeros uniform in the disk of radius 0.95 and a
+    uniform phase.  The product is composed with the affine map onto the
     unit disk.  Identical specs give identical output.
     """
-    rng = np.random.default_rng(spec.seed)
-    zeros = []
-    for _ in range(spec.degree):
-        radius = ZERO_SAMPLING_RADIUS * math.sqrt(rng.random())
-        angle = 2.0 * math.pi * rng.random()
-        zeros.append(radius * complex(math.cos(angle), math.sin(angle)))
-    theta = 2.0 * math.pi * rng.random()
-    phase = complex(math.cos(theta), math.sin(theta))
-    g = spec.gamma.gamma
-    k_in = compose_input_order(g, n_out)
-    b = blaschke_coeffs(zeros, phase, k_in)
-    if g == 0.0:
-        return TruncatedPowerSeries(b.coeffs[: n_out + 1], 1.0, schur=True)
-    return affine_compose(b, spec.gamma, n_out)
+    ((_, rows),) = _sample_batches([spec], spec.gamma, n_out)
+    return TruncatedPowerSeries(rows[0], 1.0, schur=True)

@@ -192,6 +192,16 @@ def test_sweep_validation_messages(cli, argv, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("grid", ["1,2", "2,3"])
+def test_sweep_bernardi_classic_rejects_negative_m_first(cli, grid):
+    # A negative m used to lower the beta floor, so "1,2" reported the floor.
+    proc = cli("sweep", "--op", "bernardi-classic", "--parameter", "beta", "--grid", grid,
+               "--m", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "m must be a nonnegative integer, got -1" in proc.stderr
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_identities(cli):

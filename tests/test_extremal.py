@@ -16,7 +16,8 @@ from bohrkit.extremal import (ExtremalParams, _remainders,
                               sharpness_scan_cesaro)
 from bohrkit.operators import BernardiParams, bernardi_majorant, cesaro_majorant
 from bohrkit.radii import bernardi_radius, cesaro_radius
-from bohrkit.series import DomainGamma, truncation_order
+from bohrkit.series import (DomainGamma, SchurSampleSpec, sample_schur_omega,
+                            truncation_order)
 
 from oracles import (bernardi_extremal_closed_form, cauchy_coeffs,
                      cesaro_extremal_closed_form, mp_extremal_remainder,
@@ -266,6 +267,54 @@ def test_lemma1_worst_spec_is_reproducible():
     mags = np.abs(sample.coeffs)
     ratio = float(np.max(mags[1:])) * 1.25 / (1.0 - mags[0] ** 2)
     assert ratio == pytest.approx(report.max_ratio, rel=1e-12)
+
+
+def _lemma1_reference(gamma, samples, degree_max, n_out, seed):
+    """Per-sample ratios of the documented draws, one sample_schur_omega call each."""
+    master = np.random.default_rng(seed)
+    specs, ratios = [], []
+    for _ in range(samples):
+        degree = int(master.integers(0, degree_max + 1))
+        spec = SchurSampleSpec(degree, int(master.integers(0, 2 ** 63)), DomainGamma(gamma))
+        mags = np.abs(sample_schur_omega(spec, n_out).coeffs)
+        denom = 1.0 - mags[0] ** 2
+        specs.append(spec)
+        ratios.append(None if denom < 1e-8 else float(np.max(mags[1:])) * (1.0 + gamma) / denom)
+    return specs, ratios
+
+
+@pytest.mark.parametrize("gamma, samples, seed", [(0.0, 300, 2), (0.4, 300, 7), (0.9, 30, 5)])
+def test_lemma1_check_matches_sample_loop(gamma, samples, seed):
+    specs, ratios = _lemma1_reference(gamma, samples, 8, 64, seed)
+    report = lemma1_check(DomainGamma(gamma), samples, 8, 64, seed)
+    checked = [r for r in ratios if r is not None]
+    assert report.skipped == len(ratios) - len(checked)
+    best = max(checked)
+    assert abs(report.max_ratio - best) <= 1e-13 * best
+    # The reported sample attains the reference maximum, to ties within 1e-13.
+    worst = ratios[specs.index(report.worst_spec)]
+    assert abs(worst - best) <= 1e-13 * best
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.4, 0.9])
+def test_lemma1_single_factor_attains_the_bound(gamma):
+    # Degrees 0 and 1 only: every checked sample is one Mobius factor
+    # composed with G, whose ratio is exactly 1 at n = 1.
+    report = lemma1_check(DomainGamma(gamma), 60, 1, 64, 13)
+    assert 0 < report.skipped < 60
+    assert abs(report.max_ratio - 1.0) <= 1e-13
+
+
+def test_first_order_factors_reject_r_and_beta_outside_domain():
+    dg = DomainGamma(0.0)
+    for r in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(DomainError, match="r must lie in"):
+            cesaro_first_order_factor(dg, r)
+        with pytest.raises(DomainError, match="r must lie in"):
+            bernardi_first_order_factor(dg, 1.0, r)
+    for beta in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="beta must be a positive real"):
+            bernardi_first_order_factor(dg, beta, 0.5)
 
 
 def test_lemma1_rejects_bad_arguments():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import bohrkit as bk
 from bohrkit.errors import DomainError, NumericalError
-from bohrkit.series import (DomainGamma, SchurSampleSpec, TruncatedPowerSeries,
+from bohrkit.series import (ZERO_SAMPLING_RADIUS, DomainGamma,
+                            SchurSampleSpec, TruncatedPowerSeries, _sample_batches,
                             affine_compose, blaschke_coeffs, compose_input_order,
                             majorant_eval, polynomial, sample_schur_omega,
                             truncation_order)
@@ -129,7 +131,7 @@ def test_blaschke_empty_product_is_constant():
     assert s.schur and s.tail_bound == 1.0
 
 
-# Order 260 takes the FFT product branch of blaschke_coeffs (orders above 256).
+# Products are batched FFT products at any order; 260 pads to 539 points.
 @pytest.mark.parametrize("n_out", [10, 260])
 def test_blaschke_matches_exact_rational_oracle(n_out):
     zeros = [0.5, -0.3j]
@@ -204,6 +206,51 @@ def test_sample_respects_bohr_bound_on_omega():
             s = sample_schur_omega(SchurSampleSpec(seed % 5, 1000 + seed, dg), n_out)
             value, error = majorant_eval(s, r)
             assert value <= 1.0 + error + 1e-9
+
+
+def _recipe_sample(spec):
+    """z -> B(G(z)) rebuilt from the drawing recipe of sample_schur_omega,
+    one scalar draw at a time."""
+    rng = np.random.default_rng(spec.seed)
+    zeros = []
+    for _ in range(spec.degree):
+        radius = ZERO_SAMPLING_RADIUS * math.sqrt(rng.random())
+        angle = 2.0 * math.pi * rng.random()
+        zeros.append(radius * complex(math.cos(angle), math.sin(angle)))
+    theta = 2.0 * math.pi * rng.random()
+    phase = complex(math.cos(theta), math.sin(theta))
+    g = spec.gamma.gamma
+    return lambda z: blaschke_eval(zeros, phase, (1.0 - g) * z + g)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.4, 0.9])
+def test_sample_batches_match_cauchy_oracle(gamma):
+    # 72 samples of degrees 0..8 span several batches at every gamma.  The
+    # poles of B(G(z)) lie outside |z| = 1/0.95, so Cauchy sums on
+    # |z| = 0.95 recover a_0..a_64 to about 1e-14.
+    dg = DomainGamma(gamma)
+    specs = [SchurSampleSpec(k % 9, 500 + k, dg) for k in range(72)]
+    batches = list(_sample_batches(specs, dg, 64))
+    assert len(batches) > 1
+    assert [s for batch, _ in batches for s in batch] == specs
+    rows = np.concatenate([rows for _, rows in batches])
+    assert rows.shape == (72, 65)
+    for spec, row in zip(specs, rows):
+        expected = cauchy_coeffs(_recipe_sample(spec), 64, radius=0.95, samples=512)
+        assert np.max(np.abs(row - expected)) <= 1e-12
+
+
+def test_lemma1_peak_memory_does_not_grow_with_samples():
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            bk.lemma1_check(DomainGamma(0.4), samples, 8, 64, 7)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # caches (compose matrix, FFT plans) filled outside the measurement
+    assert peak(2000) <= 1.25 * peak(200)
 
 
 def test_sample_spec_validation():
