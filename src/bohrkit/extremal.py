@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -43,7 +43,7 @@ from .errors import (DomainError, InconclusiveError, NumericalError,
 from .operators import UNIT_ROUNDOFF, log_bound
 from .radii import (_cesaro_equation, _tail_balance_equation, bernardi_radius,
                     cesaro_radius)
-from .series import (ORDER_CAP, DomainGamma, SchurSampleSpec,
+from .series import (MAX_BLASCHKE_DEGREE, ORDER_CAP, DomainGamma, SchurSampleSpec,
                      TruncatedPowerSeries, _sample_batches, truncation_order)
 
 DEGENERATE_A0_TOL = 1e-8
@@ -86,15 +86,7 @@ class SharpnessReport:
     witness_found: bool
 
     def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "r": self.r,
-            "radius": self.radius,
-            "a_values": list(self.a_values),
-            "margins": list(self.margins),
-            "witness_found": self.witness_found,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -256,17 +248,26 @@ def _remainders(gamma: float, r: float, a_values,
     return remainders, errors
 
 
+def _first_order(gamma: DomainGamma, r: float, beta: Optional[float]) -> tuple[float, float]:
+    """The first-order factor at r and its certified error; beta=None
+    selects Cesaro, whose ``-E(r)/(r(1-r))`` adds 3u for the division."""
+    _check_r(r)
+    if beta is not None:
+        return _tail_balance_equation(beta, 2.0 / (1.0 + gamma.gamma))(r)[:2]
+    value, error, _ = _cesaro_equation(gamma.gamma)(r)
+    value = -value / (r * (1.0 - r))
+    return value, error / (r * (1.0 - r)) + 3.0 * UNIT_ROUNDOFF * abs(value)
+
+
 def cesaro_first_order_factor(gamma: DomainGamma, r: float) -> float:
     """``-E(r)/(r(1-r))`` for the Cesaro radius equation E; changes sign at the radius."""
-    _check_r(r)
-    return -_cesaro_equation(gamma.gamma)(r)[0] / (r * (1.0 - r))
+    return _first_order(gamma, r, None)[0]
 
 
 def bernardi_first_order_factor(gamma: DomainGamma, beta: float, r: float) -> float:
     """The Bernardi radius equation ``1/beta - (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)``."""
     _check_beta(beta)
-    _check_r(r)
-    return _tail_balance_equation(beta, 2.0 / (1.0 + gamma.gamma))(r)[0]
+    return _first_order(gamma, r, beta)[0]
 
 
 def _check_r(r: float) -> None:
@@ -284,24 +285,18 @@ def _check_beta(beta: float) -> None:
                       stacklevel=3)
 
 
-def _expand(gamma: DomainGamma, r: float, a_values,
-            beta: Optional[float]) -> tuple[list, list, list]:
+def _expand(gamma: DomainGamma, r: float, a_values, beta: Optional[float],
+            factor: tuple[float, float]) -> tuple[list, list, list]:
     """First-order terms, remainders and certified margin errors over a ladder.
 
-    beta=None selects Cesaro.  The first-order factor is evaluated once (its
-    error gains 3u from Cesaro's division by r(1-r)) and the remainders come
-    from one ``_remainders`` call.  A margin ``first + remainder`` is
-    certified to the remainder's error, plus the factor's error times its
-    coefficient, (5 + a*gamma/d)u of the first-order term and u of the sum.
+    beta=None selects Cesaro.  ``factor`` is ``_first_order`` at r, which
+    has checked r; the remainders come from one ``_remainders`` call.  A
+    margin ``first + remainder`` is certified to the remainder's error, plus
+    the factor's error times its coefficient, (5 + a*gamma/d)u of the
+    first-order term and u of the sum.
     """
-    _check_r(r)
     g = gamma.gamma
-    if beta is None:
-        value, value_err, _ = _cesaro_equation(g)(r)
-        value = -value / (r * (1.0 - r))
-        value_err = value_err / (r * (1.0 - r)) + 3.0 * UNIT_ROUNDOFF * abs(value)
-    else:
-        value, value_err, _ = _tail_balance_equation(beta, 2.0 / (1.0 + g))(r)
+    value, value_err = factor
     remainders, rem_errors = _remainders(g, r, a_values, beta)
     firsts, errors = [], []
     for a, remainder, rem_err in zip(a_values, remainders, rem_errors):
@@ -322,7 +317,7 @@ def cesaro_extremal_decomposition(p: ExtremalParams, r: float) -> Decomposition:
     remainder is the closed-form sum of ``_remainders``, negative and
     quadratic in (1 - a).
     """
-    (first,), (remainder,), _ = _expand(p.gamma, r, (p.a,), None)
+    (first,), (remainder,), _ = _expand(p.gamma, r, (p.a,), None, _first_order(p.gamma, r, None))
     return Decomposition(log_bound(r), first, remainder)
 
 
@@ -337,7 +332,7 @@ def bernardi_extremal_decomposition(p: ExtremalParams, beta: float,
     exploratory.
     """
     _check_beta(beta)
-    (first,), (remainder,), _ = _expand(p.gamma, r, (p.a,), beta)
+    (first,), (remainder,), _ = _expand(p.gamma, r, (p.a,), beta, _first_order(p.gamma, r, beta))
     return Decomposition(1.0 / beta, first, remainder)
 
 
@@ -352,8 +347,9 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
     """
     if num_samples < 1:
         raise DomainError(f"need at least one sample, got {num_samples}")
-    if degree_max < 0:
-        raise DomainError(f"degree_max must be >= 0, got {degree_max}")
+    if not 0 <= degree_max <= MAX_BLASCHKE_DEGREE:
+        raise DomainError(f"degree_max must lie in [0, {MAX_BLASCHKE_DEGREE}], "
+                          f"got {degree_max}")
     if n_out < 1:
         raise DomainError(f"output order must be >= 1, got {n_out}")
     master = np.random.default_rng(seed)
@@ -380,12 +376,16 @@ def _scan(gamma: DomainGamma, r: float, a_values, beta: Optional[float],
           radius: float) -> SharpnessReport:
     """Margins ``first_order + remainder`` over the ladder at r above the
     radius; a witness needs a margin above WITNESS_SLACK times its certified
-    error."""
-    if r <= radius:
+    error.  r counts as above the radius only where the first-order factor
+    makes the linear term certifiably positive: Cesaro's factor, or minus
+    Bernardi's tail balance, exceeds its error."""
+    factor = value, error = _first_order(gamma, r, beta)
+    if not (value > error if beta is None else value < -error):
         raise PreconditionError(
-            f"sharpness scan needs r > radius {radius:.6f}, got r={r}")
+            f"sharpness scan needs r > radius {radius:.6f}, got r={r}: the linear term "
+            f"is not certifiably positive there (factor {value:.3e} +- {error:.1e})")
     a_vals = tuple(ExtremalParams(float(a), gamma).a for a in a_values)
-    firsts, remainders, errors = _expand(gamma, r, a_vals, beta)
+    firsts, remainders, errors = _expand(gamma, r, a_vals, beta, factor)
     margins = tuple(first + rem for first, rem in zip(firsts, remainders))
     found = any(m > WITNESS_SLACK * e for m, e in zip(margins, errors))
     return SharpnessReport(gamma.gamma, beta, r, radius, a_vals, margins, found)

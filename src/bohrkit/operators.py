@@ -6,10 +6,10 @@ scales coefficients, ``a_n -> (1+beta) a_n / (beta+n)``, and equals
 ``(1+beta) z^{-beta} int_0^z f(xi) xi^{beta-1} dxi``.  The test suite checks
 the coefficient route against an independent quadrature of these integrals.
 
-Majorant evaluations follow the normalizations of the radius equations: the
-Cesaro majorant carries the 1/(n+1) averaging weights, the Bernardi majorant
-is ``sum |a_n| r^n / (n+beta)`` *without* the (1+beta) prefactor that the
-operator itself carries.
+Each operator majorant is ``series.majorant_eval`` of the operator's
+transform of ``|a_n|``, in the normalization of its radius equation: the
+Bernardi majorant ``sum |a_n| r^n / (n+beta)`` is that of the m = 0
+transform *without* the (1+beta) prefactor that the operator carries.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericalError, PreconditionError
-from .series import ORDER_CAP, TruncatedPowerSeries
+from .series import ORDER_CAP, TruncatedPowerSeries, majorant_eval
 
 LERCH_TAIL_TARGET = 1e-13
 LEADING_ZERO_TOL = 1e-14
@@ -67,6 +67,14 @@ class BernardiParams:
             raise DomainError(f"beta must exceed -m, got beta={self.beta}, m={self.m}")
 
 
+def _divide(z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``z / d`` for real d, dividing the real and imaginary parts separately:
+    numpy's complex division multiplies by a rounded reciprocal instead."""
+    out = np.empty_like(z)
+    out.real, out.imag = z.real / d, z.imag / d
+    return out
+
+
 def cesaro_transform(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
     """Averaged-partial-sum coefficients ``c_n = (1/(n+1)) sum_{k<=n} a_k``.
 
@@ -76,8 +84,7 @@ def cesaro_transform(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
     |a_k| <= 1 so the output tail bound is also capped at 1.
     """
     a = s.coeffs
-    prefix = np.cumsum(a)
-    c = prefix / np.arange(1, s.order + 2)
+    c = _divide(np.cumsum(a), np.arange(1, s.order + 2))
     p = math.fsum(np.abs(a))
     tail = s.tail_bound + p / (s.order + 2)
     if s.schur:
@@ -85,24 +92,15 @@ def cesaro_transform(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
     return TruncatedPowerSeries(c, tail)
 
 
-def cesaro_majorant(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:
-    """``sum_n (1/(n+1)) (sum_{k<=n} |a_k|) r^n`` with certified tail error.
+def _moduli(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
+    """The series of ``|a_n|``, with the same tail bound and Schur flag."""
+    return TruncatedPowerSeries(np.abs(s.coeffs), s.tail_bound, s.schur)
 
-    The omitted coefficients of the majorant transform are bounded by
-    ``P/(N+2) + B`` (capped at 1 for Schur input), giving the error term
-    ``bound * r**(N+1) / (1-r)``.
-    """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"majorant radius must lie in [0, 1), got {r}")
-    mags = np.abs(s.coeffs)
-    weights = np.cumsum(mags) / np.arange(1, s.order + 2)
-    value = math.fsum(weights * np.power(r, np.arange(s.order + 1)))
-    p = math.fsum(mags)
-    coeff_bound = p / (s.order + 2) + s.tail_bound
-    if s.schur:
-        coeff_bound = min(coeff_bound, 1.0)
-    error = coeff_bound * r ** (s.order + 1) / (1.0 - r)
-    return value, error
+
+def cesaro_majorant(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:
+    """``sum_n (1/(n+1)) (sum_{k<=n} |a_k|) r^n`` with certified tail error:
+    the plain majorant of the Cesaro transform of ``|a_n|``, tail policy and all."""
+    return majorant_eval(cesaro_transform(_moduli(s)), r)
 
 
 def _require_leading_zeros(s: TruncatedPowerSeries, p: BernardiParams) -> None:
@@ -125,7 +123,7 @@ def bernardi_transform(s: TruncatedPowerSeries,
     n = np.arange(s.order + 1)
     c = np.zeros_like(a)
     keep = n >= p.m
-    c[keep] = (1.0 + p.beta) * a[keep] / (p.beta + n[keep])
+    c[keep] = _divide((1.0 + p.beta) * a[keep], p.beta + n[keep])
     denom = max(s.order + 1, p.m) + p.beta
     tail = (1.0 + p.beta) * s.tail_bound / denom
     return TruncatedPowerSeries(c, tail)
@@ -133,20 +131,13 @@ def bernardi_transform(s: TruncatedPowerSeries,
 
 def bernardi_majorant(s: TruncatedPowerSeries, p: BernardiParams,
                       r: float) -> tuple[float, float]:
-    """``sum_{n>=0} |a_n| r^n / (n+beta)`` with certified tail error.
-
-    Uses the radius-equation normalization: no (1+beta) prefactor, summation
-    from n = 0, hence beta > 0 is required here.
-    """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"majorant radius must lie in [0, 1), got {r}")
+    """``sum_{n>=0} |a_n| r^n / (n+beta)`` with certified tail error: the plain
+    majorant of the m = 0 Bernardi transform of ``|a_n|`` over its (1+beta)
+    prefactor.  Summation starts at n = 0, hence beta > 0 is required here."""
     if p.beta <= 0.0:
         raise DomainError("the Bernardi majorant normalization needs beta > 0")
-    mags = np.abs(s.coeffs)
-    n = np.arange(s.order + 1)
-    value = math.fsum(mags * np.power(r, n) / (n + p.beta))
-    error = s.tail_bound * r ** (s.order + 1) / ((s.order + 1 + p.beta) * (1.0 - r))
-    return value, error
+    value, error = majorant_eval(bernardi_transform(_moduli(s), BernardiParams(p.beta)), r)
+    return value / (1.0 + p.beta), error / (1.0 + p.beta)
 
 
 def log_bound(r: float) -> float:

@@ -53,15 +53,7 @@ class RadiusResult:
     converged: bool
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "bracket_lo": self.bracket_lo,
-            "bracket_hi": self.bracket_hi,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "evaluations": self.evaluations,
-            "converged": self.converged,
-        }
+        return dataclasses.asdict(self)
 
 
 def solve_bracketed(g, lo: float, hi: float, tol: float = DEFAULT_TOL) -> RadiusResult:

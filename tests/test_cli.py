@@ -134,6 +134,18 @@ def test_sweep_unwritable_output_exit_four(tmp_path):
     assert proc.returncode == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("radius", "cesaro", "--gamma", "0"),
+    ("verify", "sharpness", "--op", "cesaro", "--gamma", "0", "--r", "0.55"),
+    ("verify", "identities")])
+def test_radius_and_verify_unwritable_output_exit_four(cli, tmp_path, argv):
+    out = tmp_path / "no_such_dir" / "doc.json"
+    proc = cli(*argv, "--out", str(out))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "cannot write" in proc.stderr
+
+
 def test_sweep_writes_file(cli, tmp_path):
     out = tmp_path / "table.csv"
     proc = cli("sweep", "--op", "cesaro", "--parameter", "gamma",
@@ -252,6 +264,17 @@ def test_verify_sharpness_bernardi(cli):
     assert "sharpness scan needs r > radius" in below.stderr
 
 
+@pytest.mark.parametrize("op, r", [(("cesaro",), "0.533589233919995"),
+                                   (("bernardi", "--beta", "1"), "0.5828116438658115")])
+def test_verify_sharpness_one_ulp_above_radius_is_domain_error(cli, op, r):
+    # r is one ulp above the reported radius, inside its 1e-12 bracket: the
+    # scan found no witness there and exited 5, an assertion failure.
+    proc = cli("verify", "sharpness", "--op", *op, "--gamma", "0", "--r", r)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "not certifiably positive" in proc.stderr
+
+
 @pytest.mark.parametrize("op", [("cesaro",), ("bernardi", "--beta", "1")])
 @pytest.mark.parametrize("r", ["1.0", "1.5", "nan"])
 def test_verify_sharpness_rejects_r_outside_unit_interval(cli, op, r):
@@ -310,6 +333,16 @@ def test_verify_lemma1_rejects_order_below_one(cli, gamma, order):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "output order must be >= 1" in proc.stderr
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_verify_lemma1_rejects_degree_max_above_sixteen(cli, seed):
+    # Seed 1 passed; seeds 2 and 3 exited 2 naming a sample's degree, 17.
+    proc = cli("verify", "lemma1", "--gamma", "0.4", "--samples", "1", "--seed", seed,
+               "--degree-max", "20")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "degree_max must lie in [0, 16], got 20" in proc.stderr
 
 
 def test_verify_remainder_order_deep_ladder(cli):

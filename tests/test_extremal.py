@@ -329,6 +329,17 @@ def test_lemma1_rejects_order_below_one(gamma, n_out):
         lemma1_check(DomainGamma(gamma), 5, 8, n_out, 1)
 
 
+@pytest.mark.parametrize("gamma, degree_max, seed", [
+    (0.4, -1, 1), (0.4, 17, 1), (0.4, 20, 1), (0.4, 20, 2), (0.4, 20, 3), (0.97, 20, 1)])
+def test_lemma1_rejects_degree_max_outside_range(gamma, degree_max, seed):
+    # A degree_max above MAX_BLASCHKE_DEGREE = 16 was accepted, and failed
+    # only when some draw exceeded 16: seed 1 passed with one sample, seeds
+    # 2 and 3 reported a sample's degree; at gamma = 0.97 the composition
+    # order search failed first.  -1 is the lower end of the range.
+    with pytest.raises(DomainError, match=r"degree_max must lie in \[0, 16\]"):
+        lemma1_check(DomainGamma(gamma), 1, degree_max, 64, seed)
+
+
 # ------------------------------------------------------------ sharpness scans
 
 def test_cesaro_sharpness_witness_above_radius():
@@ -358,6 +369,28 @@ def test_bernardi_sharpness_witness_above_radius():
 def test_bernardi_sharpness_guard_below_radius():
     with pytest.raises(PreconditionError):
         sharpness_scan_bernardi(DomainGamma(0.0), 1.0, 0.5, (0.99,))
+
+
+@pytest.mark.parametrize("beta", [None, 1.0])
+def test_sharpness_scan_needs_a_certified_first_order_sign(beta):
+    # One ulp above the reported radius lies inside its 1e-12 bracket, where
+    # the first-order factor (Cesaro 8.9e-16 +- 7.6e-15, Bernardi balance
+    # -4.4e-16 +- 1.4e-15) has no certified sign; the scan used to run there
+    # and report no witness.
+    dg = DomainGamma(0.0)
+
+    def scan(r):
+        if beta is None:
+            return sharpness_scan_cesaro(dg, r, WITNESS_LADDER)
+        return sharpness_scan_bernardi(dg, beta, r, WITNESS_LADDER)
+
+    radius = cesaro_radius(dg) if beta is None else bernardi_radius(dg, beta)
+    r = math.nextafter(radius.value, 1.0)
+    assert radius.bracket_lo < r < radius.bracket_hi
+    with pytest.raises(PreconditionError, match=f"r > radius {radius.value:.6f}"):
+        scan(r)
+    # At the bracket's upper end the sign is certified, and the scan runs.
+    assert scan(radius.bracket_hi).radius == radius.value
 
 
 def test_bernardi_sharpness_first_order_consistency():
@@ -452,6 +485,11 @@ def test_remainder_order_uncertified_remainder_is_inconclusive():
 def test_remainder_order_rejects_unknown_kind():
     with pytest.raises(DomainError):
         remainder_order_check("libera", DomainGamma(0.3), 0.4, [0.9, 0.99])
+
+
+def test_remainder_order_bernardi_needs_beta():
+    with pytest.raises(DomainError, match="needs beta"):
+        remainder_order_check("bernardi", DomainGamma(0.3), 0.4, [0.9, 0.99])
 
 
 # -------------------------------------------------------------- identity suite

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from bohrkit.errors import DomainError, PreconditionError
+from bohrkit.errors import DomainError, NumericalError, PreconditionError
 from bohrkit.operators import (BernardiParams, bernardi_majorant,
                                bernardi_transform, cesaro_majorant,
                                cesaro_transform, lerch_tail_sum, log_bound)
@@ -58,6 +58,21 @@ def test_cesaro_transform_schur_tail_capped():
     assert np.max(np.abs(out.coeffs)) <= 1.0 + 1e-12
 
 
+def test_transforms_divide_real_and_imaginary_parts_exactly():
+    # numpy's complex division multiplies by a rounded reciprocal, which put
+    # about a quarter of the parts 1 ulp away from the correctly rounded
+    # quotient.
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=200) + 1j * rng.normal(size=200)
+    n = np.arange(200)
+    ces = cesaro_transform(polynomial(a)).coeffs
+    assert np.array_equal(ces.real, np.cumsum(a.real) / (n + 1))
+    assert np.array_equal(ces.imag, np.cumsum(a.imag) / (n + 1))
+    ber = bernardi_transform(polynomial(a), BernardiParams(0.3, 0)).coeffs
+    assert np.array_equal(ber.real, 1.3 * a.real / (0.3 + n))
+    assert np.array_equal(ber.imag, 1.3 * a.imag / (0.3 + n))
+
+
 # ------------------------------------------------------------ cesaro majorant
 
 def test_cesaro_majorant_of_constant_function():
@@ -76,6 +91,18 @@ def test_cesaro_majorant_of_zero_series():
 def test_cesaro_majorant_rejects_bad_radius():
     with pytest.raises(DomainError):
         cesaro_majorant(polynomial([1.0]), 1.0)
+
+
+def test_cesaro_majorant_is_the_real_weighted_sum():
+    # The majorant of the Cesaro transform of |a_n| gives the same doubles
+    # as summing the averaged weights in real arithmetic.
+    rng = np.random.default_rng(9)
+    s = TruncatedPowerSeries(rng.normal(size=80) + 1j * rng.normal(size=80), 0.4)
+    mags = np.abs(s.coeffs)
+    weights = np.cumsum(mags) / np.arange(1, 81)
+    value, error = cesaro_majorant(s, 0.7)
+    assert value == math.fsum(weights * np.power(0.7, np.arange(80)))
+    assert error == (math.fsum(mags) / 81 + 0.4) * 0.7 ** 80 / (1.0 - 0.7)
 
 
 def test_cesaro_below_radius_bound_on_samples():
@@ -307,6 +334,22 @@ def test_lerch_tail_domain_errors():
         lerch_tail_sum(0.5, -1.0, 1)
     with pytest.raises(DomainError):
         lerch_tail_sum(0.5, 1.0, -1)
+
+
+def test_lerch_tail_order_cap():
+    # An exponent above the ln r expansion's range, so the direct sum would
+    # need about 3.5e6 terms.
+    with pytest.raises(NumericalError, match="order cap"):
+        lerch_tail_sum(1.0 - 1e-5, 2e6, 1)
+
+
+def test_lerch_tail_start_beyond_truncation_order():
+    # The omitted tail already lies below target before the first term, so
+    # the sum is reported as 0 with the whole tail as its error.
+    value, error = lerch_tail_sum(1e-3, 0.5, 40)
+    assert value == 0.0
+    with mp.workdps(30):
+        assert float(mp_tail_sum(mp.mpf(1e-3), 0.5, 40)) <= error <= 1e-121
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf])

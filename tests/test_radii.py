@@ -73,6 +73,16 @@ def test_solver_input_validation():
         solve_bracketed(lambda x: (x, 0.0, 1.0), -1.0, 1.0, 0.0)
 
 
+def test_solver_rejects_a_non_finite_value():
+    with pytest.raises(NumericalError, match="not finite"):
+        solve_bracketed(lambda x: (math.nan, 0.0, 1.0), 0.0, 1.0, 1e-12)
+
+
+def test_solver_exact_zero_at_bracket_end():
+    res = solve_bracketed(lambda x: (x - 0.25, 0.0, 1.0), 0.25, 1.0, 1e-12)
+    assert res == RadiusResult(0.25, 0.25, 0.25, 0.0, 0, 2, True)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
 def test_solver_rejects_non_finite_tolerance(tol):
     # A NaN tol never enters the step loop, and an inf tol accepts the whole
