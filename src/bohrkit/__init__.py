@@ -23,15 +23,15 @@ from .operators import (BernardiParams, bernardi_majorant, bernardi_transform,
 from .radii import (RadiusResult, bernardi_radius, bernardi_radius_classic,
                     bohr_radius_omega, cesaro_radius, solve_bracketed)
 from .series import (DomainGamma, SchurSampleSpec, TruncatedPowerSeries,
-                     affine_compose, blaschke_coeffs, majorant_eval,
-                     polynomial, sample_schur_omega, truncation_order)
+                     blaschke_coeffs, majorant_eval, polynomial,
+                     sample_schur_omega, truncation_order)
 
 __all__ = [
     "__version__",
     "BohrkitError", "BracketingError", "DomainError", "InconclusiveError",
     "NumericalError", "PreconditionError",
     "TruncatedPowerSeries", "DomainGamma", "SchurSampleSpec",
-    "majorant_eval", "affine_compose", "blaschke_coeffs", "sample_schur_omega",
+    "majorant_eval", "blaschke_coeffs", "sample_schur_omega",
     "polynomial", "truncation_order",
     "BernardiParams", "cesaro_transform", "cesaro_majorant",
     "bernardi_transform", "bernardi_majorant", "log_bound", "lerch_tail_sum",

@@ -40,11 +40,12 @@ import numpy as np
 
 from .errors import (DomainError, InconclusiveError, NumericalError,
                      PreconditionError)
-from .operators import UNIT_ROUNDOFF, log_bound
+from .operators import log_bound
 from .radii import (_cesaro_equation, _tail_balance_equation, bernardi_radius,
                     cesaro_radius)
-from .series import (MAX_BLASCHKE_DEGREE, ORDER_CAP, DomainGamma, SchurSampleSpec,
-                     TruncatedPowerSeries, _sample_batches, truncation_order)
+from .series import (MAX_BLASCHKE_DEGREE, ORDER_CAP, UNIT_ROUNDOFF, DomainGamma,
+                     SchurSampleSpec, TruncatedPowerSeries, _sample_batches,
+                     truncation_order)
 
 DEGENERATE_A0_TOL = 1e-8
 WITNESS_SLACK = 10.0
@@ -104,20 +105,10 @@ class Lemma1Report:
     skipped: int = 0
 
     def as_dict(self) -> dict:
-        worst = None
+        out = asdict(self)
         if self.worst_spec is not None:
-            worst = {
-                "degree": self.worst_spec.degree,
-                "seed": self.worst_spec.seed,
-                "gamma": self.worst_spec.gamma.gamma,
-            }
-        return {
-            "gamma": self.gamma,
-            "samples": self.samples,
-            "skipped": self.skipped,
-            "max_ratio": self.max_ratio,
-            "worst_spec": worst,
-        }
+            out["worst_spec"]["gamma"] = self.worst_spec.gamma.gamma
+        return out
 
 
 class Decomposition(NamedTuple):

@@ -21,11 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericalError, PreconditionError
-from .series import ORDER_CAP, TruncatedPowerSeries, majorant_eval
+from .series import ORDER_CAP, UNIT_ROUNDOFF, TruncatedPowerSeries, majorant_eval
 
 LERCH_TAIL_TARGET = 1e-13
 LEADING_ZERO_TOL = 1e-14
-UNIT_ROUNDOFF = 2.0 ** -53
 EULER_GAMMA = 0.57721566490153286061
 # The ln r expansion of the tail sum serves x = ln(1/r) <= LN_EXPANSION_MAX_LOG
 # (r >= 0.78) with a x <= 1; the direct sum is as fast and more accurate below.
@@ -98,9 +97,16 @@ def _moduli(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
 
 
 def cesaro_majorant(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:
-    """``sum_n (1/(n+1)) (sum_{k<=n} |a_k|) r^n`` with certified tail error:
-    the plain majorant of the Cesaro transform of ``|a_n|``, tail policy and all."""
-    return majorant_eval(cesaro_transform(_moduli(s)), r)
+    """``sum_n (1/(n+1)) (sum_{k<=n} |a_k|) r^n`` with certified error: the
+    plain majorant of the Cesaro transform of ``|a_n|``, tail policy and all.
+
+    The transform's rounding is added: |a_k| carries 8u (a numpy loop within
+    4 ulp), the running sum of n+1 nonnegative terms nu and the division u,
+    so every coefficient, and with it the value, is within (N+9)u relatively,
+    N the order of s.
+    """
+    value, error = majorant_eval(cesaro_transform(_moduli(s)), r)
+    return value, error + (s.order + 9) * UNIT_ROUNDOFF * value
 
 
 def _require_leading_zeros(s: TruncatedPowerSeries, p: BernardiParams) -> None:
@@ -131,13 +137,19 @@ def bernardi_transform(s: TruncatedPowerSeries,
 
 def bernardi_majorant(s: TruncatedPowerSeries, p: BernardiParams,
                       r: float) -> tuple[float, float]:
-    """``sum_{n>=0} |a_n| r^n / (n+beta)`` with certified tail error: the plain
+    """``sum_{n>=0} |a_n| r^n / (n+beta)`` with certified error: the plain
     majorant of the m = 0 Bernardi transform of ``|a_n|`` over its (1+beta)
-    prefactor.  Summation starts at n = 0, hence beta > 0 is required here."""
+    prefactor.  Summation starts at n = 0, hence beta > 0 is required here.
+
+    The transform's rounding is added: |a_n| carries 8u (a numpy loop within
+    4 ulp), the product, the denominator and the division u each, and the
+    division by the prefactor u; the prefactor's own rounding cancels in it.
+    That is 12u relative to the value."""
     if p.beta <= 0.0:
         raise DomainError("the Bernardi majorant normalization needs beta > 0")
     value, error = majorant_eval(bernardi_transform(_moduli(s), BernardiParams(p.beta)), r)
-    return value / (1.0 + p.beta), error / (1.0 + p.beta)
+    value /= 1.0 + p.beta
+    return value, error / (1.0 + p.beta) + 12.0 * UNIT_ROUNDOFF * value
 
 
 def log_bound(r: float) -> float:

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import BracketingError, DomainError, NumericalError
-from .operators import UNIT_ROUNDOFF, lerch_tail_sum
-from .series import DomainGamma
+from .operators import lerch_tail_sum
+from .series import UNIT_ROUNDOFF, DomainGamma
 
 DEFAULT_TOL = 1e-12
 # Safety net for the step loop; Newton needs well under 20 steps here.
@@ -238,8 +239,13 @@ def bernardi_radius_classic(beta: float, m: int, tol: float = DEFAULT_TOL) -> Ra
     tail-balance shape with effective exponent m + beta:
     ``1/(m+beta) - 2 sum_{j>=1} x^j/(j+m+beta)``.
     """
-    if not (isinstance(m, int) and not isinstance(m, bool) and m >= 0):
+    try:  # any integer type, numpy's included, but not bool
+        index = None if isinstance(m, bool) else operator.index(m)
+    except TypeError:
+        index = None
+    if index is None or index < 0:
         raise DomainError(f"m must be a nonnegative integer, got {m}")
+    m = index
     if not (isinstance(beta, (int, float)) and math.isfinite(beta)) or beta <= -m:
         raise DomainError(f"beta must exceed -m, got beta={beta}, m={m}")
     return _solve_tail_balance(float(m + beta), 2.0, tol)

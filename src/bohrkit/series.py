@@ -1,8 +1,8 @@
 """Truncated power series with certified tail bounds, and Schur-class test functions.
 
 A series is stored as its first N+1 Taylor coefficients together with a
-uniform bound on every omitted coefficient.  That single number is enough to
-certify majorant evaluations: the modulus of everything beyond the truncation
+uniform bound on every omitted coefficient.  That single number certifies
+the truncation of majorant evaluations: the modulus of everything beyond it
 is at most ``tail_bound * r**(N+1) / (1 - r)`` at radius r.
 
 Test functions for the function class bounded by 1 on the disk Omega_gamma
@@ -23,6 +23,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 
+# u: every certified error counts rounding in multiples of it.
+UNIT_ROUNDOFF = 2.0 ** -53
 # Truncation policy: orders are chosen so the certified tail error meets the
 # target below, and never exceed ORDER_CAP (evaluation radii too close to 1
 # fail explicitly rather than silently losing certification).
@@ -34,6 +36,8 @@ ZERO_SAMPLING_RADIUS = 0.95
 # Complex entries (rows times FFT length) one batch of Schur samples holds,
 # so peak memory does not grow with the number of samples.
 BATCH_ELEMENTS = 2 ** 13
+# Certified bound on what the composition with G drops from each coefficient.
+COMPOSE_TARGET = 1e-13
 
 
 def truncation_order(r: float, tail_bound: float = 1.0,
@@ -155,93 +159,69 @@ class SchurSampleSpec:
 def majorant_eval(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:
     """Value and certified error of ``sum |c_n| r^n`` over the stored range.
 
-    The error term ``tail_bound * r**(N+1) / (1-r)`` bounds the omitted tail.
+    The error bounds the omitted tail, ``tail_bound * r**(N+1) / (1-r)``,
+    and the rounding of the value.  To first order in u: abs and pow are
+    numpy loops within 4 ulp (8u each) and the product rounds once, so each
+    term, all of them nonnegative, carries at most 17u relative error; fsum
+    rounds the sum once, so ``18u`` times the value bounds the rounding.
     """
     if not 0.0 <= r < 1.0:
         raise DomainError(f"majorant radius must lie in [0, 1), got {r}")
     mags = np.abs(s.coeffs)
     value = math.fsum(mags * np.power(r, np.arange(mags.size)))
     error = s.tail_bound * r ** (s.order + 1) / (1.0 - r)
-    return value, error
+    return value, error + 18.0 * UNIT_ROUNDOFF * value
 
 
 @lru_cache(maxsize=64)
-def _compose_matrix(gamma: float, in_order: int, out_order: int) -> np.ndarray:
-    """Recombination matrix M[n, k] = C(k, n) gamma^(k-n) (1-gamma)^n.
+def _compose_matrix(gamma: float, n_out: int) -> np.ndarray:
+    """Certified recombination matrix of the composition with G, for gamma > 0.
 
-    Rows are built with running products so no factorial is ever formed;
-    every entry is bounded by 1/(1-gamma).
+    Row n holds ``M[n, k] = C(k, n) gamma^(k-n) (1-gamma)^n`` for k = 0..K,
+    so ``a_n = sum_k M[n, k] b_k`` are the coefficients of ``B(G(z))``.
+    Rows are running products, so no factorial is ever formed, and every
+    entry is bounded by 1/(1-gamma).  For a series with ``|b_k| <= 1`` the
+    coefficients beyond K change a_n by at most the deficit
+    ``1/(1-gamma) - sum_{k<=K} M[n, k]``.  K grows from n_out + 32 until
+    every deficit is at most COMPOSE_TARGET, and the matrix certified there is
+    returned: its last column index is the input order K.  Raises
+    NumericalError: before building anything when n_out + 32 exceeds
+    ORDER_CAP; when a row leaves the double range (orders beyond about
+    700/ln(1/(1-gamma))); and when K reaches the cap first.
     """
+    if n_out + 32 > ORDER_CAP:
+        raise NumericalError(
+            f"composition to order {n_out} needs an input order of at least "
+            f"{n_out + 32}, above the cap {ORDER_CAP}")
     one_m = 1.0 - gamma
-    m = np.zeros((out_order + 1, in_order + 1))
-    for n in range(min(out_order, in_order) + 1):
-        lead = one_m ** n
-        if lead == 0.0:
-            raise NumericalError(
-                f"(1-gamma)^n underflows at n={n} for gamma={gamma}; "
-                "requested order is too large for this gamma")
-        if gamma == 0.0:
-            m[n, n] = lead
-            continue
-        ks = np.arange(n + 1, in_order + 1, dtype=float)
-        row = np.empty(in_order + 1 - n)
-        row[0] = lead
-        if ks.size:
-            row[1:] = lead * np.cumprod(gamma * ks / (ks - n))
-        m[n, n:] = row
-    return m
-
-
-def affine_compose(h: TruncatedPowerSeries, gamma: DomainGamma,
-                   n_out: int) -> TruncatedPowerSeries:
-    """Taylor coefficients of ``z -> h((1-gamma) z + gamma)`` up to order n_out.
-
-    Coefficients are recombined as
-    ``a_n = sum_k b_k C(k, n) gamma^(k-n) (1-gamma)^n`` over the stored b_k;
-    contributions from coefficients of h beyond ``h.order`` are dropped, so
-    callers should truncate h generously (see ``compose_input_order``).
-
-    Tail policy: a Schur-class input stays Schur-class under composition with
-    the affine map into the unit disk, so its output keeps tail_bound 1;
-    otherwise the conservative bound ``max(|b_k|, tail) / (1-gamma)`` is used.
-    """
-    if n_out < 0:
-        raise DomainError(f"output order must be >= 0, got {n_out}")
-    g = gamma.gamma
-    b = h.coeffs
-    m = _compose_matrix(g, h.order, n_out)
-    a = m @ b
-    if h.schur:
-        tail, schur = 1.0, True
-    else:
-        b_all = max(float(np.max(np.abs(b))), h.tail_bound)
-        tail, schur = b_all / (1.0 - g), False
-        if h.tail_bound == 0.0 and g == 0.0:
-            tail = 0.0  # identity map on a polynomial stays a polynomial
-    return TruncatedPowerSeries(a, tail, schur)
-
-
-@lru_cache(maxsize=256)
-def compose_input_order(gamma: float, n_out: int, target: float = 1e-13) -> int:
-    """Input truncation order K making the dropped-coefficient error certifiable.
-
-    For a series with ``|b_k| <= 1`` the error in any composed coefficient is
-    at most ``1/(1-gamma) - sum_{k<=K} C(k,n) gamma^(k-n) (1-gamma)^n``; K is
-    grown until that deficit is below target for every n <= n_out.
-    """
-    if gamma == 0.0:
-        return n_out
-    k = n_out + 32
+    k, best = n_out + 32, math.inf
     while True:
-        # Uncached: only the matrix of the returned order is used again.
-        m = _compose_matrix.__wrapped__(gamma, k, n_out)
-        deficit = 1.0 / (1.0 - gamma) - m.sum(axis=1)
-        if float(deficit.max()) <= target:
-            return k
+        m = np.zeros((n_out + 1, k + 1))
+        with np.errstate(over="ignore"):  # an overflow fails the check below
+            for n in range(n_out + 1):
+                lead = one_m ** n
+                if lead == 0.0:
+                    raise NumericalError(
+                        f"(1-gamma)^n underflows at n={n} for gamma={gamma}; "
+                        "requested order is too large for this gamma")
+                ks = np.arange(n + 1, k + 1, dtype=float)
+                m[n, n] = lead
+                m[n, n + 1:] = lead * np.cumprod(gamma * ks / (ks - n))
+        deficits = 1.0 / one_m - m.sum(axis=1)
+        if not np.isfinite(deficits).all():
+            raise NumericalError(
+                f"the composition matrix overflows for gamma={gamma} and order "
+                f"{n_out}; requested order is too large for this gamma")
+        deficit = float(deficits.max())
+        if deficit <= COMPOSE_TARGET:
+            m.flags.writeable = False  # cached, so shared by every caller
+            return m
+        best = min(best, deficit)
         if k >= ORDER_CAP:
             raise NumericalError(
-                f"cannot certify affine composition to {target} for gamma={gamma} "
-                f"and order {n_out} within the cap {ORDER_CAP}")
+                f"cannot certify the composition to {COMPOSE_TARGET} for "
+                f"gamma={gamma} and order {n_out} within the cap {ORDER_CAP}: "
+                f"the smallest deficit reached is {best:.1e}")
         k = min(2 * k + 32, ORDER_CAP)
 
 
@@ -316,8 +296,9 @@ def _sample_batches(specs, gamma: DomainGamma, n_out: int):
     coefficients 0..n_out, a row each.  A batch holds at most BATCH_ELEMENTS
     complex entries per FFT product and specs are drawn one batch at a time,
     so peak memory does not grow with the number of specs."""
-    k_in = compose_input_order(gamma.gamma, n_out)
-    m = _compose_matrix(gamma.gamma, k_in, n_out)
+    # G is the identity at gamma = 0: the Blaschke rows are the samples.
+    m = _compose_matrix(gamma.gamma, n_out) if gamma.gamma else None
+    k_in = n_out if m is None else m.shape[1] - 1
     step = max(1, BATCH_ELEMENTS // _fft_length(2 * k_in + 1))
     specs = iter(specs)
     while batch := list(islice(specs, step)):
@@ -331,12 +312,10 @@ def _sample_batches(specs, gamma: DomainGamma, n_out: int):
                                          * (np.cos(angle) + 1j * np.sin(angle)))
             theta = 2.0 * math.pi * u[-1]
             phases[row] = complex(math.cos(theta), math.sin(theta))
-        b = _blaschke_rows(zeros, degrees, phases, k_in)
-        # The composition with G: one real matrix product, both parts stacked.
-        parts = np.concatenate([b.real, b.imag]) @ m.T
-        rows = parts[: len(batch)] + 1j * parts[len(batch):]
-        if not np.isfinite(rows).all():
-            raise DomainError("all coefficients must be finite")
+        rows = _blaschke_rows(zeros, degrees, phases, k_in)
+        if m is not None:  # the composition with G: one real matrix product
+            parts = np.concatenate([rows.real, rows.imag]) @ m.T
+            rows = parts[: len(batch)] + 1j * parts[len(batch):]
         yield batch, rows
 
 

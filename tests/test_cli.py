@@ -407,3 +407,13 @@ def test_subprocess_and_main_print_the_same_stdout(cli, argv):
     warm = cli(*argv)
     assert cold.returncode == warm.returncode == 0
     assert cold.stdout == warm.stdout
+
+
+def test_verify_lemma1_order_above_composition_cap_exits_three(cli):
+    # The composition matrix was allocated first (about 75 GiB) and the
+    # call died with an uncaught ArrayMemoryError.
+    proc = cli("verify", "lemma1", "--gamma", "0.4", "--samples", "1", "--seed", "1",
+               "--order", "100000")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "above the cap 20000" in proc.stderr

@@ -6,7 +6,7 @@ from mpmath import mp
 
 import bohrkit as bk
 from bohrkit.errors import (DomainError, InconclusiveError, PreconditionError)
-from bohrkit.extremal import (ExtremalParams, _remainders,
+from bohrkit.extremal import (ExtremalParams, Lemma1Report, _remainders,
                               bernardi_extremal_decomposition,
                               bernardi_first_order_factor,
                               cesaro_extremal_decomposition,
@@ -245,6 +245,16 @@ def test_lemma1_skips_degenerate_constants():
     assert report.worst_spec is None
     assert report.skipped == 50
     assert report.as_dict()["skipped"] == 50
+
+
+def test_lemma1_report_as_dict_lists_every_field():
+    plain = Lemma1Report(0.4, 3, 0.5, None, 1)
+    assert plain.as_dict() == {"gamma": 0.4, "samples": 3, "skipped": 1,
+                               "max_ratio": 0.5, "worst_spec": None}
+    spec = SchurSampleSpec(2, 99, DomainGamma(0.4))
+    worst = Lemma1Report(0.4, 3, 0.5, spec, 1)
+    assert worst.as_dict() == {"gamma": 0.4, "samples": 3, "skipped": 1, "max_ratio": 0.5,
+                               "worst_spec": {"degree": 2, "seed": 99, "gamma": 0.4}}
 
 
 def test_lemma1_counts_skipped_draws():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from bohrkit.errors import DomainError, NumericalError, PreconditionError
 from bohrkit.operators import (BernardiParams, bernardi_majorant,
                                bernardi_transform, cesaro_majorant,
                                cesaro_transform, lerch_tail_sum, log_bound)
-from bohrkit.series import (DomainGamma, SchurSampleSpec, TruncatedPowerSeries,
-                            blaschke_coeffs, polynomial, sample_schur_omega,
-                            truncation_order)
+from bohrkit.series import (UNIT_ROUNDOFF, DomainGamma, SchurSampleSpec,
+                            TruncatedPowerSeries, blaschke_coeffs, polynomial,
+                            sample_schur_omega, truncation_order)
 from oracles import bernardi_integral_oracle, cesaro_integral_oracle, mp_tail_sum
 
 TWO_LN2 = 2.0 * math.log(2.0)
@@ -102,7 +103,9 @@ def test_cesaro_majorant_is_the_real_weighted_sum():
     weights = np.cumsum(mags) / np.arange(1, 81)
     value, error = cesaro_majorant(s, 0.7)
     assert value == math.fsum(weights * np.power(0.7, np.arange(80)))
-    assert error == (math.fsum(mags) / 81 + 0.4) * 0.7 ** 80 / (1.0 - 0.7)
+    tail = (math.fsum(mags) / 81 + 0.4) * 0.7 ** 80 / (1.0 - 0.7)
+    # tail, the sum's rounding (18u) and the transform's ((N + 9)u, N = 79)
+    assert error == tail + 18.0 * UNIT_ROUNDOFF * value + 88 * UNIT_ROUNDOFF * value
 
 
 def test_cesaro_below_radius_bound_on_samples():
@@ -188,7 +191,9 @@ def test_bernardi_transform_preconditions():
 
 def test_bernardi_majorant_single_term():
     value, error = bernardi_majorant(polynomial([1.0]), BernardiParams(2.0, 0), 0.7)
-    assert value == 0.5 and error == 0.0
+    # No tail; the rounding of the sum (18u) and of the transform (12u).
+    assert value == 0.5
+    assert error == 18.0 * UNIT_ROUNDOFF * 1.5 / 3.0 + 12.0 * UNIT_ROUNDOFF * 0.5
 
 
 def test_bernardi_majorant_geometric_ones():
@@ -202,6 +207,43 @@ def test_bernardi_majorant_geometric_ones():
 def test_bernardi_majorant_needs_positive_beta():
     with pytest.raises(DomainError):
         bernardi_majorant(polynomial([0.0, 1.0]), BernardiParams(-0.5, 1), 0.3)
+
+
+def exact_polynomial(rng, size):
+    """Random real coefficients, so that |a_n| is exact, with their Fractions."""
+    coeffs = rng.normal(size=size)
+    return polynomial(coeffs), [abs(Fraction(float(c))) for c in coeffs]
+
+
+def test_bernardi_majorant_error_covers_rounding_against_exact_sums():
+    # On a polynomial the error is rounding alone.  1/3 is not a double:
+    # the first case once returned error 0 at 1.9e-17 from it.
+    cases = [(polynomial([1.0]), [Fraction(1)], 3.0, 0.5)]
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        s, moduli = exact_polynomial(rng, int(rng.integers(1, 100)))
+        beta, r = float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.0, 0.99))
+        cases.append((s, moduli, beta, r))
+    for s, moduli, beta, r in cases:
+        value, error = bernardi_majorant(s, BernardiParams(beta), r)
+        exact = sum(m * Fraction(r) ** n / (n + Fraction(beta)) for n, m in enumerate(moduli))
+        assert abs(Fraction(value) - exact) <= Fraction(error)
+        assert error <= 31.0 * UNIT_ROUNDOFF * value
+
+
+def test_cesaro_majorant_error_covers_rounding_against_exact_sums():
+    # At these r the tail bound is below 1e-24, so the error is almost all
+    # rounding; the exact sum is that of the stored terms.
+    rng = np.random.default_rng(47)
+    for _ in range(60):
+        s, moduli = exact_polynomial(rng, int(rng.integers(24, 100)))
+        r = float(rng.uniform(0.0, 0.1))
+        value, error = cesaro_majorant(s, r)
+        partial, exact = Fraction(0), Fraction(0)
+        for n, m in enumerate(moduli):
+            partial += m
+            exact += partial / (n + 1) * Fraction(r) ** n
+        assert abs(Fraction(value) - exact) <= Fraction(error)
 
 
 # --------------------------------------------------- bernardi integral oracle

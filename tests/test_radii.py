@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -283,6 +284,13 @@ def test_classic_radius_domain_errors():
         bernardi_radius_classic(-1.0, 1)
     with pytest.raises(DomainError):
         bernardi_radius_classic(1.0, -1)
+
+
+def test_classic_radius_takes_numpy_integer_m():
+    assert bernardi_radius_classic(1.0, np.int64(1)) == bernardi_radius_classic(1.0, 1)
+    for m in (True, np.True_, 1.0, np.float64(1.0)):
+        with pytest.raises(DomainError, match="m must be a nonnegative integer"):
+            bernardi_radius_classic(1.0, m)
 
 
 # ----------------------------------------------------------- reference radius

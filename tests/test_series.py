@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 import bohrkit as bk
 from bohrkit.errors import DomainError, NumericalError
-from bohrkit.series import (ZERO_SAMPLING_RADIUS, DomainGamma,
-                            SchurSampleSpec, TruncatedPowerSeries, _sample_batches,
-                            affine_compose, blaschke_coeffs, compose_input_order,
-                            majorant_eval, polynomial, sample_schur_omega,
-                            truncation_order)
+from bohrkit.series import (ORDER_CAP, UNIT_ROUNDOFF, ZERO_SAMPLING_RADIUS,
+                            DomainGamma, SchurSampleSpec, TruncatedPowerSeries,
+                            _sample_batches, blaschke_coeffs, majorant_eval,
+                            polynomial, sample_schur_omega, truncation_order)
 
 from oracles import blaschke_eval, cauchy_coeffs, rational_blaschke_coeffs
 
@@ -23,7 +22,7 @@ from oracles import blaschke_eval, cauchy_coeffs, rational_blaschke_coeffs
 def test_majorant_constant_series():
     value, error = majorant_eval(polynomial([1.0]), 0.9)
     assert value == 1.0
-    assert error == 0.0
+    assert error == 18.0 * UNIT_ROUNDOFF  # rounding only: no tail
 
 
 def test_majorant_geometric_ones():
@@ -31,13 +30,15 @@ def test_majorant_geometric_ones():
     s = TruncatedPowerSeries((1.0,) * (n + 1), 1.0, schur=True)
     value, error = majorant_eval(s, 0.5)
     assert abs(value - 2.0) <= 2.0 * 2.0 ** -50
-    assert error == pytest.approx(0.5 ** 51 / 0.5, rel=1e-15)
+    assert error == 0.5 ** 51 / 0.5 + 18.0 * UNIT_ROUNDOFF * value
 
 
 def test_majorant_two_terms():
     value, error = majorant_eval(polynomial([0.3, 0.7]), 1.0 / 3.0)
     assert value == pytest.approx(0.3 + 0.7 / 3.0, abs=1e-15)
-    assert error == 0.0
+    assert error == 18.0 * UNIT_ROUNDOFF * value
+    exact = Fraction(0.3) + Fraction(0.7) * Fraction(1.0 / 3.0)
+    assert abs(Fraction(value) - exact) <= Fraction(error)
 
 
 def test_majorant_rejects_bad_radius():
@@ -57,62 +58,36 @@ def test_majorant_nondecreasing_in_r():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-# ---------------------------------------------------------- affine_compose
-
-def test_affine_compose_of_identity_map():
-    out = affine_compose(polynomial([0.0, 1.0]), DomainGamma(0.3), 1)
-    assert out.coeffs == pytest.approx((0.3, 0.7))
-
-
-def test_affine_compose_of_square():
-    out = affine_compose(polynomial([0.0, 0.0, 1.0]), DomainGamma(0.3), 2)
-    assert np.allclose(out.coeffs, (0.09, 0.42, 0.49), atol=1e-15)
-
-
-def test_affine_compose_mobius_matches_cauchy_oracle():
-    # phi_{0.5}(0.8 z + 0.2): nearest singularity at z = 2.25, so the
-    # Cauchy extraction on |z| = 1/2 is well inside analyticity.
-    h = blaschke_coeffs([0.5], 1.0, 200)
-    out = affine_compose(h, DomainGamma(0.2), 8)
-    expected = cauchy_coeffs(lambda z: (0.5 - (0.8 * z + 0.2)) / (1.0 - 0.5 * (0.8 * z + 0.2)),
-                             8, radius=0.5)
-    assert np.max(np.abs(np.asarray(out.coeffs) - expected)) < 1e-10
+def exact_modulus_coeffs(rng, size):
+    """Random complex coefficients whose moduli are exact binary fractions,
+    half real and half Pythagorean, with those moduli as Fractions."""
+    coeffs, moduli = [], []
+    for k in range(size):
+        if k % 2:
+            m, n = sorted(rng.integers(1, 1000, size=2).tolist())
+            m += 1
+            scale = 2.0 ** -int(rng.integers(18, 24))
+            re, im = (m * m - n * n) * scale, 2 * m * n * scale
+            coeffs.append(complex(re * rng.choice([-1, 1]), im * rng.choice([-1, 1])))
+            moduli.append(Fraction(m * m + n * n) * Fraction(scale))
+        else:
+            x = float(rng.normal())
+            coeffs.append(complex(x, 0.0))
+            moduli.append(abs(Fraction(x)))
+    return coeffs, moduli
 
 
-def test_affine_compose_gamma_zero_is_identity():
-    rng = np.random.default_rng(11)
-    coeffs = tuple(rng.normal(size=9) + 1j * rng.normal(size=9))
-    out = affine_compose(polynomial(coeffs), DomainGamma(0.0), 8)
-    assert np.allclose(out.coeffs, coeffs, rtol=0, atol=0)
-
-
-def test_affine_compose_rejects_negative_order():
-    with pytest.raises(DomainError):
-        affine_compose(polynomial([1.0]), DomainGamma(0.1), -1)
-
-
-def test_affine_compose_evaluation_consistency():
-    # Composed series evaluated at z must match h(G(z)) directly, within the
-    # certified truncation error of the output.
-    gamma = DomainGamma(0.35)
-    zeros = [0.4 + 0.2j, -0.3j, 0.6]
-    phase = complex(math.cos(1.1), math.sin(1.1))
-    n_out = truncation_order(0.7, 1.0)
-    h = blaschke_coeffs(zeros, phase, compose_input_order(gamma.gamma, n_out))
-    out = affine_compose(h, gamma, n_out)
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        z = 0.7 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        direct = blaschke_eval(zeros, phase, (1.0 - gamma.gamma) * z + gamma.gamma)
-        tail = out.tail_bound * abs(z) ** (n_out + 1) / (1.0 - abs(z))
-        assert abs(out.eval(z) - direct) <= tail + 1e-9
-
-
-def test_affine_compose_keeps_schur_tail():
-    h = blaschke_coeffs([0.5], 1.0, 64)
-    out = affine_compose(h, DomainGamma(0.4), 16)
-    assert out.schur
-    assert out.tail_bound == 1.0
+def test_majorant_error_covers_rounding_against_exact_sums():
+    # On a polynomial the error is rounding alone; exact rational sums of
+    # the stored doubles must lie within it.
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        coeffs, moduli = exact_modulus_coeffs(rng, int(rng.integers(1, 120)))
+        r = float(rng.uniform(0.0, 0.99))
+        value, error = majorant_eval(polynomial(coeffs), r)
+        exact = sum(m * Fraction(r) ** n for n, m in enumerate(moduli))
+        assert abs(Fraction(value) - exact) <= Fraction(error)
+        assert error <= 20.0 * UNIT_ROUNDOFF * value
 
 
 # --------------------------------------------------------- blaschke_coeffs
@@ -251,6 +226,35 @@ def test_lemma1_peak_memory_does_not_grow_with_samples():
 
     peak(10)  # caches (compose matrix, FFT plans) filled outside the measurement
     assert peak(2000) <= 1.25 * peak(200)
+
+
+def test_gamma_zero_samples_need_no_composition_matrix():
+    # G is the identity at gamma = 0; an identity matrix of this order
+    # would take about 80 GB.
+    report = bk.lemma1_check(DomainGamma(0.0), 2, 2, 100000, 1)
+    assert report.samples == 2
+    assert report.max_ratio <= 1.0 + 1e-9
+
+
+def test_composition_order_above_cap_fails_before_allocating():
+    n_out = 100000
+    assert n_out + 32 > ORDER_CAP
+    with pytest.raises(NumericalError, match="above the cap"):
+        bk.lemma1_check(DomainGamma(0.4), 1, 8, n_out, 1)
+
+
+def test_composition_matrix_overflow_is_a_numerical_error():
+    # Row 1400 needs C(k, n) gamma^(k-n) beyond the double range before its
+    # (1-gamma)^n factor; the infinite entries once reached the product and
+    # failed as a DomainError on the sample.
+    with pytest.raises(NumericalError, match="composition matrix overflows"):
+        bk.lemma1_check(DomainGamma(0.4), 1, 8, 1400, 1)
+
+
+def test_composition_cap_names_the_smallest_deficit():
+    # The deficit stalls at a rounding floor near 2e-13 from K = 8160 on.
+    with pytest.raises(NumericalError, match=r"smallest deficit reached is 1\.\de-13"):
+        bk.lemma1_check(DomainGamma(0.97), 10, 8, 64, 1)
 
 
 def test_sample_spec_validation():
