@@ -9,37 +9,40 @@ claim numerically.
 
 __version__ = "0.1.0"
 
-from .errors import (BohrkitError, BracketingError, DomainError,
-                     InconclusiveError, NumericalError, PreconditionError)
-from .extremal import (Decomposition, ExtremalParams, Lemma1Report,
-                       SharpnessReport, bernardi_extremal_decomposition,
-                       bernardi_first_order_factor, cesaro_extremal_decomposition,
-                       cesaro_first_order_factor, extremal_coeffs, extremal_eval,
-                       identity_suite, lemma1_check, remainder_order_check,
-                       sharpness_scan_bernardi, sharpness_scan_cesaro)
-from .operators import (BernardiParams, bernardi_majorant, bernardi_transform,
-                        cesaro_majorant, cesaro_transform, lerch_tail_sum,
-                        log_bound)
-from .radii import (RadiusResult, bernardi_radius, bernardi_radius_classic,
-                    bohr_radius_omega, cesaro_radius, solve_bracketed)
-from .series import (DomainGamma, SchurSampleSpec, TruncatedPowerSeries,
-                     blaschke_coeffs, majorant_eval, polynomial,
-                     sample_schur_omega, truncation_order)
+import importlib
 
-__all__ = [
-    "__version__",
-    "BohrkitError", "BracketingError", "DomainError", "InconclusiveError",
-    "NumericalError", "PreconditionError",
-    "TruncatedPowerSeries", "DomainGamma", "SchurSampleSpec",
-    "majorant_eval", "blaschke_coeffs", "sample_schur_omega",
-    "polynomial", "truncation_order",
-    "BernardiParams", "cesaro_transform", "cesaro_majorant",
-    "bernardi_transform", "bernardi_majorant", "log_bound", "lerch_tail_sum",
-    "RadiusResult", "solve_bracketed", "cesaro_radius", "bernardi_radius",
-    "bernardi_radius_classic", "bohr_radius_omega",
-    "ExtremalParams", "SharpnessReport", "Lemma1Report", "Decomposition",
-    "extremal_coeffs", "extremal_eval", "cesaro_extremal_decomposition",
-    "bernardi_extremal_decomposition", "cesaro_first_order_factor",
-    "bernardi_first_order_factor", "lemma1_check", "sharpness_scan_cesaro",
-    "sharpness_scan_bernardi", "remainder_order_check", "identity_suite",
-]
+# Public names by defining module, each resolved on first use (PEP 562): the
+# package, and a radius solve, load only the modules they need, and no numpy.
+_MODULE_OF = {name: module for module, names in {
+    "errors": "BohrkitError BracketingError DomainError InconclusiveError NumericalError "
+              "PreconditionError",
+    "lerch": "DomainGamma lerch_tail_sum",
+    "series": "TruncatedPowerSeries SchurSampleSpec majorant_eval blaschke_coeffs "
+              "sample_schur_omega polynomial truncation_order",
+    "operators": "BernardiParams cesaro_transform cesaro_majorant bernardi_transform "
+                 "bernardi_majorant log_bound",
+    "radii": "RadiusResult solve_bracketed cesaro_radius bernardi_radius "
+             "bernardi_radius_classic bohr_radius_omega",
+    "extremal": "ExtremalParams SharpnessReport Lemma1Report Decomposition extremal_coeffs "
+                "extremal_eval cesaro_extremal_decomposition bernardi_extremal_decomposition "
+                "cesaro_first_order_factor bernardi_first_order_factor lemma1_check "
+                "sharpness_scan_cesaro sharpness_scan_bernardi remainder_order_check "
+                "identity_suite",
+}.items() for name in names.split()}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in {"cli", *_MODULE_OF.values()}:  # bohrkit.radii and the like, as before
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -19,11 +19,9 @@ from typing import Optional
 from . import __version__
 from .errors import (BracketingError, DomainError, NumericalError,
                      PreconditionError)
-from .extremal import (identity_suite, lemma1_check, remainder_order_check,
-                       sharpness_scan_bernardi, sharpness_scan_cesaro)
+from .lerch import DomainGamma
 from .radii import (DEFAULT_TOL, RadiusResult, bernardi_radius,
                     bernardi_radius_classic, bohr_radius_omega, cesaro_radius)
-from .series import DomainGamma
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,17 +151,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import extremal  # here: its suites need numpy, radius, sweep and table do not
     doc = {"check": args.check}
     if args.check == "lemma1":
-        report = lemma1_check(DomainGamma(args.gamma), args.samples,
-                              args.degree_max, args.order, args.seed)
+        report = extremal.lemma1_check(DomainGamma(args.gamma), args.samples,
+                                       args.degree_max, args.order, args.seed)
         ok = report.max_ratio <= 1.0 + LEMMA1_TOL
         doc.update(parameters={"gamma": args.gamma, "samples": args.samples,
                                "degree_max": args.degree_max, "order": args.order,
                                "seed": args.seed},
                    report=report.as_dict(), tolerance=LEMMA1_TOL)
     elif args.check == "identities":
-        report = identity_suite()
+        report = extremal.identity_suite()
         ok = report["max_deviation"] <= IDENTITY_TOL
         doc.update(report=report, tolerance=IDENTITY_TOL)
     else:  # sharpness, remainder-order
@@ -174,14 +173,14 @@ def _cmd_verify(args) -> int:
         doc["parameters"] = {"op": args.op, "gamma": args.gamma, "beta": args.beta,
                              "r": args.r, "a_list": list(ladder)}
         if args.check == "remainder-order":
-            slope = remainder_order_check(args.op, gamma, args.r, ladder, beta=args.beta)
+            slope = extremal.remainder_order_check(args.op, gamma, args.r, ladder, beta=args.beta)
             ok = SLOPE_RANGE[0] <= slope <= SLOPE_RANGE[1]
             doc.update(slope=slope, expected_range=list(SLOPE_RANGE))
         else:
             if args.op == "cesaro":
-                report = sharpness_scan_cesaro(gamma, args.r, ladder)
+                report = extremal.sharpness_scan_cesaro(gamma, args.r, ladder)
             else:
-                report = sharpness_scan_bernardi(gamma, args.beta, args.r, ladder)
+                report = extremal.sharpness_scan_bernardi(gamma, args.beta, args.r, ladder)
             ok = report.witness_found
             doc["report"] = report.as_dict()
     doc.update({"pass": ok, "version": __version__})

@@ -16,32 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, PreconditionError
-from .series import ORDER_CAP, UNIT_ROUNDOFF, TruncatedPowerSeries, majorant_eval
+from .errors import DomainError, PreconditionError
+from .lerch import UNIT_ROUNDOFF, lerch_tail_sum, nonnegative_int  # noqa: F401 (re-export)
+from .series import TruncatedPowerSeries, majorant_eval
 
-LERCH_TAIL_TARGET = 1e-13
 LEADING_ZERO_TOL = 1e-14
-EULER_GAMMA = 0.57721566490153286061
-# The ln r expansion of the tail sum serves x = ln(1/r) <= LN_EXPANSION_MAX_LOG
-# (r >= 0.78) with a x <= 1; the direct sum is as fast and more accurate below.
-LN_EXPANSION_MAX_LOG = 0.25
-# Terms of the expansion: its truncation bound falls below LN_EXPANSION_FLOOR
-# by k = 20 wherever it is used.
-LN_EXPANSION_TERMS = 20
-LN_EXPANSION_FLOOR = UNIT_ROUNDOFF / 16
-# Keeps the coefficients B_k(a)/(k k!) far from overflow.
-LN_EXPANSION_MAX_EXPONENT = 1e6
-# B_j/j!, j = 0..LN_EXPANSION_TERMS (DLMF Table 24.2.1); folded to floats
-# when the module is compiled.
-BERNOULLI_OVER_FACTORIAL = (
-    1.0, -1 / 2, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0, -1 / 1209600, 0.0,
-    1 / 47900160, 0.0, -691 / 1307674368000, 0.0, 1 / 74724249600, 0.0,
-    -3617 / 10670622842880000, 0.0, 43867 / 5109094217170944000, 0.0,
-    -174611 / 802857662698291200000)
 
 
 @dataclass(frozen=True)
@@ -56,9 +38,7 @@ class BernardiParams:
     m: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 0):
-            raise DomainError(f"m must be a nonnegative integer, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", nonnegative_int(self.m, "m"))
         if not (isinstance(self.beta, (int, float)) and math.isfinite(self.beta)):
             raise DomainError("beta must be a finite real")
         object.__setattr__(self, "beta", float(self.beta))
@@ -163,164 +143,3 @@ def log_bound(r: float) -> float:
         # 1 + r/2 + r^2/3 + ... ; the omitted term r^6/7 is < 2e-29 here.
         return (((((r / 6 + 1.0 / 5) * r + 1.0 / 4) * r + 1.0 / 3) * r + 1.0 / 2) * r + 1.0)
     return -math.log1p(-r) / r
-
-
-def _digamma(a: float) -> tuple[float, float]:
-    """``psi(a)`` for a > 0 with a bound on its error.
-
-    The recurrence ``psi(a) = psi(a+N) - sum_{i<N} 1/(a+i)`` (DLMF 5.5.2)
-    lifts the argument to ``z = a+N >= 10``, where the asymptotic series
-    ``ln z - 1/(2z) - sum_{n=1}^{7} B_2n/(2n z^2n)`` (DLMF 5.11.2) is cut
-    after B_14.  For real z > 0 its remainder is bounded by the first omitted
-    term ``|B_16|/(16 z^16) < 4.5e-17`` (DLMF 5.11(ii)).  Rounding: fsum
-    rounds the sum of the parts once (u |psi|); z, ln z, 1/(2z) and each
-    ``1/(a+i)`` carry at most 2u relative error, and the series is below
-    1e-3, so ``2u (ln z + 1 + sum_i 1/(a+i))`` covers the parts.
-    """
-    shift = max(0, math.ceil(10.0 - a))
-    z = a + shift
-    w = 1.0 / (z * z)
-    series = w * (1 / 12 + w * (-1 / 120 + w * (1 / 252 + w * (
-        -1 / 240 + w * (1 / 132 + w * (-691 / 32760 + w / 12))))))
-    log_z = math.log(z)
-    steps = [1.0 / (a + i) for i in range(shift)]
-    value = math.fsum([log_z, -0.5 / z, -series] + [-s for s in steps])
-    error = (3617 / 8160 * w ** 8
-             + UNIT_ROUNDOFF * (2.0 * (log_z + 1.0 + sum(steps)) + abs(value)))
-    return value, error
-
-
-@lru_cache(maxsize=64)
-def _lerch_coefficients(a: float) -> tuple[float, float, tuple]:
-    """``psi(a)``, its error bound and the pairs ``(c_k, |c|_k)``, k >= 1.
-
-    ``c_k = B_k(a)/(k k!) = (1/k) sum_{j<=k} (B_j/j!) a^(k-j)/(k-j)!`` and
-    ``|c|_k`` is the same sum with |B_j|, which bounds both |c_k| and, times
-    a small multiple of u, the rounding error of c_k.  Cached per exponent:
-    a radius solve evaluates the same exponent about ten times.
-    """
-    psi, psi_err = _digamma(a)
-    powers = np.cumprod(np.concatenate(([1.0], a / np.arange(1, LN_EXPANSION_TERMS + 1))))
-    k = np.arange(1, LN_EXPANSION_TERMS + 1)
-    bernoulli = np.asarray(BERNOULLI_OVER_FACTORIAL)
-    c = np.convolve(bernoulli, powers)[1:LN_EXPANSION_TERMS + 1] / k
-    c_abs = np.convolve(np.abs(bernoulli), powers)[1:LN_EXPANSION_TERMS + 1] / k
-    return psi, psi_err, tuple(zip(c.tolist(), c_abs.tolist()))
-
-
-def _lerch_ln_expansion(x: float, beta: float, a: float) -> tuple[float, float]:
-    """``sum_{n>=s} r^n/(n+beta) = r^(-beta) E`` by the ln r expansion, a = s+beta.
-
-    ``E = -ln x - gamma_E - psi(a) - sum_{k>=1} c_k (-x)^k`` with
-    ``x = ln(1/r)`` and ``c_k = B_k(a)/(k k!)``; see lerch_tail_sum.
-
-    Truncation after K terms.  Write a = a_f + J with a_f in (0, 1] and
-    J = ceil(a) - 1.  From ``B_k(t+1) = B_k(t) + k t^(k-1)`` and
-    ``|B_k(t)| <= 2 zeta(k) k!/(2 pi)^k`` on [0, 1] (k >= 2, DLMF 24.8.1-2),
-    ``|B_k(a)| <= 2 zeta(k) k!/(2 pi)^k + k J (a-1)^(k-1)``.  With
-    ``q = x/(2 pi)``, ``y = (a-1) x`` and ``zeta(k) <= pi^2/6`` the omitted
-    terms sum to at most
-    ``(pi^2/3) q^(K+1)/((K+1)(1-q)) + J x y^K/((K+1)! (1 - y/(K+2)))``.
-
-    Rounding, in units u = 2**-53.  x and ln x carry at most 2u relative
-    and ``2u(1 + |ln x|)`` absolute error (one libm call each).  c_k sums
-    k+1 parts, each a rounded B_j/j! times a 2(k-j)-rounding product for
-    a^i/i!, then divides by k: ``(3k+3) u |c|_k``.  The term ``c_k (-x)^k``
-    adds k+1 roundings and 2ku through x, and the running sum K u of the
-    term magnitudes, so the series is off by at most
-    ``(7K+4) u sum_k |c|_k x^k``.  gamma_E and the three additions forming
-    E add ``4u`` times the sum of the magnitudes, and the factor
-    ``exp(beta x)`` adds ``(3 + 3|beta x|) u`` relative error.
-    """
-    log_x = math.log(x)
-    psi, psi_err, coeffs = _lerch_coefficients(a)
-    q = x / (2.0 * math.pi)
-    jumps = math.ceil(a) - 1
-    y = (a - 1.0) * x
-    q_power, y_term = q * q, 0.5 * y
-    power = 1.0
-    series = weight = 0.0
-    terms = 0
-    for k, (c, c_abs) in enumerate(coeffs, start=1):
-        terms = k
-        power *= -x
-        series += c * power
-        weight += c_abs * abs(power)
-        truncation = (math.pi ** 2 / 3.0 * q_power / ((k + 1) * (1.0 - q))
-                      + jumps * x * y_term / (1.0 - y / (k + 2)))
-        if truncation <= LN_EXPANSION_FLOOR:
-            break
-        q_power *= q
-        y_term *= y / (k + 2)
-    bracket = -log_x - EULER_GAMMA - psi - series
-    bracket_err = (2.0 * UNIT_ROUNDOFF * (1.0 + abs(log_x)) + psi_err
-                   + (7 * terms + 4) * UNIT_ROUNDOFF * weight + truncation
-                   + 4.0 * UNIT_ROUNDOFF * (abs(log_x) + EULER_GAMMA + abs(psi) + abs(series)))
-    scale = math.exp(beta * x)
-    value = scale * bracket
-    error = scale * bracket_err + (3.0 + 3.0 * abs(beta * x)) * UNIT_ROUNDOFF * abs(value)
-    return value, error
-
-
-def lerch_tail_sum(r: float, beta: float, start: int,
-                   target: float = LERCH_TAIL_TARGET) -> tuple[float, float]:
-    """``sum_{n>=start} r^n / (n+beta)`` and a certified bound on its error.
-
-    The sum is ``r^s Phi(r, 1, a)`` with s = start and a = s + beta > 0,
-    where Phi is the Lerch transcendent.  Two branches:
-
-    * Near 1, where ``x = ln(1/r) <= LN_EXPANSION_MAX_LOG`` (1/4) and
-      ``a x <= 1``, the ln z expansion of Phi (Erdelyi et al., Higher
-      Transcendental Functions I, 1.11(8), at s -> 1, valid for
-      0 < x < 2 pi) gives
-      ``r^s Phi(r,1,a) = r^(-beta) [-ln x - gamma_E - psi(a)
-      - sum_{k>=1} B_k(a) (ln r)^k/(k k!)]``.
-      Its cost does not grow as r -> 1: at most LN_EXPANSION_TERMS terms,
-      two to five within 1e-5 of 1, plus per-exponent coefficients cached
-      on first use.  psi comes from its recurrence and asymptotic series
-      (DLMF 5.5.2, 5.11.2); the truncation bound uses the Fourier bound on
-      Bernoulli polynomials (DLMF 24.8).  Both bounds and the rounding
-      budget are derived in ``_lerch_ln_expansion`` and ``_digamma``.
-    * Elsewhere the terms are summed directly through the order N at which
-      the omitted tail ``r**(N+1) / ((N+1+beta)(1-r))`` is below target:
-      30-40/x terms for targets 1e-13 to 1e-18, so at most about 160
-      where x > 1/4.  Terms are positive and each carries at most 4u
-      relative rounding (pow, the shifted denominator, the division), and
-      fsum rounds once, so ``5u`` times the value bounds the rounding.
-
-    The returned error is truncation plus rounding; target bounds the
-    truncation of the direct sum.  Where a x > 1 the direct sum needs fewer
-    than about 40a terms, so the ORDER_CAP NumericalError is left to
-    exponents a above about 500 with r close to 1.  The slope in r of the
-    ``start = 1`` sum is ``1/(1-r) - (beta/r) * value``.
-    """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r}")
-    if not (isinstance(start, (int, np.integer)) and start >= 0):
-        raise DomainError(f"start must be a nonnegative integer, got {start}")
-    if not (math.isfinite(beta) and beta > -start):
-        raise DomainError(f"beta must be a finite real above -start, got beta={beta}, "
-                          f"start={start}")
-    if r == 0.0:
-        value = 1.0 / beta if start == 0 else 0.0
-        return value, UNIT_ROUNDOFF * value
-    a = start + beta
-    x = -math.log(r)
-    if x <= LN_EXPANSION_MAX_LOG and a * x <= 1.0 and a <= LN_EXPANSION_MAX_EXPONENT:
-        return _lerch_ln_expansion(x, beta, a)
-    def tail_err(n):
-        return r ** (n + 1) / ((n + 1 + beta) * (1.0 - r))
-    n = max(start - 1, 0)
-    if tail_err(n) > target:
-        n = max(n, math.ceil(math.log(target * (1.0 - r)) / math.log(r)) - 1)
-        while n <= ORDER_CAP and tail_err(n) > target:
-            n += 1
-        if n > ORDER_CAP:
-            raise NumericalError(
-                f"tail-sum order cap {ORDER_CAP} cannot certify target {target} "
-                f"at r={r} for exponent {a}")
-    if n < start:
-        return 0.0, tail_err(n)
-    ks = np.arange(start, n + 1)
-    value = math.fsum((np.power(r, ks) / (ks + beta)).tolist())
-    return value, tail_err(n) + 5.0 * UNIT_ROUNDOFF * value

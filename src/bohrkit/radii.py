@@ -13,7 +13,7 @@ truncation and rounding error, and its analytic slope.  The solver takes
 safeguarded Newton steps on the slope and accepts a sign only where the
 value exceeds its error bound, so a converged result carries a bracket whose
 end signs are certified.  The tail sum costs the same at any r < 1
-(``operators.lerch_tail_sum``), so Bernardi radii within a few 1e-6 of 1
+(``lerch.lerch_tail_sum``), so Bernardi radii within a few 1e-6 of 1
 solve like any other; a root closer to 1 than double resolution raises
 NumericalError.
 """
@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import BracketingError, DomainError, NumericalError
-from .operators import lerch_tail_sum
-from .series import UNIT_ROUNDOFF, DomainGamma
+from .lerch import UNIT_ROUNDOFF, DomainGamma, lerch_tail_sum, nonnegative_int
 
 DEFAULT_TOL = 1e-12
 # Safety net for the step loop; Newton needs well under 20 steps here.
@@ -239,13 +237,7 @@ def bernardi_radius_classic(beta: float, m: int, tol: float = DEFAULT_TOL) -> Ra
     tail-balance shape with effective exponent m + beta:
     ``1/(m+beta) - 2 sum_{j>=1} x^j/(j+m+beta)``.
     """
-    try:  # any integer type, numpy's included, but not bool
-        index = None if isinstance(m, bool) else operator.index(m)
-    except TypeError:
-        index = None
-    if index is None or index < 0:
-        raise DomainError(f"m must be a nonnegative integer, got {m}")
-    m = index
+    m = nonnegative_int(m, "m")
     if not (isinstance(beta, (int, float)) and math.isfinite(beta)) or beta <= -m:
         raise DomainError(f"beta must exceed -m, got beta={beta}, m={m}")
     return _solve_tail_balance(float(m + beta), 2.0, tol)

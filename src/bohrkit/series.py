@@ -22,13 +22,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .lerch import ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, nonnegative_int
 
-# u: every certified error counts rounding in multiples of it.
-UNIT_ROUNDOFF = 2.0 ** -53
-# Truncation policy: orders are chosen so the certified tail error meets the
-# target below, and never exceed ORDER_CAP (evaluation radii too close to 1
-# fail explicitly rather than silently losing certification).
-ORDER_CAP = 20000
 DEFAULT_TAIL_TARGET = 1e-12
 
 MAX_BLASCHKE_DEGREE = 16
@@ -125,20 +120,6 @@ def polynomial(coeffs, schur: bool = False) -> TruncatedPowerSeries:
 
 
 @dataclass(frozen=True)
-class DomainGamma:
-    """The parameter gamma in [0, 1) selecting the disk Omega_gamma."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not (isinstance(self.gamma, (int, float)) and math.isfinite(self.gamma)):
-            raise DomainError("gamma must be a finite real")
-        if not 0.0 <= self.gamma < 1.0:
-            raise DomainError(f"gamma must lie in [0, 1), got {self.gamma}")
-        object.__setattr__(self, "gamma", float(self.gamma))
-
-
-@dataclass(frozen=True)
 class SchurSampleSpec:
     """Deterministic recipe for one random Schur-class sample on Omega_gamma."""
 
@@ -147,10 +128,10 @@ class SchurSampleSpec:
     gamma: DomainGamma
 
     def __post_init__(self):
-        if not (isinstance(self.degree, (int, np.integer)) and 0 <= self.degree <= MAX_BLASCHKE_DEGREE):
+        object.__setattr__(self, "degree", nonnegative_int(self.degree, "degree"))
+        if self.degree > MAX_BLASCHKE_DEGREE:
             raise DomainError(
                 f"degree must be an integer in [0, {MAX_BLASCHKE_DEGREE}], got {self.degree}")
-        object.__setattr__(self, "degree", int(self.degree))
         object.__setattr__(self, "seed", int(self.seed))
         if not isinstance(self.gamma, DomainGamma):
             object.__setattr__(self, "gamma", DomainGamma(self.gamma))
@@ -173,7 +154,7 @@ def majorant_eval(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:
     return value, error + 18.0 * UNIT_ROUNDOFF * value
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def _compose_matrix(gamma: float, n_out: int) -> np.ndarray:
     """Certified recombination matrix of the composition with G, for gamma > 0.
 

@@ -397,6 +397,61 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+# The README's radius, sweep and table examples, and --version.
+NUMPY_FREE_COMMANDS = [
+    ["--version"],
+    ["radius", "cesaro", "--gamma", "0"],
+    ["radius", "bernardi", "--gamma", "0.5", "--beta", "2"],
+    ["radius", "bernardi-classic", "--beta", "1", "--m", "1"],
+    ["sweep", "--op", "cesaro", "--parameter", "gamma", "--grid", "0,0.1,0.2,0.3,0.4,0.5"],
+    ["sweep", "--op", "bernardi", "--parameter", "beta", "--grid", "1,2,5",
+     "--gamma", "0.2", "--format", "json"],
+    ["table", "paper-constants"],
+    ["table", "theorem1"],
+    ["table", "theorem2"],
+]
+COLD_SESSION = """
+import contextlib, io, json, sys
+from bohrkit.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+numpy_free = "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["verify", "identities"])
+print(json.dumps([codes, numpy_free, code, json.loads(out.getvalue())["pass"]]))
+"""
+
+
+def test_radius_sweep_table_and_version_import_no_numpy():
+    # One fresh interpreter runs the commands in turn; verify, whose suites
+    # import numpy on first use, still works after them.
+    proc = subprocess.run([sys.executable, "-c", COLD_SESSION,
+                           json.dumps(NUMPY_FREE_COMMANDS)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, numpy_free, code, passed = json.loads(proc.stdout)
+    assert codes == [0] * len(NUMPY_FREE_COMMANDS)
+    assert numpy_free
+    assert code == 0 and passed
+
+
+def test_package_exports_resolve_lazily():
+    import bohrkit
+    import bohrkit.operators
+
+    for name in bohrkit.__all__:
+        assert getattr(bohrkit, name) is not None, name
+    assert set(bohrkit.__all__) <= set(dir(bohrkit))
+    namespace = {}
+    exec("from bohrkit import *", namespace)
+    assert set(bohrkit.__all__) <= set(namespace)
+    assert bohrkit.lerch_tail_sum is bohrkit.operators.lerch_tail_sum
+    assert bohrkit.series is sys.modules["bohrkit.series"]
+    with pytest.raises(AttributeError):
+        bohrkit.no_such_name
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--op", "bernardi", "--parameter", "beta", "--grid", "1,2,5",
      "--gamma", "0.2", "--format", "json"),

@@ -9,6 +9,7 @@ from bohrkit.errors import DomainError, NumericalError, PreconditionError
 from bohrkit.operators import (BernardiParams, bernardi_majorant,
                                bernardi_transform, cesaro_majorant,
                                cesaro_transform, lerch_tail_sum, log_bound)
+from bohrkit.radii import bernardi_radius_classic
 from bohrkit.series import (UNIT_ROUNDOFF, DomainGamma, SchurSampleSpec,
                             TruncatedPowerSeries, blaschke_coeffs, polynomial,
                             sample_schur_omega, truncation_order)
@@ -392,6 +393,34 @@ def test_lerch_tail_start_beyond_truncation_order():
     assert value == 0.0
     with mp.workdps(30):
         assert float(mp_tail_sum(mp.mpf(1e-3), 0.5, 40)) <= error <= 1e-121
+
+
+@pytest.mark.parametrize("start", (0, 1, 2, 3))
+def test_lerch_direct_sum_error_bound_against_mpmath(start):
+    # The direct branch (r < exp(-1/4)) at the radius equations' target
+    # u/(16 beta), where sums are longest (about 190 terms at r = 0.7788,
+    # beta = 50): the certified error covers the 50-digit sum and is the
+    # truncation below target plus the 5u rounding bound.
+    with mp.workdps(50):
+        for beta in (0.01, 0.1, 1.0, 7.0, 50.0):
+            target = UNIT_ROUNDOFF / (16.0 * beta)
+            for r in (0.05, 0.3, 0.6, 0.7788):
+                value, error = lerch_tail_sum(r, beta, start, target)
+                assert abs(mp.mpf(value) - mp_tail_sum(r, beta, start)) <= error, (beta, r)
+                assert error <= target + 5.0 * UNIT_ROUNDOFF * value
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: lerch_tail_sum(0.5, 1.0, k),
+    lambda k: BernardiParams(1.0, k),
+    lambda k: bernardi_radius_classic(1.0, k),
+], ids=["lerch_tail_sum", "BernardiParams", "bernardi_radius_classic"])
+def test_integer_arguments_follow_one_rule(call):
+    # True was taken as start = 1 or m = 1 by the first two.
+    assert call(np.int64(1)) == call(1)
+    for k in (True, np.True_, 1.0):
+        with pytest.raises(DomainError, match="must be a nonnegative integer"):
+            call(k)
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf])
