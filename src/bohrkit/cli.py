@@ -19,7 +19,7 @@ from typing import Optional
 from . import __version__
 from .errors import (BracketingError, DomainError, NumericalError,
                      PreconditionError)
-from .lerch import DomainGamma
+from .lerch import DomainGamma, nonnegative_int
 from .radii import (DEFAULT_TOL, RadiusResult, bernardi_radius,
                     bernardi_radius_classic, bohr_radius_omega, cesaro_radius)
 
@@ -138,8 +138,7 @@ def _cmd_sweep(args) -> int:
                          + ", ".join(f"--{name}" for name in sorted(set(fixed) - takes)))
     if takes - set(fixed):
         raise ValueError(f"missing fixed parameter(s): {', '.join(sorted(takes - set(fixed)))}")
-    if fixed.get("m", 0) < 0:  # before the beta floor, which reads m
-        raise DomainError(f"m must be a nonnegative integer, got {fixed['m']}")
+    nonnegative_int(fixed.get("m", 0), "m")  # before the beta floor, which reads m
     if args.parameter == "gamma" and not all(0.0 <= g < 1.0 for g in grid):
         raise ValueError("gamma grid values must lie in [0, 1)")
     if args.parameter == "beta":

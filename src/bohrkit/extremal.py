@@ -40,12 +40,12 @@ import numpy as np
 
 from .errors import (DomainError, InconclusiveError, NumericalError,
                      PreconditionError)
+from .lerch import ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, finite_real, nonnegative_int
 from .operators import log_bound
 from .radii import (_cesaro_equation, _tail_balance_equation, bernardi_radius,
                     cesaro_radius)
-from .series import (MAX_BLASCHKE_DEGREE, ORDER_CAP, UNIT_ROUNDOFF, DomainGamma,
-                     SchurSampleSpec, TruncatedPowerSeries, _sample_batches,
-                     truncation_order)
+from .series import (MAX_BLASCHKE_DEGREE, SchurSampleSpec, TruncatedPowerSeries,
+                     _sample_batches, truncation_order)
 
 DEGENERATE_A0_TOL = 1e-8
 WITNESS_SLACK = 10.0
@@ -65,9 +65,7 @@ class ExtremalParams:
     def __post_init__(self):
         if not isinstance(self.gamma, DomainGamma):
             object.__setattr__(self, "gamma", DomainGamma(self.gamma))
-        if not (isinstance(self.a, (int, float)) and math.isfinite(self.a)):
-            raise DomainError("a must be a finite real")
-        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "a", finite_real(self.a, "a"))
         if not self.gamma.gamma < self.a < 1.0:
             raise PreconditionError(
                 f"extremal family needs gamma < a < 1, got a={self.a}, "
@@ -133,8 +131,7 @@ def extremal_coeffs(p: ExtremalParams, n_out: int) -> TruncatedPowerSeries:
     bound.  The function maps Omega_gamma into the unit disk, hence the
     series is Schur-class.
     """
-    if n_out < 0:
-        raise DomainError(f"output order must be >= 0, got {n_out}")
+    n_out = nonnegative_int(n_out, "output order", "be >= 0")
     a, g = p.a, p.gamma.gamma
     q = extremal_ratio(p)
     a0 = (a - g) / (1.0 - a * g)
@@ -240,9 +237,8 @@ def _remainders(gamma: float, r: float, a_values,
 
 
 def _first_order(gamma: DomainGamma, r: float, beta: Optional[float]) -> tuple[float, float]:
-    """The first-order factor at r and its certified error; beta=None
+    """The first-order factor at a checked r and its certified error; beta=None
     selects Cesaro, whose ``-E(r)/(r(1-r))`` adds 3u for the division."""
-    _check_r(r)
     if beta is not None:
         return _tail_balance_equation(beta, 2.0 / (1.0 + gamma.gamma))(r)[:2]
     value, error, _ = _cesaro_equation(gamma.gamma)(r)
@@ -252,36 +248,38 @@ def _first_order(gamma: DomainGamma, r: float, beta: Optional[float]) -> tuple[f
 
 def cesaro_first_order_factor(gamma: DomainGamma, r: float) -> float:
     """``-E(r)/(r(1-r))`` for the Cesaro radius equation E; changes sign at the radius."""
-    return _first_order(gamma, r, None)[0]
+    return _first_order(gamma, _check_r(r), None)[0]
 
 
 def bernardi_first_order_factor(gamma: DomainGamma, beta: float, r: float) -> float:
     """The Bernardi radius equation ``1/beta - (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)``."""
-    _check_beta(beta)
-    return _first_order(gamma, r, beta)[0]
+    beta = _check_beta(beta)
+    return _first_order(gamma, _check_r(r), beta)[0]
 
 
-def _check_r(r: float) -> None:
-    if not 0.0 < r < 1.0:
+def _check_r(r) -> float:
+    if not 0.0 < (r := finite_real(r, "r", "lie in (0, 1)")) < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
+    return r
 
 
-def _check_beta(beta: float) -> None:
-    """Reject a non-finite or nonpositive beta; for beta < 1, warn the public
-    function's caller."""
-    if not (math.isfinite(beta) and beta > 0.0):
+def _check_beta(beta) -> float:
+    """Reject a non-finite or nonpositive beta, else return it as a float; for
+    beta < 1, warn the public function's caller."""
+    if (beta := finite_real(beta, "beta", "be a positive real")) <= 0.0:
         raise DomainError(f"beta must be a positive real, got {beta}")
     if beta < 1.0:
         warnings.warn(f"beta={beta} < 1: sharpness behaviour is exploratory here",
                       stacklevel=3)
+    return beta
 
 
 def _expand(gamma: DomainGamma, r: float, a_values, beta: Optional[float],
             factor: tuple[float, float]) -> tuple[list, list, list]:
     """First-order terms, remainders and certified margin errors over a ladder.
 
-    beta=None selects Cesaro.  ``factor`` is ``_first_order`` at r, which
-    has checked r; the remainders come from one ``_remainders`` call.  A
+    beta=None selects Cesaro.  ``factor`` is ``_first_order`` at the checked
+    r; the remainders come from one ``_remainders`` call.  A
     margin ``first + remainder`` is certified to the remainder's error, plus
     the factor's error times its coefficient, (5 + a*gamma/d)u of the
     first-order term and u of the sum.
@@ -308,6 +306,7 @@ def cesaro_extremal_decomposition(p: ExtremalParams, r: float) -> Decomposition:
     remainder is the closed-form sum of ``_remainders``, negative and
     quadratic in (1 - a).
     """
+    r = _check_r(r)
     (first,), (remainder,), _ = _expand(p.gamma, r, (p.a,), None, _first_order(p.gamma, r, None))
     return Decomposition(log_bound(r), first, remainder)
 
@@ -322,7 +321,7 @@ def bernardi_extremal_decomposition(p: ExtremalParams, beta: float,
     established for beta >= 1; smaller beta is accepted but flagged as
     exploratory.
     """
-    _check_beta(beta)
+    beta, r = _check_beta(beta), _check_r(r)
     (first,), (remainder,), _ = _expand(p.gamma, r, (p.a,), beta, _first_order(p.gamma, r, beta))
     return Decomposition(1.0 / beta, first, remainder)
 
@@ -336,13 +335,14 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
     skipped and counted in the report's ``skipped``: the bound forces their
     higher coefficients to vanish and the ratio degenerates to 0/0.
     """
-    if num_samples < 1:
+    if (num_samples := nonnegative_int(num_samples, "num_samples")) < 1:
         raise DomainError(f"need at least one sample, got {num_samples}")
-    if not 0 <= degree_max <= MAX_BLASCHKE_DEGREE:
-        raise DomainError(f"degree_max must lie in [0, {MAX_BLASCHKE_DEGREE}], "
-                          f"got {degree_max}")
-    if n_out < 1:
+    allowed = f"lie in [0, {MAX_BLASCHKE_DEGREE}]"
+    if (degree_max := nonnegative_int(degree_max, "degree_max", allowed)) > MAX_BLASCHKE_DEGREE:
+        raise DomainError(f"degree_max must {allowed}, got {degree_max}")
+    if (n_out := nonnegative_int(n_out, "output order", "be >= 1")) < 1:
         raise DomainError(f"output order must be >= 1, got {n_out}")
+    seed = nonnegative_int(seed, "seed")
     master = np.random.default_rng(seed)
     # Per sample the master draws a degree, then a child seed.
     specs = (SchurSampleSpec(int(master.integers(0, degree_max + 1)),
@@ -370,12 +370,13 @@ def _scan(gamma: DomainGamma, r: float, a_values, beta: Optional[float],
     error.  r counts as above the radius only where the first-order factor
     makes the linear term certifiably positive: Cesaro's factor, or minus
     Bernardi's tail balance, exceeds its error."""
+    r = _check_r(r)
     factor = value, error = _first_order(gamma, r, beta)
     if not (value > error if beta is None else value < -error):
         raise PreconditionError(
             f"sharpness scan needs r > radius {radius:.6f}, got r={r}: the linear term "
             f"is not certifiably positive there (factor {value:.3e} +- {error:.1e})")
-    a_vals = tuple(ExtremalParams(float(a), gamma).a for a in a_values)
+    a_vals = tuple(ExtremalParams(a, gamma).a for a in a_values)
     firsts, remainders, errors = _expand(gamma, r, a_vals, beta, factor)
     margins = tuple(first + rem for first, rem in zip(firsts, remainders))
     found = any(m > WITNESS_SLACK * e for m, e in zip(margins, errors))
@@ -395,7 +396,7 @@ def sharpness_scan_cesaro(gamma: DomainGamma, r: float, a_values) -> SharpnessRe
 def sharpness_scan_bernardi(gamma: DomainGamma, beta: float, r: float,
                             a_values) -> SharpnessReport:
     """Look for extremal functions whose Bernardi majorant exceeds 1/beta."""
-    _check_beta(beta)
+    beta = _check_beta(beta)
     return _scan(gamma, r, a_values, beta, bernardi_radius(gamma, beta).value)
 
 
@@ -411,10 +412,10 @@ def remainder_order_check(kind: str, gamma: DomainGamma, r: float, a_values,
         raise DomainError(f"kind must be 'cesaro' or 'bernardi', got {kind!r}")
     if kind == "bernardi" and beta is None:
         raise DomainError("bernardi remainder check needs beta")
-    a_vals = [ExtremalParams(float(a), gamma).a for a in a_values]
-    _check_r(r)
+    a_vals = [ExtremalParams(a, gamma).a for a in a_values]
+    r = _check_r(r)
     if kind == "bernardi":
-        _check_beta(beta)
+        beta = _check_beta(beta)
     if len(set(a_vals)) < 2:
         raise InconclusiveError("an order slope needs at least two distinct a values")
     remainders, errors = _remainders(gamma.gamma, r, a_vals,
@@ -438,8 +439,8 @@ def identity_suite(r_grid=None) -> dict:
     geometric resummation ``sum_{n>=1} r^n/(n+1) (1-q^n)/(1-q)`` against its
     two-logarithm closed form.  Returns per-identity deviations and the max.
     """
-    if r_grid is None:
-        r_grid = [round(0.1 * k, 1) for k in range(1, 10)]
+    r_grid = ([round(0.1 * k, 1) for k in range(1, 10)] if r_grid is None
+              else [finite_real(r, "r") for r in r_grid])
     q = 0.7  # representative geometric ratio for the double-sum identity
     deviations = {"weighted_geometric": 0.0, "averaged_geometric": 0.0,
                   "partial_geometric_resummation": 0.0}

@@ -1,5 +1,5 @@
 """Scalar kernels of the radius equations, standard library only: the unit
-roundoff, order cap and integer rule, the parameter gamma, and the tail sum
+roundoff, order cap and argument rule, the parameter gamma, and the tail sum
 ``sum_{n>=start} r^n/(n+beta)``.  A radius, sweep or table call needs no numpy.
 """
 
@@ -38,11 +38,39 @@ BERNOULLI_OVER_FACTORIAL = (
     -174611 / 802857662698291200000)
 
 
-def nonnegative_int(value, name: str) -> int:
-    """``value`` as an int if it is a nonnegative integer of any type but bool."""
-    if isinstance(value, bool) or not hasattr(value, "__index__") or operator.index(value) < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {value}")
-    return operator.index(value)
+def finite_real(value, name: str, rule: str = "be a finite real") -> float:
+    """``value`` as a Python float if it is a finite real of any type but bool.
+
+    Every public real argument passes here, so the certified errors
+    computed from it count roundings of doubles.  Other types raise
+    "<name> must be a finite real"; NaN and infinities raise "<name> must
+    <rule>", where rule words the range check the caller makes next.
+    """
+    if type(value) is not float:
+        import numbers  # here, not at the top: radius calls pass floats and ints
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{name} must be a finite real, got {value!r}")
+        value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must {rule}, got {value}")
+    return value
+
+
+def nonnegative_int(value, name: str, rule: str = "be a nonnegative integer") -> int:
+    """``value`` as an int if it is a nonnegative integer of any type but bool.
+
+    Every count, order, degree and seed passes here.  Other types raise
+    "<name> must be a nonnegative integer"; a negative value raises "<name>
+    must <rule>".
+    """
+    if type(value) is not int:
+        import numbers
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+        value = operator.index(value)
+    if value < 0:
+        raise DomainError(f"{name} must {rule}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -52,11 +80,9 @@ class DomainGamma:
     gamma: float
 
     def __post_init__(self):
-        if not (isinstance(self.gamma, (int, float)) and math.isfinite(self.gamma)):
-            raise DomainError("gamma must be a finite real")
+        object.__setattr__(self, "gamma", finite_real(self.gamma, "gamma"))
         if not 0.0 <= self.gamma < 1.0:
             raise DomainError(f"gamma must lie in [0, 1), got {self.gamma}")
-        object.__setattr__(self, "gamma", float(self.gamma))
 
 
 def _digamma(a: float) -> tuple[float, float]:
@@ -195,12 +221,14 @@ def lerch_tail_sum(r: float, beta: float, start: int,
     exponents a above about 500 with r close to 1.  The slope in r of the
     ``start = 1`` sum is ``1/(1-r) - (beta/r) * value``.
     """
-    if not 0.0 <= r < 1.0:
+    if not 0.0 <= (r := finite_real(r, "radius", "lie in [0, 1)")) < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {r}")
     start = nonnegative_int(start, "start")
-    if not (math.isfinite(beta) and beta > -start):
+    if (beta := finite_real(beta, "beta")) <= -start:
         raise DomainError(f"beta must be a finite real above -start, got beta={beta}, "
                           f"start={start}")
+    if (target := finite_real(target, "target", "be a positive real")) <= 0.0:
+        raise DomainError(f"target must be a positive real, got {target}")
     if r == 0.0:
         value = 1.0 / beta if start == 0 else 0.0
         return value, UNIT_ROUNDOFF * value

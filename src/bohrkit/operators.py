@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .lerch import UNIT_ROUNDOFF, lerch_tail_sum, nonnegative_int  # noqa: F401 (re-export)
+from .lerch import UNIT_ROUNDOFF, finite_real, nonnegative_int
+from .lerch import lerch_tail_sum  # noqa: F401 (re-export)
 from .series import TruncatedPowerSeries, majorant_eval
 
 LEADING_ZERO_TOL = 1e-14
@@ -39,9 +40,7 @@ class BernardiParams:
 
     def __post_init__(self):
         object.__setattr__(self, "m", nonnegative_int(self.m, "m"))
-        if not (isinstance(self.beta, (int, float)) and math.isfinite(self.beta)):
-            raise DomainError("beta must be a finite real")
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "beta", finite_real(self.beta, "beta"))
         if self.beta <= -self.m:
             raise DomainError(f"beta must exceed -m, got beta={self.beta}, m={self.m}")
 
@@ -137,7 +136,7 @@ def log_bound(r: float) -> float:
 
     Below r = 1e-4 a six-term Taylor expansion avoids the 0/0 cancellation.
     """
-    if not 0.0 <= r < 1.0:
+    if not 0.0 <= (r := finite_real(r, "radius", "lie in [0, 1)")) < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {r}")
     if r < 1e-4:
         # 1 + r/2 + r^2/3 + ... ; the omitted term r^6/7 is < 2e-29 here.

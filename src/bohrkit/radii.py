@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BracketingError, DomainError, NumericalError
-from .lerch import UNIT_ROUNDOFF, DomainGamma, lerch_tail_sum, nonnegative_int
+from .lerch import UNIT_ROUNDOFF, DomainGamma, finite_real, lerch_tail_sum, nonnegative_int
 
 DEFAULT_TOL = 1e-12
 # Safety net for the step loop; Newton needs well under 20 steps here.
@@ -75,9 +75,10 @@ def solve_bracketed(g, lo: float, hi: float, tol: float = DEFAULT_TOL) -> Radius
     |value|; ``converged`` is true only when the certified bracket is at most
     tol wide.
     """
+    lo, hi = finite_real(lo, "lo"), finite_real(hi, "hi")
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    if not (math.isfinite(tol) and tol > 0.0):
+    if (tol := finite_real(tol, "tolerance", "be a positive real")) <= 0.0:
         raise DomainError(f"tolerance must be a positive real, got {tol}")
     points = []  # (|value|, x) of every evaluation
 
@@ -225,9 +226,9 @@ def _solve_tail_balance(beta_eff: float, prefactor: float, tol: float) -> Radius
 def bernardi_radius(gamma: DomainGamma, beta: float,
                     tol: float = DEFAULT_TOL) -> RadiusResult:
     """Root of ``1/beta = (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)`` on (0, 1)."""
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta)) or beta <= 0.0:
+    if (beta := finite_real(beta, "beta", "be a positive real")) <= 0.0:
         raise DomainError(f"beta must be a positive real, got {beta}")
-    return _solve_tail_balance(float(beta), 2.0 / (1.0 + gamma.gamma), tol)
+    return _solve_tail_balance(beta, 2.0 / (1.0 + gamma.gamma), tol)
 
 
 def bernardi_radius_classic(beta: float, m: int, tol: float = DEFAULT_TOL) -> RadiusResult:
@@ -238,9 +239,9 @@ def bernardi_radius_classic(beta: float, m: int, tol: float = DEFAULT_TOL) -> Ra
     ``1/(m+beta) - 2 sum_{j>=1} x^j/(j+m+beta)``.
     """
     m = nonnegative_int(m, "m")
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta)) or beta <= -m:
+    if (beta := finite_real(beta, "beta", "exceed -m")) <= -m:
         raise DomainError(f"beta must exceed -m, got beta={beta}, m={m}")
-    return _solve_tail_balance(float(m + beta), 2.0, tol)
+    return _solve_tail_balance(m + beta, 2.0, tol)
 
 
 def bohr_radius_omega(gamma: DomainGamma) -> float:

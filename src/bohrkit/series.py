@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .lerch import ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, nonnegative_int
+from .lerch import ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, finite_real, nonnegative_int
 
 DEFAULT_TAIL_TARGET = 1e-12
 
@@ -33,6 +33,8 @@ ZERO_SAMPLING_RADIUS = 0.95
 BATCH_ELEMENTS = 2 ** 13
 # Certified bound on what the composition with G drops from each coefficient.
 COMPOSE_TARGET = 1e-13
+# Wording of the tail-bound range check, shared with finite_real's NaN message.
+TAIL_BOUND_RULE = "be a finite nonnegative real"
 
 
 def truncation_order(r: float, tail_bound: float = 1.0,
@@ -41,10 +43,12 @@ def truncation_order(r: float, tail_bound: float = 1.0,
 
     Raises NumericalError when no N up to ORDER_CAP suffices.
     """
-    if not 0.0 <= r < 1.0:
+    if not 0.0 <= (r := finite_real(r, "radius", "lie in [0, 1)")) < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {r}")
-    if target <= 0.0:
-        raise DomainError("target must be positive")
+    if (tail_bound := finite_real(tail_bound, "tail_bound", TAIL_BOUND_RULE)) < 0.0:
+        raise DomainError(f"tail_bound must {TAIL_BOUND_RULE}, got {tail_bound}")
+    if (target := finite_real(target, "target", "be positive")) <= 0.0:
+        raise DomainError(f"target must be positive, got {target}")
     if tail_bound == 0.0 or tail_bound * r / (1.0 - r) <= target:
         return 0
     # Closed-form first guess, then nudge to be safe against rounding.
@@ -86,8 +90,9 @@ class TruncatedPowerSeries:
             raise DomainError("all coefficients must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0.0):
-            raise DomainError("tail_bound must be a finite nonnegative real")
+        if (bound := finite_real(self.tail_bound, "tail_bound", TAIL_BOUND_RULE)) < 0.0:
+            raise DomainError(f"tail_bound must {TAIL_BOUND_RULE}, got {bound}")
+        object.__setattr__(self, "tail_bound", bound)
         if self.schur and self.tail_bound > 1.0 + 1e-12:
             raise DomainError("Schur-class series must carry tail_bound <= 1")
 
@@ -97,6 +102,7 @@ class TruncatedPowerSeries:
 
     def padded(self, order: int) -> "TruncatedPowerSeries":
         """Extend a polynomial (tail_bound 0) with explicit zero coefficients."""
+        order = nonnegative_int(order, "order")
         if self.tail_bound != 0.0:
             raise DomainError(
                 "only polynomials (tail_bound 0) can be zero-padded; "
@@ -128,11 +134,11 @@ class SchurSampleSpec:
     gamma: DomainGamma
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", nonnegative_int(self.degree, "degree"))
-        if self.degree > MAX_BLASCHKE_DEGREE:
+        if (degree := nonnegative_int(self.degree, "degree")) > MAX_BLASCHKE_DEGREE:
             raise DomainError(
-                f"degree must be an integer in [0, {MAX_BLASCHKE_DEGREE}], got {self.degree}")
-        object.__setattr__(self, "seed", int(self.seed))
+                f"degree must be an integer in [0, {MAX_BLASCHKE_DEGREE}], got {degree}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "seed", nonnegative_int(self.seed, "seed"))
         if not isinstance(self.gamma, DomainGamma):
             object.__setattr__(self, "gamma", DomainGamma(self.gamma))
 
@@ -146,7 +152,7 @@ def majorant_eval(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:
     term, all of them nonnegative, carries at most 17u relative error; fsum
     rounds the sum once, so ``18u`` times the value bounds the rounding.
     """
-    if not 0.0 <= r < 1.0:
+    if not 0.0 <= (r := finite_real(r, "majorant radius", "lie in [0, 1)")) < 1.0:
         raise DomainError(f"majorant radius must lie in [0, 1), got {r}")
     mags = np.abs(s.coeffs)
     value = math.fsum(mags * np.power(r, np.arange(mags.size)))
@@ -258,8 +264,7 @@ def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
     A finite Blaschke product maps the unit disk onto itself, so the result
     is Schur-class with tail_bound 1.
     """
-    if n_out < 0:
-        raise DomainError(f"output order must be >= 0, got {n_out}")
+    n_out = nonnegative_int(n_out, "output order", "be >= 0")
     phase = complex(phase)
     if abs(abs(phase) - 1.0) > 1e-12:
         raise DomainError(f"phase must be unimodular, got |phase| = {abs(phase)}")
@@ -309,5 +314,6 @@ def sample_schur_omega(spec: SchurSampleSpec, n_out: int) -> TruncatedPowerSerie
     uniform phase.  The product is composed with the affine map onto the
     unit disk.  Identical specs give identical output.
     """
+    n_out = nonnegative_int(n_out, "output order", "be >= 0")
     ((_, rows),) = _sample_batches([spec], spec.gamma, n_out)
     return TruncatedPowerSeries(rows[0], 1.0, schur=True)

@@ -335,6 +335,14 @@ def test_verify_lemma1_rejects_order_below_one(cli, gamma, order):
     assert "output order must be >= 1" in proc.stderr
 
 
+def test_verify_lemma1_rejects_negative_seed(cli):
+    # numpy's "expected non-negative integer" exited 1 and named no flag.
+    proc = cli("verify", "lemma1", "--gamma", "0.4", "--samples", "3", "--seed", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "seed must be a nonnegative integer, got -1" in proc.stderr
+
+
 @pytest.mark.parametrize("seed", ["1", "2", "3"])
 def test_verify_lemma1_rejects_degree_max_above_sixteen(cli, seed):
     # Seed 1 passed; seeds 2 and 3 exited 2 naming a sample's degree, 17.

@@ -1,18 +1,26 @@
 import math
+import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from mpmath import mp
 
-from bohrkit.errors import DomainError, NumericalError, PreconditionError
+from bohrkit.errors import BohrkitError, DomainError, NumericalError, PreconditionError
+from bohrkit.extremal import (ExtremalParams, _first_order, bernardi_extremal_decomposition,
+                              bernardi_first_order_factor, cesaro_extremal_decomposition,
+                              cesaro_first_order_factor, extremal_coeffs, identity_suite,
+                              lemma1_check, remainder_order_check, sharpness_scan_bernardi,
+                              sharpness_scan_cesaro)
 from bohrkit.operators import (BernardiParams, bernardi_majorant,
                                bernardi_transform, cesaro_majorant,
                                cesaro_transform, lerch_tail_sum, log_bound)
-from bohrkit.radii import bernardi_radius_classic
+from bohrkit.radii import (bernardi_radius, bernardi_radius_classic, cesaro_radius,
+                           solve_bracketed)
 from bohrkit.series import (UNIT_ROUNDOFF, DomainGamma, SchurSampleSpec,
-                            TruncatedPowerSeries, blaschke_coeffs, polynomial,
-                            sample_schur_omega, truncation_order)
+                            TruncatedPowerSeries, blaschke_coeffs, majorant_eval,
+                            polynomial, sample_schur_omega, truncation_order)
 from oracles import bernardi_integral_oracle, cesaro_integral_oracle, mp_tail_sum
 
 TWO_LN2 = 2.0 * math.log(2.0)
@@ -410,17 +418,170 @@ def test_lerch_direct_sum_error_bound_against_mpmath(start):
                 assert error <= target + 5.0 * UNIT_ROUNDOFF * value
 
 
-@pytest.mark.parametrize("call", [
-    lambda k: lerch_tail_sum(0.5, 1.0, k),
-    lambda k: BernardiParams(1.0, k),
-    lambda k: bernardi_radius_classic(1.0, k),
-], ids=["lerch_tail_sum", "BernardiParams", "bernardi_radius_classic"])
-def test_integer_arguments_follow_one_rule(call):
-    # True was taken as start = 1 or m = 1 by the first two.
-    assert call(np.int64(1)) == call(1)
-    for k in (True, np.True_, 1.0):
-        with pytest.raises(DomainError, match="must be a nonnegative integer"):
-            call(k)
+# One argument rule: every public real argument goes through
+# lerch.finite_real and every integer argument through lerch.nonnegative_int.
+G0 = DomainGamma(0.0)
+LADDER = (0.99, 0.999, 0.9999)
+
+
+def LINEAR(x):
+    """A root at 0.3 for solve_bracketed."""
+    return x - 0.3, 0.0, 1.0
+
+
+def _outcome(call, x):
+    """What ``call(x)`` returns, pickled so that equal outcomes have equal
+    bits and types (a float32 field differs from a float), or its error."""
+    try:
+        return pickle.dumps(call(x))
+    except BohrkitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# (call of one argument, a valid value, an integer value, the argument's name
+# in error messages).  The integer value need not be valid: it must then fail
+# as its int does.
+REAL_ARGUMENTS = {
+    "DomainGamma": (DomainGamma, 0.5, 0, "gamma"),
+    "lerch_tail_sum.r": (lambda x: lerch_tail_sum(x, 1.0, 1), 0.6, 0, "radius"),
+    "lerch_tail_sum.beta": (lambda x: lerch_tail_sum(0.6, x, 1), 1.5, 2, "beta"),
+    "lerch_tail_sum.target": (lambda x: lerch_tail_sum(0.6, 1.0, 1, x), 1e-10, 1, "target"),
+    "BernardiParams.beta": (BernardiParams, 1.5, 2, "beta"),
+    "log_bound": (log_bound, 0.6, 0, "radius"),
+    "majorant_eval": (lambda x: majorant_eval(polynomial([1.0, 0.5]), x), 0.6, 0,
+                      "majorant radius"),
+    "cesaro_majorant": (lambda x: cesaro_majorant(polynomial([1.0, 0.5]), x), 0.6, 0,
+                        "majorant radius"),
+    "bernardi_majorant": (lambda x: bernardi_majorant(polynomial([1.0, 0.5]),
+                                                      BernardiParams(1.0), x), 0.6, 0,
+                          "majorant radius"),
+    "truncation_order.r": (truncation_order, 0.6, 0, "radius"),
+    "truncation_order.tail_bound": (lambda x: truncation_order(0.5, x), 0.5, 2, "tail_bound"),
+    "truncation_order.target": (lambda x: truncation_order(0.5, 1.0, x), 1e-10, 1, "target"),
+    "TruncatedPowerSeries": (lambda x: TruncatedPowerSeries([1.0], x), 0.5, 1, "tail_bound"),
+    "solve_bracketed.lo": (lambda x: solve_bracketed(LINEAR, x, 1.0), 0.125, 0, "lo"),
+    "solve_bracketed.hi": (lambda x: solve_bracketed(LINEAR, 0.0, x), 0.75, 1, "hi"),
+    "solve_bracketed.tol": (lambda x: solve_bracketed(LINEAR, 0.0, 1.0, x), 1e-10, 1,
+                            "tolerance"),
+    "cesaro_radius.tol": (lambda x: cesaro_radius(G0, x), 1e-10, 1, "tolerance"),
+    "bernardi_radius.beta": (lambda x: bernardi_radius(G0, x), 1.5, 2, "beta"),
+    "bernardi_radius.tol": (lambda x: bernardi_radius(G0, 1.0, x), 1e-10, 1, "tolerance"),
+    "bernardi_radius_classic.beta": (lambda x: bernardi_radius_classic(x, 1), 1.5, 2, "beta"),
+    "bernardi_radius_classic.tol": (lambda x: bernardi_radius_classic(1.0, 1, x), 1e-10, 1,
+                                    "tolerance"),
+    "ExtremalParams": (lambda x: ExtremalParams(x, G0), 0.9, 0, "a"),
+    "cesaro_first_order_factor": (lambda x: cesaro_first_order_factor(G0, x), 0.6, 0, "r"),
+    "bernardi_first_order_factor.beta": (lambda x: bernardi_first_order_factor(G0, x, 0.6),
+                                         1.5, 2, "beta"),
+    "bernardi_first_order_factor.r": (lambda x: bernardi_first_order_factor(G0, 1.5, x),
+                                      0.6, 0, "r"),
+    "cesaro_extremal_decomposition": (
+        lambda x: cesaro_extremal_decomposition(ExtremalParams(0.9, G0), x), 0.3, 0, "r"),
+    "bernardi_extremal_decomposition.beta": (
+        lambda x: bernardi_extremal_decomposition(ExtremalParams(0.9, G0), x, 0.3), 1.5, 2,
+        "beta"),
+    "bernardi_extremal_decomposition.r": (
+        lambda x: bernardi_extremal_decomposition(ExtremalParams(0.9, G0), 1.5, x), 0.3, 0,
+        "r"),
+    "sharpness_scan_cesaro.r": (lambda x: sharpness_scan_cesaro(G0, x, LADDER), 0.7, 0, "r"),
+    "sharpness_scan_cesaro.a": (lambda x: sharpness_scan_cesaro(G0, 0.7, [x]), 0.99, 0, "a"),
+    "sharpness_scan_bernardi.beta": (lambda x: sharpness_scan_bernardi(G0, x, 0.8, LADDER),
+                                     1.5, 2, "beta"),
+    "sharpness_scan_bernardi.r": (lambda x: sharpness_scan_bernardi(G0, 1.5, x, LADDER),
+                                  0.8, 0, "r"),
+    "sharpness_scan_bernardi.a": (lambda x: sharpness_scan_bernardi(G0, 1.5, 0.8, [x]),
+                                  0.99, 0, "a"),
+    "remainder_order_check.r": (lambda x: remainder_order_check("cesaro", G0, x, LADDER),
+                                0.4, 0, "r"),
+    "remainder_order_check.beta": (
+        lambda x: remainder_order_check("bernardi", DomainGamma(0.2), 0.3, LADDER, beta=x),
+        1.5, 2, "beta"),
+    "remainder_order_check.a": (
+        lambda x: remainder_order_check("cesaro", G0, 0.4, [x, 0.999]), 0.99, 0, "a"),
+    "identity_suite": (lambda x: identity_suite([x]), 0.5, 0, "r"),
+}
+
+@pytest.mark.parametrize("call, x, k, name", REAL_ARGUMENTS.values(), ids=REAL_ARGUMENTS)
+def test_real_arguments_follow_one_rule(call, x, k, name):
+    # A numpy float32 was computed in single precision behind a certified
+    # error, or rejected with a message saying its value was out of range;
+    # True was taken as 1.0.
+    valid = _outcome(call, float(np.float32(x)))
+    assert isinstance(valid, bytes), valid
+    assert _outcome(call, np.float32(x)) == valid
+    assert _outcome(call, Fraction(repr(x))) == _outcome(call, x)
+    assert _outcome(call, np.int64(k)) == _outcome(call, k)
+    for bad in (True, np.True_, repr(x), Decimal(repr(x)), math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"^{name} must "):
+            call(bad)
+
+
+# (call of one argument, a valid value, the argument's name in error messages)
+INTEGER_ARGUMENTS = {
+    "lerch_tail_sum": (lambda k: lerch_tail_sum(0.5, 1.0, k), 1, "start"),
+    "BernardiParams": (lambda k: BernardiParams(1.0, k), 1, "m"),
+    "bernardi_radius_classic": (lambda k: bernardi_radius_classic(1.0, k), 1, "m"),
+    "SchurSampleSpec.degree": (lambda k: SchurSampleSpec(k, 1, G0), 2, "degree"),
+    "SchurSampleSpec.seed": (lambda k: SchurSampleSpec(2, k, G0), 7, "seed"),
+    "blaschke_coeffs": (lambda k: blaschke_coeffs([0.5], 1.0, k), 8, "output order"),
+    "sample_schur_omega": (
+        lambda k: sample_schur_omega(SchurSampleSpec(2, 1, DomainGamma(0.4)), k), 8,
+        "output order"),
+    "extremal_coeffs": (lambda k: extremal_coeffs(ExtremalParams(0.9, G0), k), 8,
+                        "output order"),
+    "padded": (lambda k: polynomial([1.0]).padded(k), 3, "order"),
+    "lemma1_check.num_samples": (lambda k: lemma1_check(G0, k, 2, 16, 1), 3, "num_samples"),
+    "lemma1_check.degree_max": (lambda k: lemma1_check(G0, 3, k, 16, 1), 2, "degree_max"),
+    "lemma1_check.n_out": (lambda k: lemma1_check(G0, 3, 2, k, 1), 16, "output order"),
+    "lemma1_check.seed": (lambda k: lemma1_check(G0, 3, 2, 16, k), 5, "seed"),
+}
+
+
+@pytest.mark.parametrize("call, k, name", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS)
+def test_integer_arguments_follow_one_rule(call, k, name):
+    # True was taken as start = 1 or m = 1, or as one sample or degree; a
+    # float seed was truncated and a float order ran or failed inside numpy.
+    valid = _outcome(call, k)
+    assert isinstance(valid, bytes), valid
+    assert _outcome(call, np.int64(k)) == valid
+    for bad in (True, np.True_, float(k), np.float32(k), Fraction(k), str(k), math.nan,
+                math.inf):
+        with pytest.raises(DomainError, match=f"^{name} must be a nonnegative integer"):
+            call(bad)
+    with pytest.raises(DomainError, match=f"^{name} must "):
+        call(-1)
+
+
+def test_float32_arguments_keep_certified_errors():
+    # A float32 r kept the sums in single precision: the Cesaro factor was off
+    # by 2.0e-7 against a certified error of 8.6e-15, the tail sum by 6.1e-9
+    # against 1.5e-15.
+    r = float(np.float32(0.6))
+    with mp.workdps(50):
+        value, error = lerch_tail_sum(np.float32(0.6), 1.0, 1)
+        assert abs(mp.mpf(value) - mp_tail_sum(r, 1.0, 1)) <= error
+        value = cesaro_first_order_factor(G0, np.float32(0.6))
+        error = _first_order(G0, r, None)[1]
+        x = mp.mpf(r)
+        reference = -(3 * (1 - x) * mp.log(1 / (1 - x)) - 2 * x) / (x * (1 - x))
+        assert abs(mp.mpf(value) - reference) <= error
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lerch_tail_sum(0.5, 1.0, 1, target=math.nan), "target must be a positive real"),
+    (lambda: lerch_tail_sum(0.5, 1.0, 1, target=0), "target must be a positive real"),
+    (lambda: lerch_tail_sum(0.5, 1.0, 1, target=-1e-3), "target must be a positive real"),
+    (lambda: truncation_order(0.5, -1.0), "tail_bound must be a finite nonnegative real"),
+    (lambda: truncation_order(0.5, math.nan), "tail_bound must be a finite nonnegative real"),
+    (lambda: truncation_order(0.5, 1.0, math.nan), "target must be positive"),
+], ids=["lerch_nan", "lerch_zero", "lerch_negative", "order_negative_bound", "order_nan_bound",
+        "order_nan_target"])
+def test_tail_targets_and_bounds_are_checked(call, message):
+    # A NaN target made lerch_tail_sum return (0.0, 0.5), a zero or negative
+    # one raised "math domain error"; truncation_order took a negative tail
+    # bound as order 0 and failed on NaN with "cannot convert float NaN".
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf])

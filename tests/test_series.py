@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -326,3 +328,15 @@ def test_compose_matrix_cache_stays_bounded():
     for order in (8, 16, 24, 32, 40):
         lemma1_check(DomainGamma(0.4), 1, 2, order, 0)
     assert _compose_matrix.cache_info().currsize <= 4
+
+
+def test_sample_schur_omega_rejects_negative_order_without_hanging():
+    # At gamma = 0, n_out = -1 never returned: _fft_length(-1) reached m = 0,
+    # which no prime divides out.  A subprocess with a timeout keeps a hang
+    # from stalling the suite.
+    code = ("from bohrkit import DomainGamma, SchurSampleSpec, sample_schur_omega\n"
+            "sample_schur_omega(SchurSampleSpec(2, 1, DomainGamma(0.0)), -1)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert "DomainError: output order must be >= 0, got -1" in proc.stderr
