@@ -10,11 +10,9 @@ assertion failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from typing import Optional
 
 from . import __version__
 from .errors import (BracketingError, DomainError, NumericalError,
@@ -48,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(text: str, path: Optional[str]) -> int:
+def _emit(text: str, path: str | None) -> int:
     if path is None:
         sys.stdout.write(text)
         return EXIT_OK
@@ -112,6 +110,7 @@ def run_sweep(equation: str, parameter: str, grid, fixed: dict,
                      "residual": res.residual, "iterations": res.iterations})
     if output_format == "json":
         return _json_doc(rows)
+    import csv  # here: radius and table calls write no CSV
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([parameter, "radius", "residual", "iterations"])

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 
@@ -50,7 +50,11 @@ def finite_real(value, name: str, rule: str = "be a finite real") -> float:
         import numbers  # here, not at the top: radius calls pass floats and ints
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise DomainError(f"{name} must be a finite real, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise DomainError(f"{name} must {rule}, got {type(value).__name__} "
+                              "beyond the double range") from None
     if not math.isfinite(value):
         raise DomainError(f"{name} must {rule}, got {value}")
     return value
@@ -73,16 +77,16 @@ def nonnegative_int(value, name: str, rule: str = "be a nonnegative integer") ->
     return value
 
 
-@dataclass(frozen=True)
-class DomainGamma:
+class DomainGamma(namedtuple("DomainGamma", "gamma")):
     """The parameter gamma in [0, 1) selecting the disk Omega_gamma."""
 
-    gamma: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", finite_real(self.gamma, "gamma"))
-        if not 0.0 <= self.gamma < 1.0:
-            raise DomainError(f"gamma must lie in [0, 1), got {self.gamma}")
+    def __new__(cls, gamma):
+        if not 0.0 <= (gamma := finite_real(gamma, "gamma")) < 1.0:
+            raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
+        return super().__new__(cls, gamma)
 
 
 def _digamma(a: float) -> tuple[float, float]:
@@ -119,7 +123,7 @@ def _lerch_coefficients(a: float) -> tuple[float, float, tuple]:
     a small multiple of u, the rounding error of c_k.  The powers
     ``a^i/i!`` are running products and each sum runs over j in order.
     Cached per exponent: a radius solve evaluates the same exponent about
-    ten times.
+    eight times.
     """
     psi, psi_err = _digamma(a)
     powers = list(accumulate((a / i for i in range(1, LN_EXPANSION_TERMS + 1)),

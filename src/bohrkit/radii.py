@@ -20,9 +20,8 @@ NumericalError.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BracketingError, DomainError, NumericalError
 from .lerch import UNIT_ROUNDOFF, DomainGamma, finite_real, lerch_tail_sum, nonnegative_int
@@ -34,8 +33,8 @@ MAX_STEPS = 100
 WALK_MIN_STEP = 1.0 / 64
 
 
-@dataclass(frozen=True)
-class RadiusResult:
+class RadiusResult(namedtuple("RadiusResult", "value bracket_lo bracket_hi residual "
+                                              "iterations evaluations converged")):
     """A computed radius with its certifying bracket and convergence data.
 
     ``iterations`` counts solver steps (Newton or bisection, each with its
@@ -43,16 +42,10 @@ class RadiusResult:
     bracket ends, upper-bracket walk and probes included.
     """
 
-    value: float
-    bracket_lo: float
-    bracket_hi: float
-    residual: float
-    iterations: int
-    evaluations: int
-    converged: bool
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
 def solve_bracketed(g, lo: float, hi: float, tol: float = DEFAULT_TOL) -> RadiusResult:
@@ -78,21 +71,30 @@ def solve_bracketed(g, lo: float, hi: float, tol: float = DEFAULT_TOL) -> Radius
     lo, hi = finite_real(lo, "lo"), finite_real(hi, "hi")
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
+    return _solve(g, lo, hi, tol)
+
+
+def _solve(g, lo: float, hi: float, tol: float, ends=(None, None), calls: int = 0):
+    """``solve_bracketed`` on a checked bracket.  ``ends`` holds g(lo) and g(hi)
+    where the caller has them (None where not), which are not evaluated again;
+    ``evaluations`` counts the caller's ``calls`` of g and the solve's own."""
     if (tol := finite_real(tol, "tolerance", "be a positive real")) <= 0.0:
         raise DomainError(f"tolerance must be a positive real, got {tol}")
     points = []  # (|value|, x) of every evaluation
 
-    def sample(x):
-        value, error, slope = g(x)
+    def sample(x, known=None):
+        nonlocal calls
+        calls += known is None
+        value, error, slope = g(x) if known is None else known
         if not (math.isfinite(value) and math.isfinite(error)):
             raise NumericalError(f"g({x}) is not finite: {value} +- {error}")
         points.append((abs(value), x))
         return value, error, slope
 
-    f_lo, f_hi = sample(lo), sample(hi)
+    f_lo, f_hi = sample(lo, ends[0]), sample(hi, ends[1])
     for x, (value, error, _) in ((lo, f_lo), (hi, f_hi)):
         if value == 0.0 and error == 0.0:
-            return RadiusResult(x, x, x, 0.0, 0, len(points), True)
+            return RadiusResult(x, x, x, 0.0, 0, calls, True)
     if not (abs(f_lo[0]) > f_lo[1] and abs(f_hi[0]) > f_hi[1]) or (
             (f_lo[0] > 0.0) == (f_hi[0] > 0.0)):
         raise BracketingError(
@@ -139,7 +141,7 @@ def solve_bracketed(g, lo: float, hi: float, tol: float = DEFAULT_TOL) -> Radius
                 break  # the error bound hides the sign around the root
     inside = [point for point in points if lo <= point[1] <= hi]
     residual, best = min(inside)
-    return RadiusResult(best, lo, hi, residual, iterations, len(points), hi - lo <= tol)
+    return RadiusResult(best, lo, hi, residual, iterations, calls, hi - lo <= tol)
 
 
 def cesaro_radius(gamma: DomainGamma, tol: float = DEFAULT_TOL) -> RadiusResult:
@@ -203,14 +205,14 @@ def _solve_tail_balance(beta_eff: float, prefactor: float, tol: float) -> Radius
     and the walk stops at the largest double below 1.
     """
     equation = _tail_balance_equation(beta_eff, prefactor)
-    lo, hi, walked = 0.0, 0.5, 0
+    lo, hi, f_lo, walked = 0.0, 0.5, None, 0
     while True:
-        value, error, slope = equation(hi)
+        f_hi = value, error, slope = equation(hi)
         walked += 1
         if value < -error:
             break
         if value > error:
-            lo = hi
+            lo, f_lo = hi, f_hi
         if hi == 1.0 - UNIT_ROUNDOFF:
             raise NumericalError(
                 f"the radius for beta={beta_eff} lies within double resolution of 1: "
@@ -219,8 +221,7 @@ def _solve_tail_balance(beta_eff: float, prefactor: float, tol: float) -> Radius
         jump = max(value / (-slope * w), WALK_MIN_STEP)
         hi = min(max(1.0 - w * math.exp(-jump), math.nextafter(hi, 1.0)),
                  1.0 - UNIT_ROUNDOFF)
-    result = solve_bracketed(equation, lo, hi, tol)
-    return dataclasses.replace(result, evaluations=result.evaluations + walked)
+    return _solve(equation, lo, hi, tol, (f_lo, f_hi), walked)  # ends not summed again
 
 
 def bernardi_radius(gamma: DomainGamma, beta: float,

@@ -266,11 +266,11 @@ def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
     """
     n_out = nonnegative_int(n_out, "output order", "be >= 0")
     phase = complex(phase)
-    if abs(abs(phase) - 1.0) > 1e-12:
+    if not abs(abs(phase) - 1.0) <= 1e-12:  # NaN fails too
         raise DomainError(f"phase must be unimodular, got |phase| = {abs(phase)}")
     zeros = [complex(z) for z in zeros]
     for z in zeros:
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             raise DomainError(f"Blaschke zeros must lie strictly inside the unit disk, got {z}")
     c = _blaschke_rows(np.array([zeros], dtype=complex), np.array([len(zeros)]),
                        np.array([phase]), n_out)

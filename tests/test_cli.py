@@ -418,17 +418,22 @@ NUMPY_FREE_COMMANDS = [
     ["table", "theorem1"],
     ["table", "theorem2"],
 ]
+# Modules the commands above must not load: numpy, dataclasses with the
+# inspect it pulls in, and typing.  The interpreter's own start may load some
+# of them (site loads typing on some installs), so only new ones count.
+HEAVY_MODULES = ["numpy", "dataclasses", "inspect", "typing"]
 COLD_SESSION = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from bohrkit.cli import main
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-numpy_free = "numpy" not in sys.modules
+loaded = sorted(set(sys.modules) - before)
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(["verify", "identities"])
-print(json.dumps([codes, numpy_free, code, json.loads(out.getvalue())["pass"]]))
+print(json.dumps([codes, loaded, code, json.loads(out.getvalue())["pass"]]))
 """
 
 
@@ -438,9 +443,9 @@ def test_radius_sweep_table_and_version_import_no_numpy():
     proc = subprocess.run([sys.executable, "-c", COLD_SESSION,
                            json.dumps(NUMPY_FREE_COMMANDS)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    codes, numpy_free, code, passed = json.loads(proc.stdout)
+    codes, loaded, code, passed = json.loads(proc.stdout)
     assert codes == [0] * len(NUMPY_FREE_COMMANDS)
-    assert numpy_free
+    assert [name for name in HEAVY_MODULES if name in loaded] == []
     assert code == 0 and passed
 
 

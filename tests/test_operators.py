@@ -505,13 +505,15 @@ REAL_ARGUMENTS = {
 def test_real_arguments_follow_one_rule(call, x, k, name):
     # A numpy float32 was computed in single precision behind a certified
     # error, or rejected with a message saying its value was out of range;
-    # True was taken as 1.0.
+    # True was taken as 1.0; an int or Fraction beyond the double range
+    # raised OverflowError.
     valid = _outcome(call, float(np.float32(x)))
     assert isinstance(valid, bytes), valid
     assert _outcome(call, np.float32(x)) == valid
     assert _outcome(call, Fraction(repr(x))) == _outcome(call, x)
     assert _outcome(call, np.int64(k)) == _outcome(call, k)
-    for bad in (True, np.True_, repr(x), Decimal(repr(x)), math.nan, math.inf, -math.inf):
+    for bad in (True, np.True_, repr(x), Decimal(repr(x)), math.nan, math.inf, -math.inf,
+                10 ** 400, Fraction(10 ** 400, 3)):
         with pytest.raises(DomainError, match=f"^{name} must "):
             call(bad)
 

@@ -1,9 +1,11 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+from bohrkit import radii
 from bohrkit.errors import BracketingError, DomainError, NumericalError
 from bohrkit.operators import lerch_tail_sum
 from bohrkit.radii import (RadiusResult, bernardi_radius, bernardi_radius_classic,
@@ -118,6 +120,27 @@ def test_solver_counts_steps_and_evaluations():
     assert res.as_dict()["evaluations"] == res.evaluations
 
 
+def test_records_are_immutable_picklable_named_tuples():
+    # Records stay frozen, comparable and picklable with the same fields and
+    # repr; _replace goes through the gamma check like the constructor.
+    res = cesaro_radius(DomainGamma(0.25))
+    assert res.as_dict() == dict(zip(RadiusResult._fields, res))
+    assert list(res.as_dict()) == ["value", "bracket_lo", "bracket_hi", "residual",
+                                   "iterations", "evaluations", "converged"]
+    assert repr(DomainGamma(0.25)) == "DomainGamma(gamma=0.25)"
+    assert repr(res).startswith(f"RadiusResult(value={res.value!r}, bracket_lo=")
+    for record in (DomainGamma(0.25), res):
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert hash(type(record)(*record)) == hash(record)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    with pytest.raises(AttributeError):
+        res.value = 0.5
+    assert DomainGamma(0.25)._replace(gamma=0.5) == DomainGamma(0.5)
+    with pytest.raises(DomainError, match="gamma must lie in"):
+        DomainGamma(0.25)._replace(gamma=1.5)
+
+
 # ------------------------------------------------------------- cesaro radius
 
 def test_cesaro_radius_published_constant():
@@ -217,6 +240,26 @@ def test_bernardi_radius_domain_errors():
         bernardi_radius(DomainGamma(0.2), 0.0)
     with pytest.raises(DomainError):
         bernardi_radius(DomainGamma(0.2), -1.0)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: bernardi_radius(DomainGamma(0.0), 0.3),  # bracket ends both walked
+    lambda: bernardi_radius(DomainGamma(0.2), 5.0),  # lower end 0, not walked
+    lambda: bernardi_radius(DomainGamma(0.2), 0.05),  # root within 6e-6 of 1
+    lambda: bernardi_radius_classic(1.0, 5),
+], ids=["gamma0-beta0.3", "gamma0.2-beta5", "gamma0.2-beta0.05", "classic-m5"])
+def test_bernardi_solve_sums_each_point_once(monkeypatch, solve):
+    # The bracketed solve summed the walk's last point again, and its lower
+    # end too where the walk had reached it.
+    summed = []
+
+    def counting_tail_sum(r, *args, **kwargs):
+        summed.append(r)
+        return lerch_tail_sum(r, *args, **kwargs)
+    monkeypatch.setattr(radii, "lerch_tail_sum", counting_tail_sum)
+    res = solve()
+    assert len(set(summed)) == len(summed)
+    assert res.evaluations == len(summed)
 
 
 def test_bernardi_radius_residual_certificate():

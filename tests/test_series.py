@@ -127,6 +127,19 @@ def test_blaschke_rejects_bad_inputs():
         blaschke_coeffs([0.2], 0.5, 4)
 
 
+@pytest.mark.parametrize("zeros, phase, match", [
+    ([complex("nan")], 1.0, "^Blaschke zeros must lie"),
+    ([complex(0.0, math.inf)], 1.0, "^Blaschke zeros must lie"),
+    ([0.5], complex("nan"), "^phase must be unimodular"),
+    ([0.5], complex(math.inf, 0.0), "^phase must be unimodular"),
+])
+def test_blaschke_names_a_non_finite_zero_or_phase(zeros, phase, match):
+    # A NaN zero or phase passed both checks and failed later with "all
+    # coefficients must be finite", which names no argument.
+    with pytest.raises(DomainError, match=match):
+        blaschke_coeffs(zeros, phase, 4)
+
+
 def test_blaschke_truncation_tracks_product_evaluation():
     zeros = [0.5, -0.3 + 0.4j, 0.1j]
     phase = np.exp(0.7j)
