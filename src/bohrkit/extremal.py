@@ -20,11 +20,14 @@ remainder is exactly
 
     Bernardi:  K sum_{n>=1} r^n/(n+beta) c_n
     Cesaro:    K sum_{n>=1} r^n/(n+1) (c_1 + ... + c_n)
+             = (K/(1-r)) [m(tau) - rho m((1-q) tau)]
 
-and every c_n is negative.  ``_remainders`` sums these series for a whole
-ladder of a in one array; the decompositions, witness scans and order fits
-take their remainders from it, never from a summed majorant minus its other
-parts.  Every error they use is certified: it bounds truncation and rounding.
+with tau = r/(1-r), rho = (1+a)/(1-a), m(t) = 1 - log1p(t)/t; every c_n is
+negative.  ``_remainders`` sums Bernardi's series and evaluates Cesaro's
+closed form, with no truncation, for a whole ladder of a; the
+decompositions, witness scans and order fits take their remainders from it,
+never from a summed majorant minus its other parts.  Every error they use is
+certified: it bounds truncation and rounding.
 The Lemma-1 suite stresses ``|a_n| <= (1 - |a_0|^2)/(1 + gamma)`` over seeded
 random samples.
 """
@@ -40,7 +43,8 @@ import numpy as np
 
 from .errors import (DomainError, InconclusiveError, NumericalError,
                      PreconditionError)
-from .lerch import ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, finite_real, nonnegative_int
+from .lerch import (ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, finite_complex, finite_real,
+                    nonnegative_int)
 from .operators import log_bound
 from .radii import (_cesaro_equation, _tail_balance_equation, bernardi_radius,
                     cesaro_radius)
@@ -53,6 +57,8 @@ WITNESS_SLACK = 10.0
 REMAINDER_TAIL_TARGET = 8.0 * UNIT_ROUNDOFF
 # Covers second-order rounding terms and the rounding of a bound itself.
 BOUND_SLACK = 1.01
+# Below the normal range a rounding errs by up to half the smallest subnormal.
+UNDERFLOW = 2.0 ** -1069  # 32 such errors
 
 
 @dataclass(frozen=True)
@@ -146,52 +152,99 @@ def extremal_coeffs(p: ExtremalParams, n_out: int) -> TruncatedPowerSeries:
 
 def extremal_eval(p: ExtremalParams, z: complex) -> complex:
     """The extremal function in closed rational form (no truncation)."""
-    a, g = p.a, p.gamma.gamma
+    a, g, z = p.a, p.gamma.gamma, finite_complex(z, "z")
     return (a - g - (1.0 - g) * z) / (1.0 - a * g - a * (1.0 - g) * z)
+
+
+def _log1p_defect(t: float) -> tuple[float, float]:
+    """``m(t) = 1 - log1p(t)/t`` for t > 0, and a bound on its rounding error.
+
+    Up to t = 1, ``log1p(t) = 2 atanh(z)``, z = t/(2+t) <= 1/3, gives
+    ``m = z - (2/(2+t)) sum_{k>=1} z^(2k)/(2k+1)``, whose second term is
+    below z/9: nothing cancels, and 17 terms leave less than u/100 of m.
+    Rounding, in units u for an exact t: z carries 2u, so 3u of m by m's
+    condition 1/(1-z) <= 3/2 in z; the terms 3u (pow 2u, as in
+    ``lerch_tail_sum``), fsum, the factor and the product 4u more, the
+    subtraction u of m.  Above 1, m >= 1 - ln 2, log1p (2u) and the division
+    give 3u of 1 - m and the subtraction u of m.  As
+    ``ln(1+t) <= t(2+t)/(2(1+t))``, m's relative condition in t is <= 1.
+    """
+    if t > 1.0:
+        value = 1.0 - math.log1p(t) / t
+        return value, UNIT_ROUNDOFF * (3.0 - 2.0 * value)
+    z = t / (2.0 + t)
+    part = 2.0 / (2.0 + t) * math.fsum([z ** (2 * k) / (2 * k + 1) for k in range(1, 18)])
+    return z - part, UNIT_ROUNDOFF * (5.0 * (z - part) + 7.0 * part)
+
+
+def _cesaro_remainders(gamma: float, r: float, a_values) -> tuple[list, list]:
+    """Cesaro's remainders ``(K/(1-r)) [m(tau) - rho m((1-q) tau)]``, tau =
+    r/(1-r), rho = (1+a)/(1-a), m from ``_log1p_defect``; and their errors.
+
+    ``c_1 + ... + c_n = n(1-rho) + rho q S_n`` summed against r^n/(n+1) is
+    ``K [(1-rho)(1/(1-r) - l(r)) + rho q/(1-q) (l(r) - l(qr))]``, l(x) =
+    -ln(1-x)/x; ``(1-r) l(r) = log1p(tau)/tau`` and ``1 - qr = (1-r)(1 +
+    (1-q) tau)`` give the form above.  As a -> 1, ``rho m((1-q) tau)`` tends
+    to ``tau (1+a)/(2d) >= tau >= 2 m(tau)``: the difference has condition
+    at most 3.  Rounding, to first order in u with e = a*gamma/d: tau carries
+    2u and (1-q) tau (6 + e)u, which m passes on; rho and its product add
+    4u, the difference u, ``K/(1-r)`` (8 + e)u and the last product u; the
+    error is BOUND_SLACK times the sum.  Below the normal range a rounding
+    errs by up to half the smallest subnormal instead; each m takes at most
+    28 such errors, so UNDERFLOW (1 + rho) covers the bracket's and UNDERFLOW
+    the last product's.  They matter only for r below about 1e-290.
+    """
+    tau = r / (1.0 - r)
+    m_r, m_r_err = _log1p_defect(tau)
+    remainders, errors = [], []
+    for a in a_values:
+        d = 1.0 - a * gamma
+        m_q, m_q_err = _log1p_defect((1.0 - a) / d * tau)
+        rho, e = (1.0 + a) / (1.0 - a), a * gamma / d
+        bracket = m_r - rho * m_q
+        scale = (1.0 - a) * (1.0 - a) / (a * d * (1.0 - r))
+        remainders.append(scale * bracket)
+        errors.append(BOUND_SLACK * scale * (m_r_err + rho * m_q_err + UNIT_ROUNDOFF * (
+            2.0 * m_r + (10.0 + e) * (rho * m_q + abs(bracket))) + UNDERFLOW * (1.0 + rho))
+            + UNDERFLOW)
+    return remainders, errors
 
 
 def _remainders(gamma: float, r: float, a_values,
                 beta: Optional[float] = None) -> tuple[list, list]:
     """Extremal remainders for every a at once, and their certified errors.
 
-    beta=None selects Cesaro.  With weights w_n = r^n/(n+beta) (Cesaro:
-    r^n/(n+1)) the remainder is ``K sum_{n>=1} w_n C_n``, C_n = c_n for
-    Bernardi and c_1 + ... + c_n for Cesaro, which sums ``c_k W_k`` with the
-    weight tails W_k = w_k + ... + w_N instead.  ``log q = log1p(-(1-q))``
-    and ``c_n = 1 + ((1+a)/(1-a)) expm1(n log q)``; one (len(a), N) array
-    holds every c_n, N set by the largest a's need.  Since 1 + a > d and
-    S_n >= 1, ``|c_n| = ((1+a)/d) S_n - 1 >= S_n |c_1|`` with
-    ``|c_1| = a(1+gamma)/d``: all terms are negative.
+    beta=None selects Cesaro's closed form, ``_cesaro_remainders``.  The
+    Bernardi remainder ``K sum_{n>=1} r^n/(n+beta) c_n`` is summed with
+    ``c_n = 1 + rho expm1(n log1p(-(1-q)))`` in one (len(a), N) array, N set
+    by the largest a's need.  Since 1 + a > d and S_n >= 1,
+    ``|c_n| = ((1+a)/d) S_n - 1 >= S_n |c_1|`` with ``|c_1| = a(1+gamma)/d``.
 
     Truncation.  By ``S_n <= min(n, 1/(1-q))``, the terms after N = M - 1
-    sum to at most ``((1+a)/d) r^M/(1-r) h(M)``, where Bernardi's
-    ``h = min(1, 1/((1-q)(M+beta)))`` and Cesaro's
-    ``h = min((M(1-r)+r)/(2(1-r)), 1/(1-q))``.  M takes three fixed-point
-    steps towards REMAINDER_TAIL_TARGET times a lower bound of the sum,
-    ``|c_1| ln(1 + (1-q)r/(1-r))/((1+beta)(1-q))`` for Bernardi (as
-    n + beta <= n(1+beta)) and ``|c_1| r/(2(1-r)(1-qr))`` for Cesaro (S_k
-    is concave, so ``|C_n| >= |c_1| S_n (n+1)/2``).  The bound takes the
-    tail at the N summed, so a short M only loosens it.
+    sum to at most ``((1+a)/d) r^M/(1-r) h(M)`` with
+    ``h = min(1, 1/((1-q)(M+beta)))``.  M takes three fixed-point steps
+    towards REMAINDER_TAIL_TARGET times a lower bound of the sum,
+    ``|c_1| ln(1 + (1-q)r/(1-r))/((1+beta)(1-q))`` (as n + beta <=
+    n(1+beta)); a short M only loosens the bound.
 
     Rounding, to first order in u = 2**-53, with 8u for each log1p, expm1
     and pow (numpy's SIMD loops are within 4 ulp) and e = a*gamma/d: 1 - q
     carries (3 + e)u.  1 - q^n has relative condition at most 1 both in
     1 - q (``n q^(n-1)(1-q)/(1-q^n)``) and in n log q (``x/(e^x-1)``), so
-    after log1p, the product and expm1 it carries (20 + e)u, and times
-    (1+a)/(1-a) it carries p = (24 + e)u.  ``c_n = 1 - P_n`` with
+    after log1p, the product and expm1 it carries (20 + e)u, and times rho
+    it carries p = (24 + e)u.  ``c_n = 1 - P_n`` with
     ``P_n = 1 + |c_n| <= (1 + 1/|c_1|)|c_n|`` carries p(1 + 1/|c_1|) + u.
     The weights carry 10u, their products u, K (6 + e)u and the last
-    product u; each row's sum, and Cesaro's weight tails, add (N-1)u in any
-    order since their terms share one sign.  The certified error is
-    BOUND_SLACK times the relative bound times |remainder|, plus K times
+    product u; the sum adds (N-1)u, its terms sharing one sign.  The error
+    is BOUND_SLACK times the relative bound times |remainder|, plus K times
     the tail bound.  Beyond 2 * ORDER_CAP terms (r above about 0.999) it
     raises NumericalError.
     """
+    if beta is None:
+        return _cesaro_remainders(gamma, r, a_values)
     log_r = math.log(r)
 
     def shape(m, t):  # h(M) above, with t = 1 - q
-        if beta is None:
-            return min((m * (1.0 - r) + r) / (2.0 * (1.0 - r)), 1.0 / t)
         return min(1.0 / (t * (m + beta)), 1.0)
 
     rows, m_max = [], 2
@@ -199,10 +252,7 @@ def _remainders(gamma: float, r: float, a_values,
         d = 1.0 - a * gamma
         t = (1.0 - a) / d
         growth, c1 = (1.0 + a) / d, a * (1.0 + gamma) / d
-        if beta is None:
-            lower = 0.5 * c1 * r / ((1.0 - r) * (1.0 - r + t * r))
-        else:
-            lower = c1 * math.log1p(t * r / (1.0 - r)) / ((1.0 + beta) * t)
+        lower = c1 * math.log1p(t * r / (1.0 - r)) / ((1.0 + beta) * t)
         goal = REMAINDER_TAIL_TARGET * lower * (1.0 - r) / growth
         m = 1
         for _ in range(3):
@@ -214,22 +264,17 @@ def _remainders(gamma: float, r: float, a_values,
         raise NumericalError(f"the extremal remainder at r={r} needs {n_terms} "
                              f"terms, above the order cap {2 * ORDER_CAP}")
     n = np.arange(1.0, n_terms + 1.0)
-    if beta is None:
-        weights = np.cumsum((np.power(r, n) / (n + 1.0))[::-1])[::-1]
-    else:
-        weights = np.power(r, n) / (n + beta)
+    weights = np.power(r, n) / (n + beta)
     log_q = np.log1p(-np.array([row[2] for row in rows]))
     ratio = np.array([(1.0 + row[0]) / (1.0 - row[0]) for row in rows])
     c = 1.0 + ratio[:, None] * np.expm1(np.multiply.outer(log_q, n))
     sums = (c * weights).sum(axis=1).tolist()
 
-    passes = 2 if beta is None else 1
     tail_power = r ** m_max / (1.0 - r)
     remainders, errors = [], []
     for (a, d, t, growth, c1), total in zip(rows, sums):
         scale, e = (1.0 - a) * (1.0 - a) / (a * d), a * gamma / d
-        relative = ((24.0 + e) * (1.0 + 1.0 / c1) + 19.0 + e
-                    + passes * (n_terms - 1)) * UNIT_ROUNDOFF
+        relative = ((24.0 + e) * (1.0 + 1.0 / c1) + 19.0 + e + (n_terms - 1)) * UNIT_ROUNDOFF
         remainders.append(scale * total)
         errors.append(BOUND_SLACK * (relative * abs(scale * total)
                                      + scale * growth * tail_power * shape(m_max, t)))

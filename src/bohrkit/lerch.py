@@ -60,6 +60,20 @@ def finite_real(value, name: str, rule: str = "be a finite real") -> float:
     return value
 
 
+def finite_complex(value, name: str) -> complex:
+    """``value`` as a Python complex if it is a finite number of any type but
+    bool; anything else raises "<name> must be a finite complex number"."""
+    import numbers
+    try:
+        if (isinstance(value, numbers.Complex) and not isinstance(value, bool)
+                and math.isfinite((number := complex(value)).real)
+                and math.isfinite(number.imag)):
+            return number
+    except OverflowError:  # an int or Fraction beyond the double range
+        pass
+    raise DomainError(f"{name} must be a finite complex number, got {value!r}")
+
+
 def nonnegative_int(value, name: str, rule: str = "be a nonnegative integer") -> int:
     """``value`` as an int if it is a nonnegative integer of any type but bool.
 

@@ -22,7 +22,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .lerch import ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, finite_real, nonnegative_int
+from .lerch import (ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, finite_complex, finite_real,
+                    nonnegative_int)
 
 DEFAULT_TAIL_TARGET = 1e-12
 
@@ -114,7 +115,7 @@ class TruncatedPowerSeries:
 
     def eval(self, z: complex) -> complex:
         """Evaluate the truncated part at z (no tail, Horner form)."""
-        acc = 0.0 + 0.0j
+        acc, z = 0.0 + 0.0j, finite_complex(z, "z")
         for c in reversed(self.coeffs.tolist()):
             acc = acc * z + c
         return acc

@@ -246,6 +246,15 @@ def test_verify_sharpness_finds_witness(cli):
     assert doc["report"]["witness_found"] is True
 
 
+def test_verify_sharpness_finds_witness_near_unit_circle(cli):
+    # At r = 0.99999 the truncated Cesaro remainder needed 3.6 million terms
+    # and exited 3; the closed form has no order cap.
+    proc = cli("verify", "sharpness", "--op", "cesaro", "--gamma", "0", "--r", "0.99999")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["report"]["witness_found"] is True
+
+
 def test_verify_sharpness_bernardi_requires_beta(cli):
     proc = cli("verify", "sharpness", "--op", "bernardi", "--gamma", "0", "--r", "0.62")
     assert proc.returncode == 1

@@ -86,6 +86,19 @@ def test_extremal_function_maps_omega_into_unit_disk():
         assert abs(extremal_eval(p, z)) > 1.0 - 1e-6
 
 
+@pytest.mark.parametrize("z", [math.nan, complex(0.5, math.inf), "0.5", True, 10 ** 400],
+                         ids=["nan", "inf", "str", "bool", "int_beyond_double"])
+def test_evaluations_name_a_non_finite_or_non_numeric_z(z):
+    # extremal_eval and TruncatedPowerSeries.eval returned nan for a NaN or
+    # infinite z, and raised an unrelated TypeError for a str.
+    p = ExtremalParams(0.8, DomainGamma(0.35))
+    for evaluate in (lambda z: extremal_eval(p, z), extremal_coeffs(p, 4).eval):
+        with pytest.raises(DomainError, match="z must be a finite complex number"):
+            evaluate(z)
+    assert extremal_eval(p, np.complex128(0.5j)) == extremal_eval(p, 0.5j)
+    assert extremal_eval(p, 1) == extremal_eval(p, 1.0 + 0.0j)
+
+
 # ------------------------------------------------------ cesaro decomposition
 
 def test_cesaro_decomposition_parts_sum_to_direct_majorant():
@@ -214,6 +227,33 @@ def test_remainders_certified_against_mpmath(r, gamma, beta):
         ref = mp_extremal_remainder(a, gamma, r, beta)
         assert rem < 0.0
         assert abs(rem - ref) <= err <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("r", [1e-6, 1e-3, 0.3, 0.95, 0.999, 1.0 - 1e-6])
+def test_cesaro_remainders_certified_against_mpmath_up_to_r_near_one(r, gamma):
+    # The truncated sum the closed form replaced certified only 8.8e-12
+    # relative at r = 0.999 and raised NumericalError from r = 0.9995 on.
+    # 90 digits, because the oracle subtracts the bound and first-order term
+    # from the majorant, and at 50 digits that cancellation swamps the
+    # remainder at r = 1e-6.
+    a_values = [1.0 - 10.0 ** -k for k in range(1, 14)]
+    remainders, errors = _remainders(gamma, r, a_values)
+    for a, rem, err in zip(a_values, remainders, errors):
+        ref = mp_extremal_remainder(a, gamma, r, dps=90)
+        assert rem < 0.0
+        assert abs(rem - ref) <= err <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("r", [1e-300, 1e-310])
+def test_cesaro_remainder_errors_count_underflow(r):
+    # Below the normal range a rounding errs by up to half the smallest
+    # subnormal, which no multiple of u covers.  The oracle needs 1200
+    # digits, since it resolves a remainder of order r against terms of 1.
+    a_values = [1.0 - 10.0 ** -k for k in range(1, 14)]
+    remainders, errors = _remainders(0.3, r, a_values)
+    for a, rem, err in zip(a_values, remainders, errors):
+        assert abs(rem - mp_extremal_remainder(a, 0.3, r, dps=1200)) <= err
 
 
 def test_decompositions_take_the_kernel_remainder():
@@ -484,8 +524,9 @@ def test_remainder_order_single_point_is_inconclusive():
 
 
 def test_remainder_order_uncertified_remainder_is_inconclusive():
-    # At a = 1e-16 every c_n is lost to rounding (|c_1| = a), and the
-    # certified error says so.
+    # At a = 1e-16 the closed form's two bracket terms, m(tau) and
+    # rho m((1-q) tau), differ by about a times their size, below their
+    # rounding, and the certified error says so.
     (rem,), (err,) = _remainders(0.0, 0.4, [1e-16])
     assert err > abs(rem)
     with pytest.raises(InconclusiveError, match="not certifiably nonzero"):
