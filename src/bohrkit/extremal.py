@@ -18,16 +18,18 @@ balance itself for Bernardi.  With d = 1 - a*gamma, 1 - q = (1-a)/d,
 S_n = (1 - q^n)/(1 - q), c_n = 1 - ((1+a)/d) S_n and K = (1-a)^2/(a d) the
 remainder is exactly
 
-    Bernardi:  K sum_{n>=1} r^n/(n+beta) c_n
+    Bernardi:  K sum_{n>=1} r^n/(n+beta) c_n = K [L(r) - rho (L(r) - L(qr))]
     Cesaro:    K sum_{n>=1} r^n/(n+1) (c_1 + ... + c_n)
              = (K/(1-r)) [m(tau) - rho m((1-q) tau)]
 
-with tau = r/(1-r), rho = (1+a)/(1-a), m(t) = 1 - log1p(t)/t; every c_n is
-negative.  ``_remainders`` sums Bernardi's series and evaluates Cesaro's
-closed form, with no truncation, for a whole ladder of a; the
-decompositions, witness scans and order fits take their remainders from it,
-never from a summed majorant minus its other parts.  Every error they use is
-certified: it bounds truncation and rounding.
+with L(x) = sum_{n>=1} x^n/(n+beta), tau = r/(1-r), rho = (1+a)/(1-a) and
+m(t) = 1 - log1p(t)/t; every c_n is negative.  ``_remainders`` evaluates
+both closed forms for a whole ladder of a, at any r < 1: the differences
+``L(r) - L(qr)`` and ``m(tau) - rho m(...)`` are formed without cancellation,
+and away from r = 1 Bernardi's is summed directly.  The decompositions,
+witness scans and order fits take their remainders from it, never from a
+summed majorant minus its other parts.  Every error they use is certified:
+it bounds truncation and rounding.
 The Lemma-1 suite stresses ``|a_n| <= (1 - |a_0|^2)/(1 + gamma)`` over seeded
 random samples.
 """
@@ -43,7 +45,8 @@ import numpy as np
 
 from .errors import (DomainError, InconclusiveError, NumericalError,
                      PreconditionError)
-from .lerch import (ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, finite_complex, finite_real,
+from .lerch import (LN_EXPANSION_MAX_LOG, ORDER_CAP, UNIT_ROUNDOFF, DomainGamma,
+                    _lerch_ln_expansion, finite_complex, finite_real, lerch_tail_sum,
                     nonnegative_int)
 from .operators import log_bound
 from .radii import (_cesaro_equation, _tail_balance_equation, bernardi_radius,
@@ -53,8 +56,6 @@ from .series import (MAX_BLASCHKE_DEGREE, SchurSampleSpec, TruncatedPowerSeries,
 
 DEGENERATE_A0_TOL = 1e-8
 WITNESS_SLACK = 10.0
-# Truncation of the remainder series, relative to the remainder.
-REMAINDER_TAIL_TARGET = 8.0 * UNIT_ROUNDOFF
 # Covers second-order rounding terms and the rounding of a bound itself.
 BOUND_SLACK = 1.01
 # Below the normal range a rounding errs by up to half the smallest subnormal.
@@ -142,12 +143,8 @@ def extremal_coeffs(p: ExtremalParams, n_out: int) -> TruncatedPowerSeries:
     q = extremal_ratio(p)
     a0 = (a - g) / (1.0 - a * g)
     lead = (1.0 - a * a) / (a * (1.0 - a * g))
-    coeffs = np.empty(n_out + 1, dtype=complex)
-    coeffs[0] = a0
-    if n_out >= 1:
-        coeffs[1:] = -lead * q ** np.arange(1, n_out + 1)
-    tail = lead * q ** (n_out + 1)
-    return TruncatedPowerSeries(coeffs, min(tail, 1.0), schur=True)
+    coeffs = np.concatenate(([a0], -lead * q ** np.arange(1, n_out + 1)))
+    return TruncatedPowerSeries(coeffs, min(lead * q ** (n_out + 1), 1.0), schur=True)
 
 
 def extremal_eval(p: ExtremalParams, z: complex) -> complex:
@@ -214,70 +211,87 @@ def _remainders(gamma: float, r: float, a_values,
                 beta: Optional[float] = None) -> tuple[list, list]:
     """Extremal remainders for every a at once, and their certified errors.
 
-    beta=None selects Cesaro's closed form, ``_cesaro_remainders``.  The
-    Bernardi remainder ``K sum_{n>=1} r^n/(n+beta) c_n`` is summed with
-    ``c_n = 1 + rho expm1(n log1p(-(1-q)))`` in one (len(a), N) array, N set
-    by the largest a's need.  Since 1 + a > d and S_n >= 1,
-    ``|c_n| = ((1+a)/d) S_n - 1 >= S_n |c_1|`` with ``|c_1| = a(1+gamma)/d``.
+    beta=None selects Cesaro's closed form, ``_cesaro_remainders``.  For
+    Bernardi, ``((1+a)/d) S_n = rho (1 - q^n)`` turns ``K sum r^n/(n+beta) c_n``
+    into ``K [L - rho G]`` with ``L = sum_{n>=1} r^n/(n+beta)`` and
+    ``G = L(r) - L(qr) = sum_{n>=1} r^n (1-q^n)/(n+beta)``.  As 1 + a > d and
+    S_n >= 1, ``|c_n| = ((1+a)/d) S_n - 1 >= S_n |c_1|`` with
+    ``|c_1| = a(1+gamma)/d``, so ``L + rho G <= (1 + 2/|c_1|) |L - rho G|``.
+    With x = ln(1/r), delta = ln(1/q), x2 = x + delta and A = 1 + beta:
 
-    Truncation.  By ``S_n <= min(n, 1/(1-q))``, the terms after N = M - 1
-    sum to at most ``((1+a)/d) r^M/(1-r) h(M)`` with
-    ``h = min(1, 1/((1-q)(M+beta)))``.  M takes three fixed-point steps
-    towards REMAINDER_TAIL_TARGET times a lower bound of the sum,
-    ``|c_1| ln(1 + (1-q)r/(1-r))/((1+beta)(1-q))`` (as n + beta <=
-    n(1+beta)); a short M only loosens the bound.
+    * near 1, where x <= 1/8 and A x <= 1/2, L is ``lerch_tail_sum(r, beta,
+      1)``.  Where x2 lies in its ln r region too (x2 <= 1/4, A x2 <= 1), G
+      is ``lerch._lerch_ln_expansion``'s drop, which has no cancellation;
+      elsewhere G is the difference ``L(r) - L(qr)``: delta > x there, so its
+      condition is about ``ln(1/x)/ln 2``.  qr carries 2u, which the slope
+      ``1/(1-qr)`` of L turns into ``2u qr/(1-qr)``;
+    * away from 1, L sums the weights ``w_n = r^n/(n+beta)``, n <= N, and
+      omits at most ``r^(N+1)/((N+1+beta)(1-r))``; every G is a row of one
+      (len(a), N) array of positive terms ``w_n (-expm1(n log1p(-(1-q))))``.
+      The omitted share of G is largest as q -> 1, since (1-q^n)/n falls
+      with n: there it is ``sum_{n>N} n w_n / sum_{n>=1} n w_n``.  The sum
+      above is at most ``r^(N+1)/(1-r)``, the one below at least
+      ``m r^m/((m+beta)(1-r))`` for every m >= 1, so the share is at most
+      ``r^(N+1-m) (m+beta)/m``.  N is the first count that makes this 8u,
+      m the integer nearest its minimizer ``(sqrt(beta^2 + 4 beta/x) -
+      beta)/2``: a closed form in r and beta.  For x > 1/(2A), N is below
+      ``beta + 2A ln(2/(8u))``, so beyond 2 * ORDER_CAP terms, for beta above
+      about 560, it raises NumericalError; so may the order cap of L(qr).
 
     Rounding, to first order in u = 2**-53, with 8u for each log1p, expm1
-    and pow (numpy's SIMD loops are within 4 ulp) and e = a*gamma/d: 1 - q
-    carries (3 + e)u.  1 - q^n has relative condition at most 1 both in
-    1 - q (``n q^(n-1)(1-q)/(1-q^n)``) and in n log q (``x/(e^x-1)``), so
-    after log1p, the product and expm1 it carries (20 + e)u, and times rho
-    it carries p = (24 + e)u.  ``c_n = 1 - P_n`` with
-    ``P_n = 1 + |c_n| <= (1 + 1/|c_1|)|c_n|`` carries p(1 + 1/|c_1|) + u.
-    The weights carry 10u, their products u, K (6 + e)u and the last
-    product u; the sum adds (N-1)u, its terms sharing one sign.  The error
-    is BOUND_SLACK times the relative bound times |remainder|, plus K times
-    the tail bound.  Beyond 2 * ORDER_CAP terms (r above about 0.999) it
-    raises NumericalError.
+    and pow of the array (numpy's SIMD loops are within 4 ulp) and
+    e = a*gamma/d: 1 - q carries (3 + e)u, and G's relative condition in it
+    is at most 1, as ``n q^(n-1)(1-q) <= 1 - q^n``.  In the array 1 - q^n
+    carries 17u, the weights 10u, their products u, and each sum (N-1)u, its
+    terms sharing one sign.  rho and its product with G add 4u, the
+    subtraction u, K (6 + e)u and the last product u; the error is
+    BOUND_SLACK times the sum.  Below the normal range a rounding errs by up
+    to half the smallest subnormal instead: UNDERFLOW per term covers those
+    of each array sum and of the bracket, and UNDERFLOW the last product's.
+    They matter only for r below about 1e-290, where N = 1.
     """
     if beta is None:
         return _cesaro_remainders(gamma, r, a_values)
-    log_r = math.log(r)
-
-    def shape(m, t):  # h(M) above, with t = 1 - q
-        return min(1.0 / (t * (m + beta)), 1.0)
-
-    rows, m_max = [], 2
-    for a in a_values:
-        d = 1.0 - a * gamma
-        t = (1.0 - a) / d
-        growth, c1 = (1.0 + a) / d, a * (1.0 + gamma) / d
-        lower = c1 * math.log1p(t * r / (1.0 - r)) / ((1.0 + beta) * t)
-        goal = REMAINDER_TAIL_TARGET * lower * (1.0 - r) / growth
-        m = 1
-        for _ in range(3):
-            m = max(2, math.ceil(math.log(goal / shape(m, t)) / log_r))
-        m_max = max(m_max, m)
-        rows.append((a, d, t, growth, c1))
-    n_terms = m_max - 1
-    if n_terms > 2 * ORDER_CAP:
-        raise NumericalError(f"the extremal remainder at r={r} needs {n_terms} "
-                             f"terms, above the order cap {2 * ORDER_CAP}")
-    n = np.arange(1.0, n_terms + 1.0)
-    weights = np.power(r, n) / (n + beta)
-    log_q = np.log1p(-np.array([row[2] for row in rows]))
-    ratio = np.array([(1.0 + row[0]) / (1.0 - row[0]) for row in rows])
-    c = 1.0 + ratio[:, None] * np.expm1(np.multiply.outer(log_q, n))
-    sums = (c * weights).sum(axis=1).tolist()
-
-    tail_power = r ** m_max / (1.0 - r)
+    x, exponent = -math.log(r), 1.0 + beta
+    near = x <= 0.125 and exponent * x <= 0.5
+    ts = [(1.0 - a) / (1.0 - a * gamma) for a in a_values]
+    if near:
+        level, level_err = lerch_tail_sum(r, beta, 1)
+    else:
+        m = max(1, round((math.sqrt(beta * beta + 4.0 * beta / x) - beta) / 2.0))
+        n_terms = max(1, math.ceil(m - 1 + math.log(8.0 * UNIT_ROUNDOFF * m / (m + beta)) / -x))
+        if n_terms > 2 * ORDER_CAP:
+            raise NumericalError(f"the extremal remainder at r={r} needs {n_terms} "
+                                 f"terms, above the order cap {2 * ORDER_CAP}")
+        n = np.arange(1.0, n_terms + 1.0)
+        weights = np.power(r, n) / (n + beta)
+        level = float(weights.sum())
+        level_err = ((9 + n_terms) * UNIT_ROUNDOFF * level + n_terms * UNDERFLOW
+                     + r ** (n_terms + 1) / ((n_terms + exponent) * (1.0 - r)))
+        log_q = np.log1p(-np.array(ts))
+        sums = (-np.expm1(np.multiply.outer(log_q, n)) * weights).sum(axis=1).tolist()
+        relative = (27 + n_terms) * UNIT_ROUNDOFF + r ** (n_terms + 1 - m) * (m + beta) / m
     remainders, errors = [], []
-    for (a, d, t, growth, c1), total in zip(rows, sums):
-        scale, e = (1.0 - a) * (1.0 - a) / (a * d), a * gamma / d
-        relative = ((24.0 + e) * (1.0 + 1.0 / c1) + 19.0 + e + (n_terms - 1)) * UNIT_ROUNDOFF
-        remainders.append(scale * total)
-        errors.append(BOUND_SLACK * (relative * abs(scale * total)
-                                     + scale * growth * tail_power * shape(m_max, t)))
+    for i, (a, t) in enumerate(zip(a_values, ts)):
+        # Past t = 1/4, delta > 1/4 leaves x + delta outside the ln region.
+        delta = -math.log1p(-t) if t < 0.25 else math.inf
+        if not near:
+            gap, gap_err = sums[i], relative * sums[i] + n_terms * UNDERFLOW
+        elif x + delta <= LN_EXPANSION_MAX_LOG and exponent * (x + delta) <= 1.0:
+            gap, gap_err = _lerch_ln_expansion(x, beta, exponent, delta)
+        else:
+            y = r * (1.0 - t)
+            low, low_err = lerch_tail_sum(y, beta, 1, max(UNIT_ROUNDOFF * y / exponent, UNDERFLOW))
+            gap = level - low
+            gap_err = level_err + low_err + UNIT_ROUNDOFF * (2.0 * y / (1.0 - y) + abs(gap))
+        d = 1.0 - a * gamma
+        rho, e = (1.0 + a) / (1.0 - a), a * gamma / d
+        part = rho * gap
+        bracket = level - part
+        scale = (1.0 - a) * (1.0 - a) / (a * d)
+        remainders.append(scale * bracket)
+        errors.append(BOUND_SLACK * scale * (level_err + rho * gap_err + UNIT_ROUNDOFF * (
+            (7.0 + e) * part + (8.0 + e) * abs(bracket))) + UNDERFLOW)
     return remainders, errors
 
 
@@ -459,12 +473,10 @@ def remainder_order_check(kind: str, gamma: DomainGamma, r: float, a_values,
         raise DomainError("bernardi remainder check needs beta")
     a_vals = [ExtremalParams(a, gamma).a for a in a_values]
     r = _check_r(r)
-    if kind == "bernardi":
-        beta = _check_beta(beta)
+    beta = _check_beta(beta) if kind == "bernardi" else None
     if len(set(a_vals)) < 2:
         raise InconclusiveError("an order slope needs at least two distinct a values")
-    remainders, errors = _remainders(gamma.gamma, r, a_vals,
-                                     beta if kind == "bernardi" else None)
+    remainders, errors = _remainders(gamma.gamma, r, a_vals, beta)
     for a, remainder, error in zip(a_vals, remainders, errors):
         if not abs(remainder) > error:
             raise InconclusiveError(f"the remainder at a={a!r} is {remainder:.3e} +- "
@@ -499,12 +511,8 @@ def identity_suite(r_grid=None) -> dict:
         rhs2 = log_bound(r)
         lhs3 = math.fsum((powers / (ns + 1.0) * (1.0 - q ** ns) / (1.0 - q)).tolist())
         rhs3 = (log_bound(r) - log_bound(q * r)) / (1.0 - q)
-        deviations["weighted_geometric"] = max(
-            deviations["weighted_geometric"], abs(lhs1 - rhs1))
-        deviations["averaged_geometric"] = max(
-            deviations["averaged_geometric"], abs(lhs2 - rhs2))
-        deviations["partial_geometric_resummation"] = max(
-            deviations["partial_geometric_resummation"], abs(lhs3 - rhs3))
+        for key, gap in zip(list(deviations), (lhs1 - rhs1, lhs2 - rhs2, lhs3 - rhs3)):
+            deviations[key] = max(deviations[key], abs(gap))
     deviations["max_deviation"] = max(deviations.values())
     deviations["r_grid"] = list(r_grid)
     return deviations

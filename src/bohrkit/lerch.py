@@ -60,15 +60,17 @@ def finite_real(value, name: str, rule: str = "be a finite real") -> float:
     return value
 
 
-def finite_complex(value, name: str) -> complex:
+def finite_complex(value, name: str, rule: str = "be a finite complex number") -> complex:
     """``value`` as a Python complex if it is a finite number of any type but
-    bool; anything else raises "<name> must be a finite complex number"."""
+    bool.  Other types, and ints beyond the double range, raise "<name> must
+    be a finite complex number"; NaN and infinite parts raise "<name> must
+    <rule>"."""
     import numbers
     try:
-        if (isinstance(value, numbers.Complex) and not isinstance(value, bool)
-                and math.isfinite((number := complex(value)).real)
-                and math.isfinite(number.imag)):
-            return number
+        if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+            if math.isfinite((number := complex(value)).real) and math.isfinite(number.imag):
+                return number
+            raise DomainError(f"{name} must {rule}, got {value!r}")
     except OverflowError:  # an int or Fraction beyond the double range
         pass
     raise DomainError(f"{name} must be a finite complex number, got {value!r}")
@@ -152,46 +154,76 @@ def _lerch_coefficients(a: float) -> tuple[float, float, tuple]:
     return psi, psi_err, tuple(coeffs)
 
 
-def _lerch_ln_expansion(x: float, beta: float, a: float) -> tuple[float, float]:
-    """``sum_{n>=s} r^n/(n+beta) = r^(-beta) E`` by the ln r expansion, a = s+beta.
+def _lerch_ln_expansion(x: float, beta: float, a: float,
+                        delta: float = 0.0) -> tuple[float, float]:
+    """``sum_{n>=s} r^n/(n+beta) = r^(-beta) E(x)`` by the ln r expansion,
+    a = s+beta, and a bound on its error; with delta > 0, instead the drop
+    ``sum_{n>=s} (r^n - (qr)^n)/(n+beta)`` to qr, delta = ln(1/q), for
+    x2 = x + delta in the ln r region.  qr itself is never formed.
 
-    ``E = -ln x - gamma_E - psi(a) - sum_{k>=1} c_k (-x)^k`` with
-    ``x = ln(1/r)`` and ``c_k = B_k(a)/(k k!)``; see lerch_tail_sum.
+    ``E(x) = -ln x - gamma_E - psi(a) - sum_{k>=1} c_k (-x)^k`` with
+    ``x = ln(1/r)`` and ``c_k = B_k(a)/(k k!)``; see lerch_tail_sum.  The
+    drop is ``r^(-beta) [ln(x2/x) + D - expm1(beta delta) E(x2)]`` with
+    ``D = sum_k c_k ((-x2)^k - (-x)^k)``: psi and gamma_E cancel exactly,
+    and every part is of order delta, so nothing cancels as delta -> 0.
 
     Truncation after K terms.  Write a = a_f + J with a_f in (0, 1] and
     J = ceil(a) - 1.  From ``B_k(t+1) = B_k(t) + k t^(k-1)`` and
     ``|B_k(t)| <= 2 zeta(k) k!/(2 pi)^k`` on [0, 1] (k >= 2, DLMF 24.8.1-2),
     ``|B_k(a)| <= 2 zeta(k) k!/(2 pi)^k + k J (a-1)^(k-1)``.  With
-    ``q = x/(2 pi)``, ``y = (a-1) x`` and ``zeta(k) <= pi^2/6`` the omitted
-    terms sum to at most
-    ``(pi^2/3) q^(K+1)/((K+1)(1-q)) + J x y^K/((K+1)! (1 - y/(K+2)))``.
+    ``q = x2/(2 pi)``, ``y = (a-1) x2`` and ``zeta(k) <= pi^2/6`` the omitted
+    terms of E(x2) sum to at most
+    ``T = (pi^2/3) q^(K+1)/((K+1)(1-q)) + J x2 y^K/((K+1)! (1 - y/(K+2)))``.
+    As ``|(-x2)^k - (-x)^k| <= k delta x2^(k-1)``, D's omitted terms are at
+    most delta times the x2-derivative of that bound series,
+    ``(pi/6) q^K/(1-q) + J y^K/(K! (1 - y/(K+1)))``, which is at most
+    ``(K+1) T/(x2 (1 - y/(K+1)))``: relative to ``ln(x2/x) >= delta/x2``.
 
-    Rounding, in units u = 2**-53.  x and ln x carry at most 2u relative
-    and ``2u(1 + |ln x|)`` absolute error (one libm call each).  c_k sums
+    Rounding, in units u = 2**-53.  x2 and ln x2 carry at most 2u relative
+    and ``2u(1 + |ln x2|)`` absolute error (one libm call each).  c_k sums
     k+1 parts, each a rounded B_j/j! times a 2(k-j)-rounding product for
-    a^i/i!, then divides by k: ``(3k+3) u |c|_k``.  The term ``c_k (-x)^k``
-    adds k+1 roundings and 2ku through x, and the running sum K u of the
+    a^i/i!, then divides by k: ``(3k+3) u |c|_k``.  The term ``c_k (-x2)^k``
+    adds k+1 roundings and 2ku through x2, and the running sum K u of the
     term magnitudes, so the series is off by at most
-    ``(7K+4) u sum_k |c|_k x^k``.  gamma_E and the three additions forming
+    ``(7K+4) u sum_k |c|_k x2^k``.  gamma_E and the three additions forming
     E add ``4u`` times the sum of the magnitudes, and the factor
     ``exp(beta x)`` adds ``(3 + 3|beta x|) u`` relative error.
+
+    The drop's terms come from ``g_k = -x2 g_(k-1) - delta (-x)^(k-1)``,
+    whose two parts share a sign: g_k carries 3(k-1)u, so D is off by at
+    most ``(7K+4) u sum_k |c|_k |g_k|`` too.  The log and its quotient add
+    3u; expm1 2u, 2u more through beta delta (its condition is at most
+    1 + beta delta <= 2), and its product with E u; the two additions 2u of
+    the magnitudes; the factor and product ``(3 + beta x) u``.  x and delta,
+    as libm computes them from exact r and 1 - q, carry 2u each.  The drop's
+    relative condition in delta is at most 1, as ``n delta q^n <= 1 - q^n``.
+    In x it is x times the mean of n under the weights
+    ``r^n (1-q^n)/(n+beta)``; as ``(1-q^n)/(n (n+beta))`` falls with n, that
+    mean is at most (1+r)/(1-r), its mean under n r^n, and
+    ``x (1+r)/(1-r) <= 2.011``.  So the inputs add 6.1u relative.
     """
-    log_x = math.log(x)
+    x2 = x + delta
+    log_x = math.log(x2)
     psi, psi_err, coeffs = _lerch_coefficients(a)
-    q = x / (2.0 * math.pi)
+    q = x2 / (2.0 * math.pi)
     jumps = math.ceil(a) - 1
-    y = (a - 1.0) * x
+    y = (a - 1.0) * x2
     q_power, y_term = q * q, 0.5 * y
-    power = 1.0
-    series = weight = 0.0
+    power = low = 1.0
+    series = weight = gap = diff = diff_weight = 0.0
     terms = 0
     for k, (c, c_abs) in enumerate(coeffs, start=1):
         terms = k
-        power *= -x
+        power *= -x2
         series += c * power
         weight += c_abs * abs(power)
+        if delta:
+            gap = -x2 * gap - delta * low  # (-x2)^k - (-x)^k, with low = (-x)^(k-1)
+            low *= -x
+            diff += c * gap
+            diff_weight += c_abs * abs(gap)
         truncation = (math.pi ** 2 / 3.0 * q_power / ((k + 1) * (1.0 - q))
-                      + jumps * x * y_term / (1.0 - y / (k + 2)))
+                      + jumps * x2 * y_term / (1.0 - y / (k + 2)))
         if truncation <= LN_EXPANSION_FLOOR:
             break
         q_power *= q
@@ -201,8 +233,17 @@ def _lerch_ln_expansion(x: float, beta: float, a: float) -> tuple[float, float]:
                    + (7 * terms + 4) * UNIT_ROUNDOFF * weight + truncation
                    + 4.0 * UNIT_ROUNDOFF * (abs(log_x) + EULER_GAMMA + abs(psi) + abs(series)))
     scale = math.exp(beta * x)
-    value = scale * bracket
-    error = scale * bracket_err + (3.0 + 3.0 * abs(beta * x)) * UNIT_ROUNDOFF * abs(value)
+    if not delta:
+        value = scale * bracket
+        error = scale * bracket_err + (3.0 + 3.0 * abs(beta * x)) * UNIT_ROUNDOFF * abs(value)
+    else:
+        lead, lift = math.log1p(delta / x), math.expm1(beta * delta)
+        value = scale * (lead + diff - lift * bracket)
+        error = (scale * (lift * (bracket_err + 7.0 * UNIT_ROUNDOFF * abs(bracket))
+                          + (7 * terms + 4) * UNIT_ROUNDOFF * diff_weight
+                          + delta * (terms + 1) * truncation / (x2 * (1.0 - y / (terms + 1)))
+                          + UNIT_ROUNDOFF * (5.0 * lead + 2.0 * abs(diff)))
+                 + (10.0 + beta * x) * UNIT_ROUNDOFF * abs(value))
     return value, error
 
 

@@ -266,13 +266,14 @@ def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
     is Schur-class with tail_bound 1.
     """
     n_out = nonnegative_int(n_out, "output order", "be >= 0")
-    phase = complex(phase)
-    if not abs(abs(phase) - 1.0) <= 1e-12:  # NaN fails too
+    phase = finite_complex(phase, "phase", "be unimodular")
+    if not abs(abs(phase) - 1.0) <= 1e-12:
         raise DomainError(f"phase must be unimodular, got |phase| = {abs(phase)}")
-    zeros = [complex(z) for z in zeros]
+    inside = "lie strictly inside the unit disk"
+    zeros = [finite_complex(z, "Blaschke zeros", inside) for z in zeros]
     for z in zeros:
         if not abs(z) < 1.0:
-            raise DomainError(f"Blaschke zeros must lie strictly inside the unit disk, got {z}")
+            raise DomainError(f"Blaschke zeros must {inside}, got {z}")
     c = _blaschke_rows(np.array([zeros], dtype=complex), np.array([len(zeros)]),
                        np.array([phase]), n_out)
     return TruncatedPowerSeries(c[0], 1.0, schur=True)

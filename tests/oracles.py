@@ -11,6 +11,7 @@ out directly.
 import math
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
@@ -116,6 +117,14 @@ def mp_tail_sum(r, beta, start=1):
     return r ** start / a * mp.hyp2f1(1, a, a + 1, r)
 
 
+@lru_cache(maxsize=64)
+def _mp_tail_sum_at(r, beta, prec):
+    """``mp_tail_sum(r, beta)`` at binary precision prec for doubles r and beta,
+    cached: every a of a remainder ladder needs the same value."""
+    with mp.workprec(prec):
+        return mp_tail_sum(r, beta)
+
+
 def mp_bernardi_equation(gamma, beta):
     """``r -> 1/beta - (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)`` at mp.dps digits."""
     g, b = mp.mpf(gamma), mp.mpf(beta)
@@ -179,7 +188,8 @@ def mp_extremal_remainder(a, gamma, r, beta=None, dps=50):
             return majorant - ell(r) / r - first
         b = mp.mpf(beta)
         majorant = (a - g) / d / b + (1 - a * a) / (a * d) * mp_tail_sum(q * r, b)
-        first = -(1 - a) * (1 + g) / d * (1 / b - 2 / (1 + g) * mp_tail_sum(r, b))
+        level = _mp_tail_sum_at(float(r), float(b), mp.prec)
+        first = -(1 - a) * (1 + g) / d * (1 / b - 2 / (1 + g) * level)
         return majorant - 1 / b - first
 
 

@@ -246,10 +246,18 @@ def test_verify_sharpness_finds_witness(cli):
     assert doc["report"]["witness_found"] is True
 
 
-def test_verify_sharpness_finds_witness_near_unit_circle(cli):
-    # At r = 0.99999 the truncated Cesaro remainder needed 3.6 million terms
-    # and exited 3; the closed form has no order cap.
-    proc = cli("verify", "sharpness", "--op", "cesaro", "--gamma", "0", "--r", "0.99999")
+@pytest.mark.parametrize("argv", [
+    ("--op", "cesaro", "--gamma", "0", "--r", "0.99999"),
+    ("--op", "bernardi", "--gamma", "0.5", "--beta", "2", "--r", "0.9995"),
+    pytest.param(("--op", "bernardi", "--gamma", "0.9", "--beta", "0.15", "--r", "0.99929",
+                  "--a-list", "0.9999,0.99999,0.999999"),
+                 marks=pytest.mark.filterwarnings("ignore:beta=0.15 < 1")),
+])
+def test_verify_sharpness_finds_witness_near_unit_circle(cli, argv):
+    # The truncated remainders exited 3 here: at r = 0.99999 Cesaro's needed
+    # 3.6 million terms, and Bernardi's 67224 and 49075 terms, above the
+    # order cap 40000.  The closed forms have no order cap.
+    proc = cli("verify", "sharpness", *argv)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["report"]["witness_found"] is True
@@ -304,6 +312,12 @@ def test_verify_remainder_order_pass_and_assertion_failure(cli):
                    "0.2", "--beta", "1", "--r", "0.3")
     assert bernardi.returncode == 0
     assert json.loads(bernardi.stdout)["pass"] is True
+    # At a subnormal r the summed Bernardi remainder exited 1 with "math
+    # domain error": the log of its underflowed truncation goal.
+    tiny = cli("verify", "remainder-order", "--op", "bernardi", "--gamma", "0.3",
+               "--beta", "1", "--r", "1e-310")
+    assert tiny.returncode == 0
+    assert json.loads(tiny.stdout)["pass"] is True
     # A ladder far from a -> 1 lies outside the asymptotic regime of the
     # quadratic remainder, so the slope assertion genuinely fails there.
     red = cli("verify", "remainder-order", "--op", "bernardi", "--gamma", "0.3",

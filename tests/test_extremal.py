@@ -245,15 +245,32 @@ def test_cesaro_remainders_certified_against_mpmath_up_to_r_near_one(r, gamma):
         assert abs(rem - ref) <= err <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("beta", [0.15, 5.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.9])
+@pytest.mark.parametrize("r", [1e-6, 0.3, 0.95, 0.999, 1.0 - 1e-6])
+def test_bernardi_remainders_certified_against_mpmath_up_to_r_near_one(r, gamma, beta):
+    # The summed series certified only about 4e-12 relative at r = 0.999 and
+    # raised NumericalError from r = 0.9993 on.  The ladder takes all three
+    # evaluations of G: the array at r = 1e-6 and 0.3, the ln difference
+    # near a = 1 and the plain difference at 1-a = 0.1 and r >= 0.95.
+    a_values = [1.0 - 10.0 ** -k for k in (1, 4, 7, 10, 13)]
+    remainders, errors = _remainders(gamma, r, a_values, beta)
+    for a, rem, err in zip(a_values, remainders, errors):
+        ref = mp_extremal_remainder(a, gamma, r, beta, dps=90)
+        assert rem < 0.0
+        assert abs(rem - ref) <= err <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("beta", [None, 1.0])
 @pytest.mark.parametrize("r", [1e-300, 1e-310])
-def test_cesaro_remainder_errors_count_underflow(r):
+def test_remainder_errors_count_underflow(r, beta):
     # Below the normal range a rounding errs by up to half the smallest
     # subnormal, which no multiple of u covers.  The oracle needs 1200
     # digits, since it resolves a remainder of order r against terms of 1.
     a_values = [1.0 - 10.0 ** -k for k in range(1, 14)]
-    remainders, errors = _remainders(0.3, r, a_values)
+    remainders, errors = _remainders(0.3, r, a_values, beta)
     for a, rem, err in zip(a_values, remainders, errors):
-        assert abs(rem - mp_extremal_remainder(a, 0.3, r, dps=1200)) <= err
+        assert abs(rem - mp_extremal_remainder(a, 0.3, r, beta, dps=1200)) <= err
 
 
 def test_decompositions_take_the_kernel_remainder():

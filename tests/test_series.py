@@ -140,6 +140,17 @@ def test_blaschke_names_a_non_finite_zero_or_phase(zeros, phase, match):
         blaschke_coeffs(zeros, phase, 4)
 
 
+@pytest.mark.parametrize("zeros, phase, name", [
+    (["0.5"], 1.0, "Blaschke zeros"),
+    ([0.5], "1", "phase"),
+    ([0.5], True, "phase"),
+])
+def test_blaschke_rejects_a_non_numeric_zero_or_phase(zeros, phase, name):
+    # complex() parsed strings and took bools, so these returned coefficients.
+    with pytest.raises(DomainError, match=f"^{name} must be a finite complex number"):
+        blaschke_coeffs(zeros, phase, 4)
+
+
 def test_blaschke_truncation_tracks_product_evaluation():
     zeros = [0.5, -0.3 + 0.4j, 0.1j]
     phase = np.exp(0.7j)
