@@ -45,9 +45,9 @@ import numpy as np
 
 from .errors import (DomainError, InconclusiveError, NumericalError,
                      PreconditionError)
-from .lerch import (LN_EXPANSION_MAX_LOG, ORDER_CAP, UNIT_ROUNDOFF, DomainGamma,
-                    _lerch_ln_expansion, finite_complex, finite_real, lerch_tail_sum,
-                    nonnegative_int)
+from .lerch import (LN_EXPANSION_MAX_LOG, ORDER_CAP, UNDERFLOW, UNIT_ROUNDOFF,
+                    DomainGamma, _lerch_ln_expansion, finite_complex, finite_real,
+                    lerch_tail_sum, nonnegative_int)
 from .operators import log_bound
 from .radii import (_cesaro_equation, _tail_balance_equation, bernardi_radius,
                     cesaro_radius)
@@ -58,8 +58,6 @@ DEGENERATE_A0_TOL = 1e-8
 WITNESS_SLACK = 10.0
 # Covers second-order rounding terms and the rounding of a bound itself.
 BOUND_SLACK = 1.01
-# Below the normal range a rounding errs by up to half the smallest subnormal.
-UNDERFLOW = 2.0 ** -1069  # 32 such errors
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ def extremal_coeffs(p: ExtremalParams, n_out: int) -> TruncatedPowerSeries:
     a0 = (a - g) / (1.0 - a * g)
     lead = (1.0 - a * a) / (a * (1.0 - a * g))
     coeffs = np.concatenate(([a0], -lead * q ** np.arange(1, n_out + 1)))
-    return TruncatedPowerSeries(coeffs, min(lead * q ** (n_out + 1), 1.0), schur=True)
+    return TruncatedPowerSeries(coeffs, min(lead * q ** (n_out + 1), 1.0))
 
 
 def extremal_eval(p: ExtremalParams, z: complex) -> complex:
@@ -224,7 +222,8 @@ def _remainders(gamma: float, r: float, a_values,
       is ``lerch._lerch_ln_expansion``'s drop, which has no cancellation;
       elsewhere G is the difference ``L(r) - L(qr)``: delta > x there, so its
       condition is about ``ln(1/x)/ln 2``.  qr carries 2u, which the slope
-      ``1/(1-qr)`` of L turns into ``2u qr/(1-qr)``;
+      ``1/(1-qr)`` of L turns into ``2u qr/(1-qr)``.  ``lerch_tail_sum``
+      certifies L(qr) at any qr, subnormal included;
     * away from 1, L sums the weights ``w_n = r^n/(n+beta)``, n <= N, and
       omits at most ``r^(N+1)/((N+1+beta)(1-r))``; every G is a row of one
       (len(a), N) array of positive terms ``w_n (-expm1(n log1p(-(1-q))))``.
@@ -268,7 +267,8 @@ def _remainders(gamma: float, r: float, a_values,
         level = float(weights.sum())
         level_err = ((9 + n_terms) * UNIT_ROUNDOFF * level + n_terms * UNDERFLOW
                      + r ** (n_terms + 1) / ((n_terms + exponent) * (1.0 - r)))
-        log_q = np.log1p(-np.array(ts))
+        with np.errstate(divide="ignore"):  # q = 0 where 1 - q rounds to 1: rows of 1
+            log_q = np.log1p(-np.array(ts))
         sums = (-np.expm1(np.multiply.outer(log_q, n)) * weights).sum(axis=1).tolist()
         relative = (27 + n_terms) * UNIT_ROUNDOFF + r ** (n_terms + 1 - m) * (m + beta) / m
     remainders, errors = [], []
@@ -281,7 +281,7 @@ def _remainders(gamma: float, r: float, a_values,
             gap, gap_err = _lerch_ln_expansion(x, beta, exponent, delta)
         else:
             y = r * (1.0 - t)
-            low, low_err = lerch_tail_sum(y, beta, 1, max(UNIT_ROUNDOFF * y / exponent, UNDERFLOW))
+            low, low_err = lerch_tail_sum(y, beta, 1)
             gap = level - low
             gap_err = level_err + low_err + UNIT_ROUNDOFF * (2.0 * y / (1.0 - y) + abs(gap))
         d = 1.0 - a * gamma
@@ -488,16 +488,15 @@ def remainder_order_check(kind: str, gamma: DomainGamma, r: float, a_values,
     return sxy / sum((x - x_mean) ** 2 for x in xs)
 
 
-def identity_suite(r_grid=None) -> dict:
+def identity_suite() -> dict:
     """Check the closed-form series identities the decompositions rely on.
 
-    For each r: (i) ``sum_{n>=1} n r^n/(n+1) = 1/(1-r) - (1/r)ln(1/(1-r))``,
-    (ii) ``sum_{n>=0} r^n/(n+1) = (1/r)ln(1/(1-r))``, and (iii) the partial
-    geometric resummation ``sum_{n>=1} r^n/(n+1) (1-q^n)/(1-q)`` against its
+    For each r in 0.1, ..., 0.9: (i) ``sum_{n>=1} n r^n/(n+1) = 1/(1-r) -
+    (1/r)ln(1/(1-r))``, (ii) ``sum_{n>=0} r^n/(n+1) = (1/r)ln(1/(1-r))``,
+    and (iii) the partial geometric resummation ``sum_{n>=1} r^n/(n+1) (1-q^n)/(1-q)`` against its
     two-logarithm closed form.  Returns per-identity deviations and the max.
     """
-    r_grid = ([round(0.1 * k, 1) for k in range(1, 10)] if r_grid is None
-              else [finite_real(r, "r") for r in r_grid])
+    r_grid = [round(0.1 * k, 1) for k in range(1, 10)]
     q = 0.7  # representative geometric ratio for the double-sum identity
     deviations = {"weighted_geometric": 0.0, "averaged_geometric": 0.0,
                   "partial_geometric_resummation": 0.0}
@@ -514,5 +513,5 @@ def identity_suite(r_grid=None) -> dict:
         for key, gap in zip(list(deviations), (lhs1 - rhs1, lhs2 - rhs2, lhs3 - rhs3)):
             deviations[key] = max(deviations[key], abs(gap))
     deviations["max_deviation"] = max(deviations.values())
-    deviations["r_grid"] = list(r_grid)
+    deviations["r_grid"] = r_grid
     return deviations

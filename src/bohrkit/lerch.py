@@ -15,10 +15,12 @@ from .errors import DomainError, NumericalError
 
 # u: every certified error counts rounding in multiples of it.
 UNIT_ROUNDOFF = 2.0 ** -53
+# Below the normal range a rounding errs by up to half the smallest
+# subnormal, 2**-1075, instead: UNDERFLOW covers 64 such errors.
+UNDERFLOW = 2.0 ** -1069
 # Orders meet their certified tail targets and never exceed ORDER_CAP: radii
 # too close to 1 fail explicitly rather than silently lose certification.
 ORDER_CAP = 20000
-LERCH_TAIL_TARGET = 1e-13
 EULER_GAMMA = 0.57721566490153286061
 # The ln r expansion of the tail sum serves x = ln(1/r) <= LN_EXPANSION_MAX_LOG
 # (r >= 0.78) with a x <= 1; the direct sum is as fast and more accurate below.
@@ -247,8 +249,7 @@ def _lerch_ln_expansion(x: float, beta: float, a: float,
     return value, error
 
 
-def lerch_tail_sum(r: float, beta: float, start: int,
-                   target: float = LERCH_TAIL_TARGET) -> tuple[float, float]:
+def lerch_tail_sum(r: float, beta: float, start: int) -> tuple[float, float]:
     """``sum_{n>=start} r^n / (n+beta)`` and a certified bound on its error.
 
     The sum is ``r^s Phi(r, 1, a)`` with s = start and a = s + beta > 0,
@@ -266,19 +267,30 @@ def lerch_tail_sum(r: float, beta: float, start: int,
       (DLMF 5.5.2, 5.11.2); the truncation bound uses the Fourier bound on
       Bernoulli polynomials (DLMF 24.8).  Both bounds and the rounding
       budget are derived in ``_lerch_ln_expansion`` and ``_digamma``.
-    * Elsewhere the terms are summed directly through the order N at which
-      the omitted tail ``r**(N+1) / ((N+1+beta)(1-r))`` is below target:
-      30-40/x terms for targets 1e-13 to 1e-18, so at most about 160
-      where x > 1/4.  Each positive term rounds pow (2u: a full ulp, where
-      glibc's stays within 0.52, so the slack covers second-order terms),
-      k + beta and the division (u each); fsum rounds once, so ``5u`` times
-      the value bounds the rounding.
+    * Elsewhere the terms n = s..N are summed directly, N - s + 1 the fewest
+      with ``r^(N+1-s) <= u/(16a)``: about (39.5 + ln a)/x terms, 175 at
+      x = 1/4 and a = 50.  The omitted tail
+      ``T = r^(N+1)/((N+1+beta)(1-r))`` is then at most u/16 of
+      ``S+ = r^s/(a(1-r))``, which bounds the sum from above and is at most
+      4.6 times it wherever this branch runs: for x > 1/4 the sum is at least
+      its first term, ``(1 - e^(-1/4)) S+``; for a x > 1 each of its first
+      ceil(a) terms is at least ``r^n/(2a)``, so it is at least
+      ``(1 - 1/e) S+/2``.  T stays below u/3 of the sum.  Each positive term
+      rounds pow (2u: a full ulp, where glibc's stays within 0.52, so the
+      slack covers second-order terms), k + beta and the division (u each);
+      fsum rounds once, so ``5u`` times the value bounds the rounding, and
+      the error is at most about 5.3u of the sum.  Below the normal range a
+      rounding errs by up to half the smallest subnormal instead: UNDERFLOW
+      (1 + 1/a) covers each term's two, pow's divided by k + beta >= a, and
+      UNDERFLOW more those of fsum and of T, whose pow underflows only where
+      (N+1) x > 708, so its 1/(1-r) is below 29.
 
-    The returned error is truncation plus rounding; target bounds the
-    truncation of the direct sum.  Where a x > 1 the direct sum needs fewer
-    than about 40a terms, so the ORDER_CAP NumericalError is left to
-    exponents a above about 500 with r close to 1.  The slope in r of the
-    ``start = 1`` sum is ``1/(1-r) - (beta/r) * value``.
+    The returned error is truncation plus rounding, at any r.  Where a x > 1
+    the direct sum needs fewer than about (39.5 + ln a) a terms, so the
+    ORDER_CAP NumericalError, raised for N above the cap, is left to
+    exponents a above about 440 with r close to 1 and to starts above the
+    cap.  The slope in r of the ``start = 1`` sum is
+    ``1/(1-r) - (beta/r) * value``.
     """
     if not 0.0 <= (r := finite_real(r, "radius", "lie in [0, 1)")) < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {r}")
@@ -286,8 +298,6 @@ def lerch_tail_sum(r: float, beta: float, start: int,
     if (beta := finite_real(beta, "beta")) <= -start:
         raise DomainError(f"beta must be a finite real above -start, got beta={beta}, "
                           f"start={start}")
-    if (target := finite_real(target, "target", "be a positive real")) <= 0.0:
-        raise DomainError(f"target must be a positive real, got {target}")
     if r == 0.0:
         value = 1.0 / beta if start == 0 else 0.0
         return value, UNIT_ROUNDOFF * value
@@ -295,21 +305,15 @@ def lerch_tail_sum(r: float, beta: float, start: int,
     x = -math.log(r)
     if x <= LN_EXPANSION_MAX_LOG and a * x <= 1.0 and a <= LN_EXPANSION_MAX_EXPONENT:
         return _lerch_ln_expansion(x, beta, a)
-    n = max(start - 1, 0)
-    tail = r ** (n + 1) / ((n + 1 + beta) * (1.0 - r))
-    if tail > target:
-        n = max(n, math.ceil(math.log(target * (1.0 - r)) / math.log(r)) - 1)
-        while n <= ORDER_CAP and (tail := r ** (n + 1) / ((n + 1 + beta) * (1.0 - r))) > target:
-            n += 1
-        if n > ORDER_CAP:
-            raise NumericalError(
-                f"tail-sum order cap {ORDER_CAP} cannot certify target {target} "
-                f"at r={r} for exponent {a}")
-    if n < start:
-        return 0.0, tail
+    n = start + max(0, math.ceil((math.log(16.0 / UNIT_ROUNDOFF) + math.log(a)) / x) - 1)
+    if n > ORDER_CAP:
+        raise NumericalError(f"tail-sum order {n} at r={r} for start {start} and exponent "
+                             f"{a} is above the order cap {ORDER_CAP}")
     ks = _float_range(1 << (n + 1).bit_length())[start:n + 1]
     value = math.fsum([r ** k / (k + beta) for k in ks])
-    return value, tail + 5.0 * UNIT_ROUNDOFF * value
+    tail = r ** (n + 1) / ((n + 1 + beta) * (1.0 - r))
+    return value, (tail + 5.0 * UNIT_ROUNDOFF * value
+                   + (n - start + 2 + (n - start + 1) / a) * UNDERFLOW)
 
 
 @lru_cache(maxsize=None)

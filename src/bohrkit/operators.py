@@ -58,21 +58,21 @@ def cesaro_transform(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
 
     Tail policy: coefficients beyond the truncation satisfy
     ``|c_n| <= P/(N+2) + B`` where P is the absolute sum of the stored
-    coefficients and B the input tail bound; for Schur-class input every
-    |a_k| <= 1 so the output tail bound is also capped at 1.
+    coefficients and B the input tail bound, and ``|c_n| <= max(max_k |a_k|,
+    B)``, as every average of coefficients bounded by that is bounded by it
+    too; the output tail bound is the smaller of the two.
     """
     a = s.coeffs
     c = _divide(np.cumsum(a), np.arange(1, s.order + 2))
-    p = math.fsum(np.abs(a))
-    tail = s.tail_bound + p / (s.order + 2)
-    if s.schur:
-        tail = min(tail, 1.0)
+    moduli = np.abs(a)
+    tail = min(s.tail_bound + math.fsum(moduli) / (s.order + 2),
+               max(float(moduli.max()), s.tail_bound))
     return TruncatedPowerSeries(c, tail)
 
 
 def _moduli(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    """The series of ``|a_n|``, with the same tail bound and Schur flag."""
-    return TruncatedPowerSeries(np.abs(s.coeffs), s.tail_bound, s.schur)
+    """The series of ``|a_n|``, with the same tail bound."""
+    return TruncatedPowerSeries(np.abs(s.coeffs), s.tail_bound)
 
 
 def cesaro_majorant(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:

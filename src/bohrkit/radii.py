@@ -175,13 +175,12 @@ def _tail_balance_equation(beta_eff: float, prefactor: float):
     at r = 0), free once the sum is known.  The error bound adds to the
     scaled sum's bound the roundings of 1/beta_eff (u), of the product (3u,
     two of them in ``2/(1+gamma)``) and of the difference (u of both parts):
-    ``4u (1/beta_eff + prefactor * sum)``.  A direct sum is truncated below
-    the rounding of ``1/beta_eff``, which the scaled sum matches at the root.
+    ``4u (1/beta_eff + prefactor * sum)``.  The sum's own error is the one
+    ``lerch_tail_sum`` certifies: at most about 5.3u of it where summed
+    directly.
     """
-    sum_target = UNIT_ROUNDOFF / (16.0 * beta_eff)
-
     def equation(r: float) -> tuple[float, float, float]:
-        total, total_err = lerch_tail_sum(r, beta_eff, 1, target=sum_target)
+        total, total_err = lerch_tail_sum(r, beta_eff, 1)
         value = 1.0 / beta_eff - prefactor * total
         error = (prefactor * total_err
                  + 4.0 * UNIT_ROUNDOFF * (1.0 / beta_eff + prefactor * total))

@@ -73,15 +73,12 @@ class TruncatedPowerSeries:
     ``coeffs`` arrays to compare values.
 
     ``tail_bound`` is a real B >= 0 with ``|c_n| <= B`` for every n > order.
-    ``schur`` marks series whose underlying function maps the unit disk into
-    its closure; for those tail_bound <= 1 is enforced (bounded functions
-    have coefficients of modulus at most their sup norm), which lets the
-    operator transforms keep sharp certified bounds.
+    A function bounded by 1 on the unit disk has coefficients of modulus at
+    most 1, so B <= 1 suffices for it.
     """
 
     coeffs: np.ndarray
     tail_bound: float
-    schur: bool = False
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=complex)
@@ -94,8 +91,6 @@ class TruncatedPowerSeries:
         if (bound := finite_real(self.tail_bound, "tail_bound", TAIL_BOUND_RULE)) < 0.0:
             raise DomainError(f"tail_bound must {TAIL_BOUND_RULE}, got {bound}")
         object.__setattr__(self, "tail_bound", bound)
-        if self.schur and self.tail_bound > 1.0 + 1e-12:
-            raise DomainError("Schur-class series must carry tail_bound <= 1")
 
     @property
     def order(self) -> int:
@@ -110,8 +105,7 @@ class TruncatedPowerSeries:
                 f"got tail_bound {self.tail_bound}")
         if order <= self.order:
             return self
-        return TruncatedPowerSeries(np.pad(self.coeffs, (0, order - self.order)),
-                                    0.0, self.schur)
+        return TruncatedPowerSeries(np.pad(self.coeffs, (0, order - self.order)), 0.0)
 
     def eval(self, z: complex) -> complex:
         """Evaluate the truncated part at z (no tail, Horner form)."""
@@ -121,9 +115,9 @@ class TruncatedPowerSeries:
         return acc
 
 
-def polynomial(coeffs, schur: bool = False) -> TruncatedPowerSeries:
+def polynomial(coeffs) -> TruncatedPowerSeries:
     """Series with exactly the given coefficients and no tail."""
-    return TruncatedPowerSeries(coeffs, 0.0, schur)
+    return TruncatedPowerSeries(coeffs, 0.0)
 
 
 @dataclass(frozen=True)
@@ -276,7 +270,7 @@ def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
             raise DomainError(f"Blaschke zeros must {inside}, got {z}")
     c = _blaschke_rows(np.array([zeros], dtype=complex), np.array([len(zeros)]),
                        np.array([phase]), n_out)
-    return TruncatedPowerSeries(c[0], 1.0, schur=True)
+    return TruncatedPowerSeries(c[0], 1.0)
 
 
 def _sample_batches(specs, gamma: DomainGamma, n_out: int):
@@ -318,4 +312,4 @@ def sample_schur_omega(spec: SchurSampleSpec, n_out: int) -> TruncatedPowerSerie
     """
     n_out = nonnegative_int(n_out, "output order", "be >= 0")
     ((_, rows),) = _sample_batches([spec], spec.gamma, n_out)
-    return TruncatedPowerSeries(rows[0], 1.0, schur=True)
+    return TruncatedPowerSeries(rows[0], 1.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,14 @@ def test_remainder_errors_count_underflow(r, beta):
     remainders, errors = _remainders(0.3, r, a_values, beta)
     for a, rem, err in zip(a_values, remainders, errors):
         assert abs(rem - mp_extremal_remainder(a, 0.3, r, beta, dps=1200)) <= err
+
+
+def test_remainders_warn_nothing_where_q_rounds_to_zero():
+    # At a = 1e-300, gamma = 0, 1 - q rounds to 1, and log1p(-1) printed
+    # numpy's "divide by zero" warning.  The row of 1 - q^n is all ones.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _remainders(0.0, 0.5, [1e-300], 1.0) == ([0.0], [6.544893562865573e+285])
 
 
 def test_decompositions_take_the_kernel_remainder():

@@ -10,15 +10,16 @@ from mpmath import mp
 from bohrkit.errors import BohrkitError, DomainError, NumericalError, PreconditionError
 from bohrkit.extremal import (ExtremalParams, _first_order, bernardi_extremal_decomposition,
                               bernardi_first_order_factor, cesaro_extremal_decomposition,
-                              cesaro_first_order_factor, extremal_coeffs, identity_suite,
-                              lemma1_check, remainder_order_check, sharpness_scan_bernardi,
+                              cesaro_first_order_factor, extremal_coeffs, lemma1_check,
+                              remainder_order_check, sharpness_scan_bernardi,
                               sharpness_scan_cesaro)
 from bohrkit.operators import (BernardiParams, bernardi_majorant,
                                bernardi_transform, cesaro_majorant,
                                cesaro_transform, lerch_tail_sum, log_bound)
 from bohrkit.radii import (bernardi_radius, bernardi_radius_classic, cesaro_radius,
                            solve_bracketed)
-from bohrkit.series import (UNIT_ROUNDOFF, DomainGamma, SchurSampleSpec,
+from bohrkit.lerch import UNDERFLOW
+from bohrkit.series import (ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, SchurSampleSpec,
                             TruncatedPowerSeries, blaschke_coeffs, majorant_eval,
                             polynomial, sample_schur_omega, truncation_order)
 from oracles import bernardi_integral_oracle, cesaro_integral_oracle, mp_tail_sum
@@ -66,6 +67,13 @@ def test_cesaro_transform_schur_tail_capped():
     out = cesaro_transform(s)
     assert out.tail_bound == 1.0
     assert np.max(np.abs(out.coeffs)) <= 1.0 + 1e-12
+
+
+def test_cesaro_transform_tail_capped_by_largest_coefficient():
+    # Every average of coefficients bounded by 0.5 is bounded by 0.5; the
+    # tail was 0.5 + 5/11 without a Schur flag.
+    out = cesaro_transform(TruncatedPowerSeries([0.5] * 10, 0.5))
+    assert out.tail_bound == 0.5
 
 
 def test_transforms_divide_real_and_imaginary_parts_exactly():
@@ -207,7 +215,7 @@ def test_bernardi_majorant_single_term():
 
 def test_bernardi_majorant_geometric_ones():
     n = truncation_order(0.5)
-    s = TruncatedPowerSeries((1.0,) * (n + 1), 1.0, schur=True)
+    s = TruncatedPowerSeries((1.0,) * (n + 1), 1.0)
     value, error = bernardi_majorant(s, BernardiParams(1.0, 0), 0.5)
     assert value == pytest.approx(TWO_LN2, abs=1e-10)
     assert error < 1e-12
@@ -389,33 +397,51 @@ def test_lerch_tail_domain_errors():
 
 def test_lerch_tail_order_cap():
     # An exponent above the ln r expansion's range, so the direct sum would
-    # need about 3.5e6 terms.
+    # need about 3.5e6 terms; and a first term beyond the cap, which was
+    # answered as 0 with the whole tail as its error.
     with pytest.raises(NumericalError, match="order cap"):
         lerch_tail_sum(1.0 - 1e-5, 2e6, 1)
+    with pytest.raises(NumericalError, match="order cap"):
+        lerch_tail_sum(1e-3, 0.5, ORDER_CAP + 1)
+
+
+def _assert_direct_sum_accurate(r, beta, start, digits=40):
+    # The value lies within its certified error of the mpmath sum, and that
+    # error is at most 6u of the sum, plus half a subnormal per rounding
+    # where terms fall below the normal range (r <= 1e-14: one or two terms).
+    a = start + beta
+    with mp.workdps(digits):
+        ref = mp_tail_sum(r, beta, start)
+        value, error = lerch_tail_sum(r, beta, start)
+        assert abs(mp.mpf(value) - ref) <= error, (r, beta, start)
+        assert error <= 6.0 * UNIT_ROUNDOFF * ref + (3.0 + 2.0 / a) * UNDERFLOW, (r, beta, start)
 
 
 def test_lerch_tail_start_beyond_truncation_order():
-    # The omitted tail already lies below target before the first term, so
-    # the sum is reported as 0 with the whole tail as its error.
-    value, error = lerch_tail_sum(1e-3, 0.5, 40)
-    assert value == 0.0
-    with mp.workdps(30):
-        assert float(mp_tail_sum(mp.mpf(1e-3), 0.5, 40)) <= error <= 1e-121
+    # Sums far below the old absolute target 1e-13 came back as 0 with the
+    # whole sum as their error, (0.5, 1, 40) among them, or with a few
+    # digits, like (0.3, 2, 20).
+    for r, beta, start in ((1e-3, 0.5, 40), (0.5, 1.0, 40), (0.3, 2.0, 20)):
+        _assert_direct_sum_accurate(r, beta, start)
+
+
+@pytest.mark.parametrize("r", (5e-324, 1e-310, 1e-300, 1e-14))
+def test_lerch_tail_certified_at_tiny_radii(r):
+    # At r = 1e-310 the error 3.3e-311 did not cover the deviation: neither
+    # the tail bound nor the terms counted their subnormal rounding.
+    for beta in KERNEL_BETAS:
+        for start in (0, 1, 2, 6):
+            _assert_direct_sum_accurate(r, beta, start)
 
 
 @pytest.mark.parametrize("start", (0, 1, 2, 3))
 def test_lerch_direct_sum_error_bound_against_mpmath(start):
-    # The direct branch (r < exp(-1/4)) at the radius equations' target
-    # u/(16 beta), where sums are longest (about 190 terms at r = 0.7788,
-    # beta = 50): the certified error covers the 50-digit sum and is the
-    # truncation below target plus the 5u rounding bound.
-    with mp.workdps(50):
-        for beta in (0.01, 0.1, 1.0, 7.0, 50.0):
-            target = UNIT_ROUNDOFF / (16.0 * beta)
-            for r in (0.05, 0.3, 0.6, 0.7788):
-                value, error = lerch_tail_sum(r, beta, start, target)
-                assert abs(mp.mpf(value) - mp_tail_sum(r, beta, start)) <= error, (beta, r)
-                assert error <= target + 5.0 * UNIT_ROUNDOFF * value
+    # The direct branch (r < exp(-1/4)), where sums are longest (about 175
+    # terms at r = 0.7788, beta = 50): the certified error covers the
+    # 50-digit sum and is at most 6u of it.
+    for beta in (0.01, 0.1, 1.0, 7.0, 50.0):
+        for r in (0.05, 0.3, 0.6, 0.7788):
+            _assert_direct_sum_accurate(r, beta, start, digits=50)
 
 
 # One argument rule: every public real argument goes through
@@ -445,7 +471,6 @@ REAL_ARGUMENTS = {
     "DomainGamma": (DomainGamma, 0.5, 0, "gamma"),
     "lerch_tail_sum.r": (lambda x: lerch_tail_sum(x, 1.0, 1), 0.6, 0, "radius"),
     "lerch_tail_sum.beta": (lambda x: lerch_tail_sum(0.6, x, 1), 1.5, 2, "beta"),
-    "lerch_tail_sum.target": (lambda x: lerch_tail_sum(0.6, 1.0, 1, x), 1e-10, 1, "target"),
     "BernardiParams.beta": (BernardiParams, 1.5, 2, "beta"),
     "log_bound": (log_bound, 0.6, 0, "radius"),
     "majorant_eval": (lambda x: majorant_eval(polynomial([1.0, 0.5]), x), 0.6, 0,
@@ -498,7 +523,6 @@ REAL_ARGUMENTS = {
         1.5, 2, "beta"),
     "remainder_order_check.a": (
         lambda x: remainder_order_check("cesaro", G0, 0.4, [x, 0.999]), 0.99, 0, "a"),
-    "identity_suite": (lambda x: identity_suite([x]), 0.5, 0, "r"),
 }
 
 @pytest.mark.parametrize("call, x, k, name", REAL_ARGUMENTS.values(), ids=REAL_ARGUMENTS)
@@ -570,18 +594,13 @@ def test_float32_arguments_keep_certified_errors():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: lerch_tail_sum(0.5, 1.0, 1, target=math.nan), "target must be a positive real"),
-    (lambda: lerch_tail_sum(0.5, 1.0, 1, target=0), "target must be a positive real"),
-    (lambda: lerch_tail_sum(0.5, 1.0, 1, target=-1e-3), "target must be a positive real"),
     (lambda: truncation_order(0.5, -1.0), "tail_bound must be a finite nonnegative real"),
     (lambda: truncation_order(0.5, math.nan), "tail_bound must be a finite nonnegative real"),
     (lambda: truncation_order(0.5, 1.0, math.nan), "target must be positive"),
-], ids=["lerch_nan", "lerch_zero", "lerch_negative", "order_negative_bound", "order_nan_bound",
-        "order_nan_target"])
+], ids=["order_negative_bound", "order_nan_bound", "order_nan_target"])
 def test_tail_targets_and_bounds_are_checked(call, message):
-    # A NaN target made lerch_tail_sum return (0.0, 0.5), a zero or negative
-    # one raised "math domain error"; truncation_order took a negative tail
-    # bound as order 0 and failed on NaN with "cannot convert float NaN".
+    # truncation_order took a negative tail bound as order 0 and failed on
+    # NaN with "cannot convert float NaN".
     with pytest.raises(DomainError, match=message):
         call()
 

@@ -29,7 +29,7 @@ def test_majorant_constant_series():
 
 def test_majorant_geometric_ones():
     n = 50
-    s = TruncatedPowerSeries((1.0,) * (n + 1), 1.0, schur=True)
+    s = TruncatedPowerSeries((1.0,) * (n + 1), 1.0)
     value, error = majorant_eval(s, 0.5)
     assert abs(value - 2.0) <= 2.0 * 2.0 ** -50
     assert error == 0.5 ** 51 / 0.5 + 18.0 * UNIT_ROUNDOFF * value
@@ -105,7 +105,7 @@ def test_blaschke_single_real_zero_closed_form():
 def test_blaschke_empty_product_is_constant():
     s = blaschke_coeffs([], 1.0, 4)
     assert np.array_equal(s.coeffs, [1.0, 0.0, 0.0, 0.0, 0.0])
-    assert s.schur and s.tail_bound == 1.0
+    assert s.tail_bound == 1.0
 
 
 # Products are batched FFT products at any order; 260 pads to 539 points.
@@ -298,11 +298,6 @@ def test_domain_gamma_validation():
     with pytest.raises(DomainError):
         DomainGamma(-0.01)
     assert DomainGamma(0.0).gamma == 0.0
-
-
-def test_schur_series_enforces_unit_tail():
-    with pytest.raises(DomainError):
-        TruncatedPowerSeries((0.5,), 1.5, schur=True)
 
 
 def test_series_rejects_non_finite():
