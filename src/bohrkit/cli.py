@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .errors import (BracketingError, DomainError, NumericalError,
                      PreconditionError)
-from .lerch import DomainGamma, nonnegative_int
+from .lerch import DomainGamma
 from .radii import (DEFAULT_TOL, RadiusResult, bernardi_radius,
                     bernardi_radius_classic, bohr_radius_omega, cesaro_radius)
 
@@ -73,6 +73,24 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
+def _fixed(args, equation: str, swept: str | None = None) -> dict:
+    """The flags of the parameters that ``equation`` holds fixed, all of
+    ``EQUATIONS[equation]`` but the swept one (bernardi-classic's m defaults
+    to 0).  A flag the equation would ignore, or a missing one, is a usage
+    error; the library checks each value's domain."""
+    what = equation if swept is None else f"{equation} sweeping {swept}"
+    takes = set(EQUATIONS[equation]) - {swept}
+    fixed = {name: getattr(args, name) for name in ("gamma", "beta", "m")
+             if getattr(args, name, None) is not None}
+    if equation == "bernardi-classic":
+        fixed.setdefault("m", 0)
+    if extra := sorted(set(fixed) - takes):
+        raise ValueError(f"{what} takes no " + ", ".join(f"--{name}" for name in extra))
+    if missing := sorted(takes - set(fixed)):
+        raise ValueError(f"{what} needs " + ", ".join(f"--{name}" for name in missing))
+    return fixed
+
+
 def _solve(equation: str, fixed: dict, tol: float) -> RadiusResult:
     if equation == "cesaro":
         return cesaro_radius(DomainGamma(fixed["gamma"]), tol)
@@ -82,7 +100,7 @@ def _solve(equation: str, fixed: dict, tol: float) -> RadiusResult:
 
 
 def _cmd_radius(args) -> int:
-    fixed = {name: getattr(args, name) for name in EQUATIONS[args.equation]}
+    fixed = _fixed(args, args.equation)
     result = _solve(args.equation, fixed, args.tol)
     doc = {
         "equation": args.equation,
@@ -124,26 +142,9 @@ def _cmd_sweep(args) -> int:
     grid = _parse_float_list(args.grid, "--grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sweep grid must be strictly increasing")
-    needed = EQUATIONS[args.equation]
-    if args.parameter not in needed:
+    if args.parameter not in EQUATIONS[args.equation]:
         raise ValueError(f"{args.equation} has no parameter {args.parameter!r}")
-    fixed = {name: getattr(args, name) for name in ("gamma", "beta", "m")
-             if getattr(args, name) is not None}
-    if args.equation == "bernardi-classic":
-        fixed.setdefault("m", 0)
-    takes = set(needed) - {args.parameter}
-    if set(fixed) - takes:
-        raise ValueError(f"{args.equation} sweeping {args.parameter} takes no "
-                         + ", ".join(f"--{name}" for name in sorted(set(fixed) - takes)))
-    if takes - set(fixed):
-        raise ValueError(f"missing fixed parameter(s): {', '.join(sorted(takes - set(fixed)))}")
-    nonnegative_int(fixed.get("m", 0), "m")  # before the beta floor, which reads m
-    if args.parameter == "gamma" and not all(0.0 <= g < 1.0 for g in grid):
-        raise ValueError("gamma grid values must lie in [0, 1)")
-    if args.parameter == "beta":
-        floor = -fixed["m"] if args.equation == "bernardi-classic" else 0.0
-        if not all(b > floor for b in grid):
-            raise ValueError(f"beta grid values must exceed {floor}")
+    fixed = _fixed(args, args.equation, args.parameter)
     return _emit(run_sweep(args.equation, args.parameter, grid, fixed, args.format,
                            args.tol), args.out)
 
@@ -165,8 +166,7 @@ def _cmd_verify(args) -> int:
         doc.update(report=report, tolerance=IDENTITY_TOL)
     else:  # sharpness, remainder-order
         ladder = tuple(_parse_float_list(args.a_list, "--a-list"))
-        if args.op == "bernardi" and args.beta is None:
-            raise ValueError("--beta is required for --op bernardi")
+        _fixed(args, args.op)
         gamma = DomainGamma(args.gamma)
         doc["parameters"] = {"op": args.op, "gamma": args.gamma, "beta": args.beta,
                              "r": args.r, "a_list": list(ladder)}

@@ -317,17 +317,13 @@ def bernardi_first_order_factor(gamma: DomainGamma, beta: float, r: float) -> fl
 
 
 def _check_r(r) -> float:
-    if not 0.0 < (r := finite_real(r, "r", "lie in (0, 1)")) < 1.0:
-        raise DomainError(f"r must lie in (0, 1), got {r}")
-    return r
+    return finite_real(r, "r", "lie in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 
 def _check_beta(beta) -> float:
     """Reject a non-finite or nonpositive beta, else return it as a float; for
     beta < 1, warn the public function's caller."""
-    if (beta := finite_real(beta, "beta", "be a positive real")) <= 0.0:
-        raise DomainError(f"beta must be a positive real, got {beta}")
-    if beta < 1.0:
+    if (beta := finite_real(beta, "beta", "be a positive real", lambda b: b > 0.0)) < 1.0:
         warnings.warn(f"beta={beta} < 1: sharpness behaviour is exploratory here",
                       stacklevel=3)
     return beta
@@ -394,13 +390,11 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
     skipped and counted in the report's ``skipped``: the bound forces their
     higher coefficients to vanish and the ratio degenerates to 0/0.
     """
-    if (num_samples := nonnegative_int(num_samples, "num_samples")) < 1:
-        raise DomainError(f"need at least one sample, got {num_samples}")
-    allowed = f"lie in [0, {MAX_BLASCHKE_DEGREE}]"
-    if (degree_max := nonnegative_int(degree_max, "degree_max", allowed)) > MAX_BLASCHKE_DEGREE:
-        raise DomainError(f"degree_max must {allowed}, got {degree_max}")
-    if (n_out := nonnegative_int(n_out, "output order", "be >= 1")) < 1:
-        raise DomainError(f"output order must be >= 1, got {n_out}")
+    num_samples = nonnegative_int(num_samples, "num_samples", "be a positive integer",
+                                  lambda n: n >= 1)
+    degree_max = nonnegative_int(degree_max, "degree_max", f"lie in [0, {MAX_BLASCHKE_DEGREE}]",
+                                 lambda d: d <= MAX_BLASCHKE_DEGREE)
+    n_out = nonnegative_int(n_out, "output order", "be >= 1", lambda n: n >= 1)
     seed = nonnegative_int(seed, "seed")
     master = np.random.default_rng(seed)
     # Per sample the master draws a degree, then a child seed.
@@ -469,8 +463,9 @@ def remainder_order_check(kind: str, gamma: DomainGamma, r: float, a_values,
     """
     if kind not in ("cesaro", "bernardi"):
         raise DomainError(f"kind must be 'cesaro' or 'bernardi', got {kind!r}")
-    if kind == "bernardi" and beta is None:
-        raise DomainError("bernardi remainder check needs beta")
+    if (beta is None) != (kind == "cesaro"):
+        raise DomainError(f"{kind} remainder check "
+                          + ("needs beta" if beta is None else f"takes no beta, got {beta!r}"))
     a_vals = [ExtremalParams(a, gamma).a for a in a_values]
     r = _check_r(r)
     beta = _check_beta(beta) if kind == "bernardi" else None

@@ -40,13 +40,14 @@ BERNOULLI_OVER_FACTORIAL = (
     -174611 / 802857662698291200000)
 
 
-def finite_real(value, name: str, rule: str = "be a finite real") -> float:
-    """``value`` as a Python float if it is a finite real of any type but bool.
+def finite_real(value, name: str, rule: str = "be a finite real", ok=None) -> float:
+    """``value`` as a Python float if it is a finite real of any type but bool
+    for which ``ok`` (if given) holds.
 
     Every public real argument passes here, so the certified errors
     computed from it count roundings of doubles.  Other types raise
-    "<name> must be a finite real"; NaN and infinities raise "<name> must
-    <rule>", where rule words the range check the caller makes next.
+    "<name> must be a finite real"; NaN, infinities and values outside the
+    range ``ok`` checks raise "<name> must <rule>", where rule words it.
     """
     if type(value) is not float:
         import numbers  # here, not at the top: radius calls pass floats and ints
@@ -57,42 +58,53 @@ def finite_real(value, name: str, rule: str = "be a finite real") -> float:
         except OverflowError:
             raise DomainError(f"{name} must {rule}, got {type(value).__name__} "
                               "beyond the double range") from None
-    if not math.isfinite(value):
+    if not (math.isfinite(value) and (ok is None or ok(value))):
         raise DomainError(f"{name} must {rule}, got {value}")
     return value
 
 
-def finite_complex(value, name: str, rule: str = "be a finite complex number") -> complex:
+def finite_complex(value, name: str, rule: str = "be a finite complex number",
+                   ok=None) -> complex:
     """``value`` as a Python complex if it is a finite number of any type but
-    bool.  Other types, and ints beyond the double range, raise "<name> must
-    be a finite complex number"; NaN and infinite parts raise "<name> must
-    <rule>"."""
+    bool for which ``ok`` (if given) holds.  Other types, and ints beyond the
+    double range, raise "<name> must be a finite complex number"; NaN and
+    infinite parts, and values outside the range ``ok`` checks, raise
+    "<name> must <rule>"."""
     import numbers
     try:
         if isinstance(value, numbers.Complex) and not isinstance(value, bool):
-            if math.isfinite((number := complex(value)).real) and math.isfinite(number.imag):
+            number = complex(value)
+            if (math.isfinite(number.real) and math.isfinite(number.imag)
+                    and (ok is None or ok(number))):
                 return number
-            raise DomainError(f"{name} must {rule}, got {value!r}")
+            raise DomainError(f"{name} must {rule}, got {number}")
     except OverflowError:  # an int or Fraction beyond the double range
         pass
     raise DomainError(f"{name} must be a finite complex number, got {value!r}")
 
 
-def nonnegative_int(value, name: str, rule: str = "be a nonnegative integer") -> int:
-    """``value`` as an int if it is a nonnegative integer of any type but bool.
+def nonnegative_int(value, name: str, rule: str = "be a nonnegative integer",
+                    ok=None) -> int:
+    """``value`` as an int if it is a nonnegative integer of any type but bool
+    for which ``ok`` (if given) holds.
 
     Every count, order, degree and seed passes here.  Other types raise
-    "<name> must be a nonnegative integer"; a negative value raises "<name>
-    must <rule>".
+    "<name> must be a nonnegative integer"; a negative value, or one outside
+    the range ``ok`` checks, raises "<name> must <rule>".
     """
     if type(value) is not int:
         import numbers
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
         value = operator.index(value)
-    if value < 0:
+    if value < 0 or not (ok is None or ok(value)):
         raise DomainError(f"{name} must {rule}, got {value}")
     return value
+
+
+def in_unit_interval(x: float) -> bool:
+    """The range of gamma and of every radius r: 0 <= x < 1."""
+    return 0.0 <= x < 1.0
 
 
 class DomainGamma(namedtuple("DomainGamma", "gamma")):
@@ -102,9 +114,8 @@ class DomainGamma(namedtuple("DomainGamma", "gamma")):
     _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
 
     def __new__(cls, gamma):
-        if not 0.0 <= (gamma := finite_real(gamma, "gamma")) < 1.0:
-            raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
-        return super().__new__(cls, gamma)
+        return super().__new__(cls, finite_real(gamma, "gamma", "lie in [0, 1)",
+                                                in_unit_interval))
 
 
 def _digamma(a: float) -> tuple[float, float]:
@@ -292,8 +303,7 @@ def lerch_tail_sum(r: float, beta: float, start: int) -> tuple[float, float]:
     cap.  The slope in r of the ``start = 1`` sum is
     ``1/(1-r) - (beta/r) * value``.
     """
-    if not 0.0 <= (r := finite_real(r, "radius", "lie in [0, 1)")) < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r}")
+    r = finite_real(r, "radius", "lie in [0, 1)", in_unit_interval)
     start = nonnegative_int(start, "start")
     if (beta := finite_real(beta, "beta")) <= -start:
         raise DomainError(f"beta must be a finite real above -start, got beta={beta}, "

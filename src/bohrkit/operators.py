@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .lerch import UNIT_ROUNDOFF, finite_real, nonnegative_int
+from .lerch import UNIT_ROUNDOFF, finite_real, in_unit_interval, nonnegative_int
 from .lerch import lerch_tail_sum  # noqa: F401 (re-export)
 from .series import TruncatedPowerSeries, majorant_eval
 
@@ -134,11 +134,8 @@ def bernardi_majorant(s: TruncatedPowerSeries, p: BernardiParams,
 def log_bound(r: float) -> float:
     """The comparison bound ``(1/r) ln(1/(1-r))``, equal to 1 at r = 0.
 
-    Below r = 1e-4 a six-term Taylor expansion avoids the 0/0 cancellation.
+    log1p keeps every r > 0 accurate, subnormal r included: only r = 0 is
+    the 0/0 limit.
     """
-    if not 0.0 <= (r := finite_real(r, "radius", "lie in [0, 1)")) < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r}")
-    if r < 1e-4:
-        # 1 + r/2 + r^2/3 + ... ; the omitted term r^6/7 is < 2e-29 here.
-        return (((((r / 6 + 1.0 / 5) * r + 1.0 / 4) * r + 1.0 / 3) * r + 1.0 / 2) * r + 1.0)
-    return -math.log1p(-r) / r
+    r = finite_real(r, "radius", "lie in [0, 1)", in_unit_interval)
+    return -math.log1p(-r) / r if r else 1.0

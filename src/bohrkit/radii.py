@@ -78,8 +78,7 @@ def _solve(g, lo: float, hi: float, tol: float, ends=(None, None), calls: int = 
     """``solve_bracketed`` on a checked bracket.  ``ends`` holds g(lo) and g(hi)
     where the caller has them (None where not), which are not evaluated again;
     ``evaluations`` counts the caller's ``calls`` of g and the solve's own."""
-    if (tol := finite_real(tol, "tolerance", "be a positive real")) <= 0.0:
-        raise DomainError(f"tolerance must be a positive real, got {tol}")
+    tol = finite_real(tol, "tolerance", "be a positive real", lambda t: t > 0.0)
     points = []  # (|value|, x) of every evaluation
 
     def sample(x, known=None):
@@ -226,8 +225,7 @@ def _solve_tail_balance(beta_eff: float, prefactor: float, tol: float) -> Radius
 def bernardi_radius(gamma: DomainGamma, beta: float,
                     tol: float = DEFAULT_TOL) -> RadiusResult:
     """Root of ``1/beta = (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)`` on (0, 1)."""
-    if (beta := finite_real(beta, "beta", "be a positive real")) <= 0.0:
-        raise DomainError(f"beta must be a positive real, got {beta}")
+    beta = finite_real(beta, "beta", "be a positive real", lambda b: b > 0.0)
     return _solve_tail_balance(beta, 2.0 / (1.0 + gamma.gamma), tol)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .lerch import (ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, finite_complex, finite_real,
-                    nonnegative_int)
+                    in_unit_interval, nonnegative_int)
 
 DEFAULT_TAIL_TARGET = 1e-12
 
@@ -34,8 +34,6 @@ ZERO_SAMPLING_RADIUS = 0.95
 BATCH_ELEMENTS = 2 ** 13
 # Certified bound on what the composition with G drops from each coefficient.
 COMPOSE_TARGET = 1e-13
-# Wording of the tail-bound range check, shared with finite_real's NaN message.
-TAIL_BOUND_RULE = "be a finite nonnegative real"
 
 
 def truncation_order(r: float, tail_bound: float = 1.0,
@@ -44,12 +42,10 @@ def truncation_order(r: float, tail_bound: float = 1.0,
 
     Raises NumericalError when no N up to ORDER_CAP suffices.
     """
-    if not 0.0 <= (r := finite_real(r, "radius", "lie in [0, 1)")) < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r}")
-    if (tail_bound := finite_real(tail_bound, "tail_bound", TAIL_BOUND_RULE)) < 0.0:
-        raise DomainError(f"tail_bound must {TAIL_BOUND_RULE}, got {tail_bound}")
-    if (target := finite_real(target, "target", "be positive")) <= 0.0:
-        raise DomainError(f"target must be positive, got {target}")
+    r = finite_real(r, "radius", "lie in [0, 1)", in_unit_interval)
+    tail_bound = finite_real(tail_bound, "tail_bound", "be a finite nonnegative real",
+                             lambda b: b >= 0.0)
+    target = finite_real(target, "target", "be positive", lambda t: t > 0.0)
     if tail_bound == 0.0 or tail_bound * r / (1.0 - r) <= target:
         return 0
     # Closed-form first guess, then nudge to be safe against rounding.
@@ -88,9 +84,8 @@ class TruncatedPowerSeries:
             raise DomainError("all coefficients must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        if (bound := finite_real(self.tail_bound, "tail_bound", TAIL_BOUND_RULE)) < 0.0:
-            raise DomainError(f"tail_bound must {TAIL_BOUND_RULE}, got {bound}")
-        object.__setattr__(self, "tail_bound", bound)
+        object.__setattr__(self, "tail_bound", finite_real(
+            self.tail_bound, "tail_bound", "be a finite nonnegative real", lambda b: b >= 0.0))
 
     @property
     def order(self) -> int:
@@ -129,10 +124,9 @@ class SchurSampleSpec:
     gamma: DomainGamma
 
     def __post_init__(self):
-        if (degree := nonnegative_int(self.degree, "degree")) > MAX_BLASCHKE_DEGREE:
-            raise DomainError(
-                f"degree must be an integer in [0, {MAX_BLASCHKE_DEGREE}], got {degree}")
-        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "degree", nonnegative_int(
+            self.degree, "degree", f"be an integer in [0, {MAX_BLASCHKE_DEGREE}]",
+            lambda d: d <= MAX_BLASCHKE_DEGREE))
         object.__setattr__(self, "seed", nonnegative_int(self.seed, "seed"))
         if not isinstance(self.gamma, DomainGamma):
             object.__setattr__(self, "gamma", DomainGamma(self.gamma))
@@ -147,8 +141,7 @@ def majorant_eval(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:
     term, all of them nonnegative, carries at most 17u relative error; fsum
     rounds the sum once, so ``18u`` times the value bounds the rounding.
     """
-    if not 0.0 <= (r := finite_real(r, "majorant radius", "lie in [0, 1)")) < 1.0:
-        raise DomainError(f"majorant radius must lie in [0, 1), got {r}")
+    r = finite_real(r, "majorant radius", "lie in [0, 1)", in_unit_interval)
     mags = np.abs(s.coeffs)
     value = math.fsum(mags * np.power(r, np.arange(mags.size)))
     error = s.tail_bound * r ** (s.order + 1) / (1.0 - r)
@@ -263,11 +256,8 @@ def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
     phase = finite_complex(phase, "phase", "be unimodular")
     if not abs(abs(phase) - 1.0) <= 1e-12:
         raise DomainError(f"phase must be unimodular, got |phase| = {abs(phase)}")
-    inside = "lie strictly inside the unit disk"
-    zeros = [finite_complex(z, "Blaschke zeros", inside) for z in zeros]
-    for z in zeros:
-        if not abs(z) < 1.0:
-            raise DomainError(f"Blaschke zeros must {inside}, got {z}")
+    zeros = [finite_complex(z, "Blaschke zeros", "lie strictly inside the unit disk",
+                            lambda z: abs(z) < 1.0) for z in zeros]
     c = _blaschke_rows(np.array([zeros], dtype=complex), np.array([len(zeros)]),
                        np.array([phase]), n_out)
     return TruncatedPowerSeries(c[0], 1.0)

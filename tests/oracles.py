@@ -17,8 +17,7 @@ import numpy as np
 from mpmath import mp
 from scipy.integrate import IntegrationWarning, quad
 
-from bohrkit.errors import DomainError, NumericalError
-from bohrkit.operators import _require_leading_zeros
+from bohrkit.errors import DomainError, NumericalError, PreconditionError
 from bohrkit.series import TruncatedPowerSeries
 
 QUAD_TARGET = 1e-12
@@ -235,7 +234,8 @@ def bernardi_integral_oracle(s, z, p):
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
-    _require_leading_zeros(s, p)
+    if np.max(np.abs(s.coeffs[: p.m]), initial=0.0) > 1e-14:
+        raise PreconditionError(f"coefficients a_0..a_{p.m - 1} must vanish for m={p.m}")
     g = TruncatedPowerSeries(s.coeffs[p.m:] if s.order >= p.m else (0.0,), s.tail_bound)
     if z == 0:
         if p.m >= 1:

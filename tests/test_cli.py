@@ -188,18 +188,31 @@ def test_sweep_bernardi_classic_m_defaults_to_zero(cli):
 @pytest.mark.parametrize("argv, message", [
     (("--op", "cesaro", "--parameter", "gamma", "--grid", "0,x"),
      "--grid expects a comma-separated list of numbers"),
-    (("--op", "cesaro", "--parameter", "gamma", "--grid", "0,1"),
-     "gamma grid values must lie in [0, 1)"),
-    (("--op", "bernardi", "--parameter", "beta", "--grid", "0,1", "--gamma", "0"),
-     "beta grid values must exceed 0.0"),
-    (("--op", "bernardi-classic", "--parameter", "beta", "--grid=-1.5,2", "--m", "1"),
-     "beta grid values must exceed -1"),
     (("--op", "cesaro", "--parameter", "beta", "--grid", "1,2", "--gamma", "0"),
      "cesaro has no parameter 'beta'"),
 ])
 def test_sweep_validation_messages(cli, argv, message):
     proc = cli("sweep", *argv)
     assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--op", "cesaro", "--parameter", "gamma", "--grid", "0,1"),
+     "gamma must lie in [0, 1), got 1.0"),
+    (("--op", "cesaro", "--parameter", "gamma", "--grid", "0,1.5"),
+     "gamma must lie in [0, 1), got 1.5"),
+    (("--op", "bernardi", "--parameter", "beta", "--grid", "0,1", "--gamma", "0"),
+     "beta must be a positive real, got 0.0"),
+    (("--op", "bernardi-classic", "--parameter", "beta", "--grid=-1.5,2", "--m", "1"),
+     "beta must exceed -m, got beta=-1.5, m=1"),
+])
+def test_sweep_grid_domain_errors(cli, argv, message):
+    # The sweep checked these domains itself and exited 1, where radius
+    # exits 2 for the same value; the library's own check now answers.
+    proc = cli("sweep", *argv)
+    assert proc.returncode == 2
     assert proc.stdout == ""
     assert message in proc.stderr
 
@@ -266,6 +279,16 @@ def test_verify_sharpness_finds_witness_near_unit_circle(cli, argv):
 def test_verify_sharpness_bernardi_requires_beta(cli):
     proc = cli("verify", "sharpness", "--op", "bernardi", "--gamma", "0", "--r", "0.62")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("check, r", [("sharpness", "0.55"), ("remainder-order", "0.4")])
+@pytest.mark.parametrize("beta", ["5", "-3"])
+def test_verify_cesaro_rejects_beta(cli, check, r, beta):
+    # --op cesaro ignored --beta, even a negative one, and passed.
+    proc = cli("verify", check, "--op", "cesaro", "--gamma", "0", "--r", r, "--beta", beta)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "cesaro takes no --beta" in proc.stderr
 
 
 def test_verify_sharpness_bernardi(cli):

@@ -569,6 +569,13 @@ def test_remainder_order_bernardi_needs_beta():
         remainder_order_check("bernardi", DomainGamma(0.3), 0.4, [0.9, 0.99])
 
 
+@pytest.mark.parametrize("beta", [5.0, -3.0])
+def test_remainder_order_cesaro_takes_no_beta(beta):
+    # The Cesaro check ignored beta, even a negative one, and returned its slope.
+    with pytest.raises(DomainError, match=f"^cesaro remainder check takes no beta, got {beta}"):
+        remainder_order_check("cesaro", DomainGamma(0.3), 0.4, [0.9, 0.99], beta=beta)
+
+
 # -------------------------------------------------------------- identity suite
 
 def test_identity_suite_deviation_bound():

@@ -313,9 +313,18 @@ def test_log_bound_values():
 
 
 def test_log_bound_series_branch_is_continuous():
-    # The Taylor branch below 1e-4 must agree with the log branch at the seam.
+    # One formula on both sides of 1e-4: no seam.
     below, above = log_bound(1e-4 * (1 - 1e-12)), log_bound(1e-4)
     assert abs(below - above) < 1e-14
+
+
+@pytest.mark.parametrize("r", (5e-324, 1e-310, 1e-200, 1e-20, 1e-8, 3e-5, 1e-4, 0.3))
+def test_log_bound_accurate_at_small_radii(r):
+    # log1p leaves no cancellation at small r: the plain form is within 2u.
+    with mp.workdps(60):
+        x = mp.mpf(r)
+        reference = -mp.log1p(-x) / x
+        assert abs(mp.mpf(log_bound(r)) - reference) <= 2 * UNIT_ROUNDOFF * reference
 
 
 def test_log_bound_domain():
@@ -464,69 +473,90 @@ def _outcome(call, x):
         return f"{type(exc).__name__}: {exc}"
 
 
-# (call of one argument, a valid value, an integer value, the argument's name
-# in error messages).  The integer value need not be valid: it must then fail
-# as its int does.
+def _rule(call, value) -> str:
+    """The "<name> must <rule>" head of the DomainError that ``call(value)``
+    raises, before its ", got <value>"."""
+    with pytest.raises(DomainError) as info:
+        call(value)
+    head, got, _ = str(info.value).partition(", got ")
+    assert got, info.value
+    return head
+
+
+# (call of one argument, a valid value, an integer value, a value out of the
+# argument's range, the argument's name in error messages).  The integer value
+# need not be valid: it must then fail as its int does.  The out-of-range value
+# is None where the range relates the argument to another one, as beta > -m
+# does: such a rule words its own message.
 REAL_ARGUMENTS = {
-    "DomainGamma": (DomainGamma, 0.5, 0, "gamma"),
-    "lerch_tail_sum.r": (lambda x: lerch_tail_sum(x, 1.0, 1), 0.6, 0, "radius"),
-    "lerch_tail_sum.beta": (lambda x: lerch_tail_sum(0.6, x, 1), 1.5, 2, "beta"),
-    "BernardiParams.beta": (BernardiParams, 1.5, 2, "beta"),
-    "log_bound": (log_bound, 0.6, 0, "radius"),
-    "majorant_eval": (lambda x: majorant_eval(polynomial([1.0, 0.5]), x), 0.6, 0,
+    "DomainGamma": (DomainGamma, 0.5, 0, 1.0, "gamma"),
+    "lerch_tail_sum.r": (lambda x: lerch_tail_sum(x, 1.0, 1), 0.6, 0, 1.0, "radius"),
+    "lerch_tail_sum.beta": (lambda x: lerch_tail_sum(0.6, x, 1), 1.5, 2, None, "beta"),
+    "BernardiParams.beta": (BernardiParams, 1.5, 2, None, "beta"),
+    "log_bound": (log_bound, 0.6, 0, -0.2, "radius"),
+    "majorant_eval": (lambda x: majorant_eval(polynomial([1.0, 0.5]), x), 0.6, 0, 1.0,
                       "majorant radius"),
-    "cesaro_majorant": (lambda x: cesaro_majorant(polynomial([1.0, 0.5]), x), 0.6, 0,
+    "cesaro_majorant": (lambda x: cesaro_majorant(polynomial([1.0, 0.5]), x), 0.6, 0, 1.0,
                         "majorant radius"),
     "bernardi_majorant": (lambda x: bernardi_majorant(polynomial([1.0, 0.5]),
-                                                      BernardiParams(1.0), x), 0.6, 0,
+                                                      BernardiParams(1.0), x), 0.6, 0, 1.0,
                           "majorant radius"),
-    "truncation_order.r": (truncation_order, 0.6, 0, "radius"),
-    "truncation_order.tail_bound": (lambda x: truncation_order(0.5, x), 0.5, 2, "tail_bound"),
-    "truncation_order.target": (lambda x: truncation_order(0.5, 1.0, x), 1e-10, 1, "target"),
-    "TruncatedPowerSeries": (lambda x: TruncatedPowerSeries([1.0], x), 0.5, 1, "tail_bound"),
-    "solve_bracketed.lo": (lambda x: solve_bracketed(LINEAR, x, 1.0), 0.125, 0, "lo"),
-    "solve_bracketed.hi": (lambda x: solve_bracketed(LINEAR, 0.0, x), 0.75, 1, "hi"),
-    "solve_bracketed.tol": (lambda x: solve_bracketed(LINEAR, 0.0, 1.0, x), 1e-10, 1,
+    "truncation_order.r": (truncation_order, 0.6, 0, 1.0, "radius"),
+    "truncation_order.tail_bound": (lambda x: truncation_order(0.5, x), 0.5, 2, -1.0,
+                                    "tail_bound"),
+    "truncation_order.target": (lambda x: truncation_order(0.5, 1.0, x), 1e-10, 1, 0.0,
+                                "target"),
+    "TruncatedPowerSeries": (lambda x: TruncatedPowerSeries([1.0], x), 0.5, 1, -0.5,
+                             "tail_bound"),
+    "solve_bracketed.lo": (lambda x: solve_bracketed(LINEAR, x, 1.0), 0.125, 0, None, "lo"),
+    "solve_bracketed.hi": (lambda x: solve_bracketed(LINEAR, 0.0, x), 0.75, 1, None, "hi"),
+    "solve_bracketed.tol": (lambda x: solve_bracketed(LINEAR, 0.0, 1.0, x), 1e-10, 1, 0.0,
                             "tolerance"),
-    "cesaro_radius.tol": (lambda x: cesaro_radius(G0, x), 1e-10, 1, "tolerance"),
-    "bernardi_radius.beta": (lambda x: bernardi_radius(G0, x), 1.5, 2, "beta"),
-    "bernardi_radius.tol": (lambda x: bernardi_radius(G0, 1.0, x), 1e-10, 1, "tolerance"),
-    "bernardi_radius_classic.beta": (lambda x: bernardi_radius_classic(x, 1), 1.5, 2, "beta"),
+    "cesaro_radius.tol": (lambda x: cesaro_radius(G0, x), 1e-10, 1, -1e-10, "tolerance"),
+    "bernardi_radius.beta": (lambda x: bernardi_radius(G0, x), 1.5, 2, 0.0, "beta"),
+    "bernardi_radius.tol": (lambda x: bernardi_radius(G0, 1.0, x), 1e-10, 1, 0.0,
+                            "tolerance"),
+    "bernardi_radius_classic.beta": (lambda x: bernardi_radius_classic(x, 1), 1.5, 2, None,
+                                     "beta"),
     "bernardi_radius_classic.tol": (lambda x: bernardi_radius_classic(1.0, 1, x), 1e-10, 1,
-                                    "tolerance"),
-    "ExtremalParams": (lambda x: ExtremalParams(x, G0), 0.9, 0, "a"),
-    "cesaro_first_order_factor": (lambda x: cesaro_first_order_factor(G0, x), 0.6, 0, "r"),
+                                    0.0, "tolerance"),
+    "ExtremalParams": (lambda x: ExtremalParams(x, G0), 0.9, 0, None, "a"),
+    "cesaro_first_order_factor": (lambda x: cesaro_first_order_factor(G0, x), 0.6, 0, 1.0,
+                                  "r"),
     "bernardi_first_order_factor.beta": (lambda x: bernardi_first_order_factor(G0, x, 0.6),
-                                         1.5, 2, "beta"),
+                                         1.5, 2, 0.0, "beta"),
     "bernardi_first_order_factor.r": (lambda x: bernardi_first_order_factor(G0, 1.5, x),
-                                      0.6, 0, "r"),
+                                      0.6, 0, 0.0, "r"),
     "cesaro_extremal_decomposition": (
-        lambda x: cesaro_extremal_decomposition(ExtremalParams(0.9, G0), x), 0.3, 0, "r"),
+        lambda x: cesaro_extremal_decomposition(ExtremalParams(0.9, G0), x), 0.3, 0, 1.0, "r"),
     "bernardi_extremal_decomposition.beta": (
         lambda x: bernardi_extremal_decomposition(ExtremalParams(0.9, G0), x, 0.3), 1.5, 2,
-        "beta"),
+        -1.0, "beta"),
     "bernardi_extremal_decomposition.r": (
         lambda x: bernardi_extremal_decomposition(ExtremalParams(0.9, G0), 1.5, x), 0.3, 0,
-        "r"),
-    "sharpness_scan_cesaro.r": (lambda x: sharpness_scan_cesaro(G0, x, LADDER), 0.7, 0, "r"),
-    "sharpness_scan_cesaro.a": (lambda x: sharpness_scan_cesaro(G0, 0.7, [x]), 0.99, 0, "a"),
+        1.5, "r"),
+    "sharpness_scan_cesaro.r": (lambda x: sharpness_scan_cesaro(G0, x, LADDER), 0.7, 0, 1.0,
+                                "r"),
+    "sharpness_scan_cesaro.a": (lambda x: sharpness_scan_cesaro(G0, 0.7, [x]), 0.99, 0, None,
+                                "a"),
     "sharpness_scan_bernardi.beta": (lambda x: sharpness_scan_bernardi(G0, x, 0.8, LADDER),
-                                     1.5, 2, "beta"),
+                                     1.5, 2, 0.0, "beta"),
     "sharpness_scan_bernardi.r": (lambda x: sharpness_scan_bernardi(G0, 1.5, x, LADDER),
-                                  0.8, 0, "r"),
+                                  0.8, 0, 1.0, "r"),
     "sharpness_scan_bernardi.a": (lambda x: sharpness_scan_bernardi(G0, 1.5, 0.8, [x]),
-                                  0.99, 0, "a"),
+                                  0.99, 0, None, "a"),
     "remainder_order_check.r": (lambda x: remainder_order_check("cesaro", G0, x, LADDER),
-                                0.4, 0, "r"),
+                                0.4, 0, 0.0, "r"),
     "remainder_order_check.beta": (
         lambda x: remainder_order_check("bernardi", DomainGamma(0.2), 0.3, LADDER, beta=x),
-        1.5, 2, "beta"),
+        1.5, 2, -3.0, "beta"),
     "remainder_order_check.a": (
-        lambda x: remainder_order_check("cesaro", G0, 0.4, [x, 0.999]), 0.99, 0, "a"),
+        lambda x: remainder_order_check("cesaro", G0, 0.4, [x, 0.999]), 0.99, 0, None, "a"),
 }
 
-@pytest.mark.parametrize("call, x, k, name", REAL_ARGUMENTS.values(), ids=REAL_ARGUMENTS)
-def test_real_arguments_follow_one_rule(call, x, k, name):
+@pytest.mark.parametrize("call, x, k, out, name", REAL_ARGUMENTS.values(),
+                         ids=REAL_ARGUMENTS)
+def test_real_arguments_follow_one_rule(call, x, k, out, name):
     # A numpy float32 was computed in single precision behind a certified
     # error, or rejected with a message saying its value was out of range;
     # True was taken as 1.0; an int or Fraction beyond the double range
@@ -540,31 +570,39 @@ def test_real_arguments_follow_one_rule(call, x, k, name):
                 10 ** 400, Fraction(10 ** 400, 3)):
         with pytest.raises(DomainError, match=f"^{name} must "):
             call(bad)
+    if out is not None:
+        # A NaN gamma said "gamma must be a finite real", gamma = 1 "gamma
+        # must lie in [0, 1)": the range is now worded once, for both.
+        assert _rule(call, out).startswith(f"{name} must ")
+        assert _rule(call, out) == _rule(call, math.nan)
 
 
-# (call of one argument, a valid value, the argument's name in error messages)
+# (call of one argument, a valid value, a value out of the argument's range,
+# the argument's name in error messages)
 INTEGER_ARGUMENTS = {
-    "lerch_tail_sum": (lambda k: lerch_tail_sum(0.5, 1.0, k), 1, "start"),
-    "BernardiParams": (lambda k: BernardiParams(1.0, k), 1, "m"),
-    "bernardi_radius_classic": (lambda k: bernardi_radius_classic(1.0, k), 1, "m"),
-    "SchurSampleSpec.degree": (lambda k: SchurSampleSpec(k, 1, G0), 2, "degree"),
-    "SchurSampleSpec.seed": (lambda k: SchurSampleSpec(2, k, G0), 7, "seed"),
-    "blaschke_coeffs": (lambda k: blaschke_coeffs([0.5], 1.0, k), 8, "output order"),
+    "lerch_tail_sum": (lambda k: lerch_tail_sum(0.5, 1.0, k), 1, -1, "start"),
+    "BernardiParams": (lambda k: BernardiParams(1.0, k), 1, -1, "m"),
+    "bernardi_radius_classic": (lambda k: bernardi_radius_classic(1.0, k), 1, -1, "m"),
+    "SchurSampleSpec.degree": (lambda k: SchurSampleSpec(k, 1, G0), 2, 17, "degree"),
+    "SchurSampleSpec.seed": (lambda k: SchurSampleSpec(2, k, G0), 7, -1, "seed"),
+    "blaschke_coeffs": (lambda k: blaschke_coeffs([0.5], 1.0, k), 8, -1, "output order"),
     "sample_schur_omega": (
-        lambda k: sample_schur_omega(SchurSampleSpec(2, 1, DomainGamma(0.4)), k), 8,
+        lambda k: sample_schur_omega(SchurSampleSpec(2, 1, DomainGamma(0.4)), k), 8, -1,
         "output order"),
-    "extremal_coeffs": (lambda k: extremal_coeffs(ExtremalParams(0.9, G0), k), 8,
+    "extremal_coeffs": (lambda k: extremal_coeffs(ExtremalParams(0.9, G0), k), 8, -1,
                         "output order"),
-    "padded": (lambda k: polynomial([1.0]).padded(k), 3, "order"),
-    "lemma1_check.num_samples": (lambda k: lemma1_check(G0, k, 2, 16, 1), 3, "num_samples"),
-    "lemma1_check.degree_max": (lambda k: lemma1_check(G0, 3, k, 16, 1), 2, "degree_max"),
-    "lemma1_check.n_out": (lambda k: lemma1_check(G0, 3, 2, k, 1), 16, "output order"),
-    "lemma1_check.seed": (lambda k: lemma1_check(G0, 3, 2, 16, k), 5, "seed"),
+    "padded": (lambda k: polynomial([1.0]).padded(k), 3, -1, "order"),
+    "lemma1_check.num_samples": (lambda k: lemma1_check(G0, k, 2, 16, 1), 3, 0,
+                                 "num_samples"),
+    "lemma1_check.degree_max": (lambda k: lemma1_check(G0, 3, k, 16, 1), 2, 17, "degree_max"),
+    "lemma1_check.n_out": (lambda k: lemma1_check(G0, 3, 2, k, 1), 16, 0, "output order"),
+    "lemma1_check.seed": (lambda k: lemma1_check(G0, 3, 2, 16, k), 5, -1, "seed"),
 }
 
 
-@pytest.mark.parametrize("call, k, name", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS)
-def test_integer_arguments_follow_one_rule(call, k, name):
+@pytest.mark.parametrize("call, k, out, name", INTEGER_ARGUMENTS.values(),
+                         ids=INTEGER_ARGUMENTS)
+def test_integer_arguments_follow_one_rule(call, k, out, name):
     # True was taken as start = 1 or m = 1, or as one sample or degree; a
     # float seed was truncated and a float order ran or failed inside numpy.
     valid = _outcome(call, k)
@@ -574,8 +612,11 @@ def test_integer_arguments_follow_one_rule(call, k, name):
                 math.inf):
         with pytest.raises(DomainError, match=f"^{name} must be a nonnegative integer"):
             call(bad)
-    with pytest.raises(DomainError, match=f"^{name} must "):
-        call(-1)
+    # Degree 17 said "degree must be an integer in [0, 16]" but degree -1
+    # "degree must be a nonnegative integer"; 0 samples "need at least one
+    # sample".  Both ends of a range now share one message.
+    assert _rule(call, out).startswith(f"{name} must ")
+    assert _rule(call, out) == _rule(call, -1)
 
 
 def test_float32_arguments_keep_certified_errors():
