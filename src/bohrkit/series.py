@@ -257,7 +257,7 @@ def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
     if not abs(abs(phase) - 1.0) <= 1e-12:
         raise DomainError(f"phase must be unimodular, got |phase| = {abs(phase)}")
     zeros = [finite_complex(z, "Blaschke zeros", "lie strictly inside the unit disk",
-                            lambda z: abs(z) < 1.0) for z in zeros]
+                            lambda w: abs(w) < 1.0) for z in zeros]
     c = _blaschke_rows(np.array([zeros], dtype=complex), np.array([len(zeros)]),
                        np.array([phase]), n_out)
     return TruncatedPowerSeries(c[0], 1.0)
