@@ -17,17 +17,16 @@ _MODULE_OF = {name: module for module, names in {
     "errors": "BohrkitError BracketingError DomainError InconclusiveError NumericalError "
               "PreconditionError",
     "lerch": "DomainGamma lerch_tail_sum",
-    "series": "TruncatedPowerSeries SchurSampleSpec majorant_eval blaschke_coeffs "
-              "sample_schur_omega polynomial truncation_order",
+    "series": "TruncatedPowerSeries SchurSampleSpec Lemma1Report majorant_eval "
+              "blaschke_coeffs sample_schur_omega polynomial truncation_order lemma1_check",
     "operators": "BernardiParams cesaro_transform cesaro_majorant bernardi_transform "
-                 "bernardi_majorant log_bound",
+                 "bernardi_majorant",
     "radii": "RadiusResult solve_bracketed cesaro_radius bernardi_radius "
-             "bernardi_radius_classic bohr_radius_omega",
-    "extremal": "ExtremalParams SharpnessReport Lemma1Report Decomposition extremal_coeffs "
-                "extremal_eval cesaro_extremal_decomposition bernardi_extremal_decomposition "
-                "cesaro_first_order_factor bernardi_first_order_factor lemma1_check "
-                "sharpness_scan_cesaro sharpness_scan_bernardi remainder_order_check "
-                "identity_suite",
+             "bernardi_radius_classic bohr_radius_omega log_bound",
+    "extremal": "ExtremalParams SharpnessReport Decomposition cesaro_extremal_decomposition "
+                "bernardi_extremal_decomposition cesaro_first_order_factor "
+                "bernardi_first_order_factor sharpness_scan_cesaro sharpness_scan_bernardi "
+                "remainder_order_check identity_suite",
 }.items() for name in names.split()}
 
 __all__ = ["__version__", *_MODULE_OF]

@@ -150,21 +150,25 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import extremal  # here: its suites need numpy, radius, sweep and table do not
+    # Each branch imports its suite's module on first use: only lemma1's, the
+    # sampler in series, needs numpy, and radius, sweep and table need neither.
     doc = {"check": args.check}
     if args.check == "lemma1":
-        report = extremal.lemma1_check(DomainGamma(args.gamma), args.samples,
-                                       args.degree_max, args.order, args.seed)
+        from .series import lemma1_check
+        report = lemma1_check(DomainGamma(args.gamma), args.samples,
+                              args.degree_max, args.order, args.seed)
         ok = report.max_ratio <= 1.0 + LEMMA1_TOL
         doc.update(parameters={"gamma": args.gamma, "samples": args.samples,
                                "degree_max": args.degree_max, "order": args.order,
                                "seed": args.seed},
                    report=report.as_dict(), tolerance=LEMMA1_TOL)
     elif args.check == "identities":
-        report = extremal.identity_suite()
+        from .extremal import identity_suite
+        report = identity_suite()
         ok = report["max_deviation"] <= IDENTITY_TOL
         doc.update(report=report, tolerance=IDENTITY_TOL)
     else:  # sharpness, remainder-order
+        from . import extremal
         ladder = tuple(_parse_float_list(args.a_list, "--a-list"))
         _fixed(args, args.op)
         gamma = DomainGamma(args.gamma)

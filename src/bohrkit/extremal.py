@@ -1,4 +1,5 @@
-"""Extremal Mobius-type functions, sharpness decompositions, and scan suites.
+"""The sharpness direction: extremal decompositions, witness scans, order
+fits, and the identity suite.
 
 The extremal family is ``psi(G(z))`` with ``psi(w) = (a - w)/(1 - a w)`` and
 ``G(z) = (1 - gamma) z + gamma``; its Taylor coefficients are
@@ -30,125 +31,70 @@ and away from r = 1 Bernardi's is summed directly.  The decompositions,
 witness scans and order fits take their remainders from it, never from a
 summed majorant minus its other parts.  Every error they use is certified:
 it bounds truncation and rounding.
-The Lemma-1 suite stresses ``|a_n| <= (1 - |a_0|^2)/(1 + gamma)`` over seeded
-random samples.
+
+The module needs only ``lerch`` and ``radii``: its series are closed forms,
+and only Bernardi's direct sum away from r = 1 loads numpy.  The other
+direction, Lemma 1's coefficient bound, is checked in ``series`` beside the
+sampler it draws from.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional
-
-import numpy as np
+from collections import namedtuple
 
 from .errors import (DomainError, InconclusiveError, NumericalError,
                      PreconditionError)
 from .lerch import (LN_EXPANSION_MAX_LOG, ORDER_CAP, UNDERFLOW, UNIT_ROUNDOFF,
-                    DomainGamma, _lerch_ln_expansion, finite_complex, finite_real,
-                    lerch_tail_sum, nonnegative_int)
-from .operators import log_bound
+                    DomainGamma, _float_range, _lerch_ln_expansion, finite_real,
+                    lerch_tail_sum)
 from .radii import (_cesaro_equation, _tail_balance_equation, bernardi_radius,
-                    cesaro_radius)
-from .series import (MAX_BLASCHKE_DEGREE, SchurSampleSpec, TruncatedPowerSeries,
-                     _sample_batches, truncation_order)
+                    cesaro_radius, log_bound)
 
-DEGENERATE_A0_TOL = 1e-8
 WITNESS_SLACK = 10.0
 # Covers second-order rounding terms and the rounding of a bound itself.
 BOUND_SLACK = 1.01
 
 
-@dataclass(frozen=True)
-class ExtremalParams:
+class ExtremalParams(namedtuple("ExtremalParams", "a gamma")):
     """Peak location a of the extremal Mobius function; requires gamma < a < 1."""
 
-    a: float
-    gamma: DomainGamma
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
 
-    def __post_init__(self):
-        if not isinstance(self.gamma, DomainGamma):
-            object.__setattr__(self, "gamma", DomainGamma(self.gamma))
-        object.__setattr__(self, "a", finite_real(self.a, "a"))
-        if not self.gamma.gamma < self.a < 1.0:
+    def __new__(cls, a, gamma):
+        if not isinstance(gamma, DomainGamma):
+            gamma = DomainGamma(gamma)
+        a = finite_real(a, "a")
+        if not gamma.gamma < a < 1.0:
             raise PreconditionError(
-                f"extremal family needs gamma < a < 1, got a={self.a}, "
-                f"gamma={self.gamma.gamma}")
+                f"extremal family needs gamma < a < 1, got a={a}, gamma={gamma.gamma}")
+        return super().__new__(cls, a, gamma)
 
 
-@dataclass(frozen=True)
-class SharpnessReport:
-    """Evidence record from an above-radius witness scan."""
+class SharpnessReport(namedtuple("SharpnessReport", "gamma beta r radius a_values margins "
+                                                    "witness_found")):
+    """Evidence record from an above-radius witness scan: one margin per a."""
 
-    gamma: float
-    beta: Optional[float]
-    r: float
-    radius: float
-    a_values: tuple[float, ...]
-    margins: tuple[float, ...]
-    witness_found: bool
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
 
-    def as_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
-
-
-@dataclass(frozen=True)
-class Lemma1Report:
-    """Worst observed coefficient ratio ``|a_n|(1+gamma)/(1-|a_0|^2)`` over samples.
-
-    ``samples`` counts the requested draws; ``skipped`` counts the degenerate
-    ones among them that ``lemma1_check`` skips without computing a ratio.
-    """
-
-    gamma: float
-    samples: int
-    max_ratio: float
-    worst_spec: Optional[SchurSampleSpec] = None
-    skipped: int = 0
+    def __new__(cls, gamma, beta, r, radius, a_values, margins, witness_found):
+        a_values, margins = tuple(a_values), tuple(margins)
+        if len(a_values) != len(margins):
+            raise DomainError(f"need one margin per a, got {len(a_values)} a values "
+                              f"and {len(margins)} margins")
+        return super().__new__(cls, gamma, beta, r, radius, a_values, margins, witness_found)
 
     def as_dict(self) -> dict:
-        out = asdict(self)
-        if self.worst_spec is not None:
-            out["worst_spec"]["gamma"] = self.worst_spec.gamma.gamma
-        return out
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
 
-class Decomposition(NamedTuple):
+class Decomposition(namedtuple("Decomposition", "bound first_order remainder")):
     """Bound + first_order + remainder reproduces the extremal majorant."""
 
-    bound: float
-    first_order: float
-    remainder: float
-
-
-def extremal_ratio(p: ExtremalParams) -> float:
-    """The geometric ratio q = a(1-gamma)/(1-a*gamma) of the extremal coefficients."""
-    g = p.gamma.gamma
-    return p.a * (1.0 - g) / (1.0 - p.a * g)
-
-
-def extremal_coeffs(p: ExtremalParams, n_out: int) -> TruncatedPowerSeries:
-    """Taylor coefficients (A_0, -A_1, ..., -A_N) of the extremal function.
-
-    The coefficient moduli decay geometrically with ratio q < 1, so
-    ``|A_(N+1)|`` bounds every omitted coefficient and is used as the tail
-    bound.  The function maps Omega_gamma into the unit disk, hence the
-    series is Schur-class.
-    """
-    n_out = nonnegative_int(n_out, "output order", "be >= 0")
-    a, g = p.a, p.gamma.gamma
-    q = extremal_ratio(p)
-    a0 = (a - g) / (1.0 - a * g)
-    lead = (1.0 - a * a) / (a * (1.0 - a * g))
-    coeffs = np.concatenate(([a0], -lead * q ** np.arange(1, n_out + 1)))
-    return TruncatedPowerSeries(coeffs, min(lead * q ** (n_out + 1), 1.0))
-
-
-def extremal_eval(p: ExtremalParams, z: complex) -> complex:
-    """The extremal function in closed rational form (no truncation)."""
-    a, g, z = p.a, p.gamma.gamma, finite_complex(z, "z")
-    return (a - g - (1.0 - g) * z) / (1.0 - a * g - a * (1.0 - g) * z)
+    __slots__ = ()
 
 
 def _log1p_defect(t: float) -> tuple[float, float]:
@@ -206,7 +152,7 @@ def _cesaro_remainders(gamma: float, r: float, a_values) -> tuple[list, list]:
 
 
 def _remainders(gamma: float, r: float, a_values,
-                beta: Optional[float] = None) -> tuple[list, list]:
+                beta: float | None = None) -> tuple[list, list]:
     """Extremal remainders for every a at once, and their certified errors.
 
     beta=None selects Cesaro's closed form, ``_cesaro_remainders``.  For
@@ -262,6 +208,7 @@ def _remainders(gamma: float, r: float, a_values,
         if n_terms > 2 * ORDER_CAP:
             raise NumericalError(f"the extremal remainder at r={r} needs {n_terms} "
                                  f"terms, above the order cap {2 * ORDER_CAP}")
+        import numpy as np  # here: the rest of this module runs on the standard library
         n = np.arange(1.0, n_terms + 1.0)
         weights = np.power(r, n) / (n + beta)
         level = float(weights.sum())
@@ -295,7 +242,7 @@ def _remainders(gamma: float, r: float, a_values,
     return remainders, errors
 
 
-def _first_order(gamma: DomainGamma, r: float, beta: Optional[float]) -> tuple[float, float]:
+def _first_order(gamma: DomainGamma, r: float, beta: float | None) -> tuple[float, float]:
     """The first-order factor at a checked r and its certified error; beta=None
     selects Cesaro, whose ``-E(r)/(r(1-r))`` adds 3u for the division."""
     if beta is not None:
@@ -329,7 +276,7 @@ def _check_beta(beta) -> float:
     return beta
 
 
-def _expand(gamma: DomainGamma, r: float, a_values, beta: Optional[float],
+def _expand(gamma: DomainGamma, r: float, a_values, beta: float | None,
             factor: tuple[float, float]) -> tuple[list, list, list]:
     """First-order terms, remainders and certified margin errors over a ladder.
 
@@ -381,42 +328,7 @@ def bernardi_extremal_decomposition(p: ExtremalParams, beta: float,
     return Decomposition(1.0 / beta, first, remainder)
 
 
-def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
-                 n_out: int, seed: int) -> Lemma1Report:
-    """Stress the bound ``|a_n| <= (1-|a_0|^2)/(1+gamma)`` over random samples.
-
-    Each sample is checked at n = 1 .. n_out, so n_out must be at least 1.
-    Samples with ``1 - |a_0|^2 < 1e-8`` (near-unimodular constants) are
-    skipped and counted in the report's ``skipped``: the bound forces their
-    higher coefficients to vanish and the ratio degenerates to 0/0.
-    """
-    num_samples = nonnegative_int(num_samples, "num_samples", "be a positive integer",
-                                  lambda n: n >= 1)
-    degree_max = nonnegative_int(degree_max, "degree_max", f"lie in [0, {MAX_BLASCHKE_DEGREE}]",
-                                 lambda d: d <= MAX_BLASCHKE_DEGREE)
-    n_out = nonnegative_int(n_out, "output order", "be >= 1", lambda n: n >= 1)
-    seed = nonnegative_int(seed, "seed")
-    master = np.random.default_rng(seed)
-    # Per sample the master draws a degree, then a child seed.
-    specs = (SchurSampleSpec(int(master.integers(0, degree_max + 1)),
-                             int(master.integers(0, 2 ** 63)), gamma)
-             for _ in range(num_samples))
-    g = gamma.gamma
-    max_ratio, worst, skipped = 0.0, None, 0
-    for batch, rows in _sample_batches(specs, gamma, n_out):
-        mags = np.abs(rows)
-        denom = 1.0 - mags[:, 0] ** 2
-        keep = denom >= DEGENERATE_A0_TOL
-        skipped += len(batch) - int(np.count_nonzero(keep))
-        ratios = np.zeros(len(batch))
-        ratios[keep] = np.max(mags[keep, 1:], axis=1) * (1.0 + g) / denom[keep]
-        i = int(np.argmax(ratios))  # the first maximum, as a sample loop finds it
-        if ratios[i] > max_ratio:
-            max_ratio, worst = float(ratios[i]), batch[i]
-    return Lemma1Report(g, num_samples, max_ratio, worst, skipped)
-
-
-def _scan(gamma: DomainGamma, r: float, a_values, beta: Optional[float],
+def _scan(gamma: DomainGamma, r: float, a_values, beta: float | None,
           radius: float) -> SharpnessReport:
     """Margins ``first_order + remainder`` over the ladder at r above the
     radius; a witness needs a margin above WITNESS_SLACK times its certified
@@ -454,7 +366,7 @@ def sharpness_scan_bernardi(gamma: DomainGamma, beta: float, r: float,
 
 
 def remainder_order_check(kind: str, gamma: DomainGamma, r: float, a_values,
-                          beta: Optional[float] = None) -> float:
+                          beta: float | None = None) -> float:
     """Least-squares slope of ln|remainder| against ln(1-a); expected near 2.
 
     The remainders come from one ``_remainders`` call.  Raises
@@ -496,14 +408,16 @@ def identity_suite() -> dict:
     deviations = {"weighted_geometric": 0.0, "averaged_geometric": 0.0,
                   "partial_geometric_resummation": 0.0}
     for r in r_grid:
-        n = truncation_order(r, tail_bound=1.0, target=1e-13)
-        ns = np.arange(1, n + 1)
-        powers = np.power(r, ns)
-        lhs1 = math.fsum((ns / (ns + 1.0) * powers).tolist())
+        # k = 1 .. n, n the fewest terms with r^(n+1)/(1-r) <= 1e-13, which
+        # bounds each omitted tail; float k gives the same terms, faster.
+        ks = _float_range(math.ceil(math.log(1e-13 * (1.0 - r)) / math.log(r)))[1:]
+        powers = [r ** k for k in ks]
+        lhs1 = math.fsum([k / (k + 1.0) * p for k, p in zip(ks, powers)])
         rhs1 = 1.0 / (1.0 - r) - log_bound(r)
-        lhs2 = 1.0 + math.fsum((powers / (ns + 1.0)).tolist())
+        weights = [p / (k + 1.0) for k, p in zip(ks, powers)]
+        lhs2 = 1.0 + math.fsum(weights)
         rhs2 = log_bound(r)
-        lhs3 = math.fsum((powers / (ns + 1.0) * (1.0 - q ** ns) / (1.0 - q)).tolist())
+        lhs3 = math.fsum([w * (1.0 - q ** k) / (1.0 - q) for k, w in zip(ks, weights)])
         rhs3 = (log_bound(r) - log_bound(q * r)) / (1.0 - q)
         for key, gap in zip(list(deviations), (lhs1 - rhs1, lhs2 - rhs2, lhs3 - rhs3)):
             deviations[key] = max(deviations[key], abs(gap))

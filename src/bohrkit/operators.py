@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .lerch import UNIT_ROUNDOFF, finite_real, in_unit_interval, nonnegative_int
+from .lerch import UNIT_ROUNDOFF, finite_real, nonnegative_int
 from .lerch import lerch_tail_sum  # noqa: F401 (re-export)
 from .series import TruncatedPowerSeries, majorant_eval
 
@@ -129,13 +129,3 @@ def bernardi_majorant(s: TruncatedPowerSeries, p: BernardiParams,
     value, error = majorant_eval(bernardi_transform(_moduli(s), BernardiParams(p.beta)), r)
     value /= 1.0 + p.beta
     return value, error / (1.0 + p.beta) + 12.0 * UNIT_ROUNDOFF * value
-
-
-def log_bound(r: float) -> float:
-    """The comparison bound ``(1/r) ln(1/(1-r))``, equal to 1 at r = 0.
-
-    log1p keeps every r > 0 accurate, subnormal r included: only r = 0 is
-    the 0/0 limit.
-    """
-    r = finite_real(r, "radius", "lie in [0, 1)", in_unit_interval)
-    return -math.log1p(-r) / r if r else 1.0

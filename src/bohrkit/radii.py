@@ -24,7 +24,8 @@ import math
 from collections import namedtuple
 
 from .errors import BracketingError, DomainError, NumericalError
-from .lerch import UNIT_ROUNDOFF, DomainGamma, finite_real, lerch_tail_sum, nonnegative_int
+from .lerch import (UNIT_ROUNDOFF, DomainGamma, finite_real, in_unit_interval,
+                    lerch_tail_sum, nonnegative_int)
 
 DEFAULT_TOL = 1e-12
 # Safety net for the step loop; Newton needs well under 20 steps here.
@@ -165,6 +166,16 @@ def _cesaro_equation(gamma: float):
         return first - 2.0 * x, error, (1.0 + gamma) - (3.0 + gamma) * log_term
 
     return equation
+
+
+def log_bound(r: float) -> float:
+    """The comparison bound ``(1/r) ln(1/(1-r))``, equal to 1 at r = 0.
+
+    log1p keeps every r > 0 accurate, subnormal r included: only r = 0 is
+    the 0/0 limit.
+    """
+    r = finite_real(r, "radius", "lie in [0, 1)", in_unit_interval)
+    return -math.log1p(-r) / r if r else 1.0
 
 
 def _tail_balance_equation(beta_eff: float, prefactor: float):

@@ -1,4 +1,5 @@
-"""Truncated power series with certified tail bounds, and Schur-class test functions.
+"""Truncated power series with certified tail bounds, Schur-class test
+functions, and the Lemma-1 suite that stresses them.
 
 A series is stored as its first N+1 Taylor coefficients together with a
 uniform bound on every omitted coefficient.  That single number certifies
@@ -9,13 +10,16 @@ Test functions for the function class bounded by 1 on the disk Omega_gamma
 (the disk ``|z + gamma/(1-gamma)| < 1/(1-gamma)``, which contains the unit
 disk) are produced by composing finite Blaschke products with the affine map
 ``G(z) = (1 - gamma) * z + gamma`` that carries Omega_gamma onto the unit
-disk, many samples at a time in batches of bounded memory.
+disk, many samples at a time in batches of bounded memory.  ``lemma1_check``
+reads those batches directly: over seeded random samples it stresses
+Lemma 1, ``|a_n| <= (1 - |a_0|^2)/(1 + gamma)``, the coefficient bound on
+which the paper's below-radius direction rests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import islice
 
@@ -34,6 +38,8 @@ ZERO_SAMPLING_RADIUS = 0.95
 BATCH_ELEMENTS = 2 ** 13
 # Certified bound on what the composition with G drops from each coefficient.
 COMPOSE_TARGET = 1e-13
+# lemma1_check skips samples with 1 - |a_0|^2 below this.
+DEGENERATE_A0_TOL = 1e-8
 
 
 def truncation_order(r: float, tail_bound: float = 1.0,
@@ -303,3 +309,59 @@ def sample_schur_omega(spec: SchurSampleSpec, n_out: int) -> TruncatedPowerSerie
     n_out = nonnegative_int(n_out, "output order", "be >= 0")
     ((_, rows),) = _sample_batches([spec], spec.gamma, n_out)
     return TruncatedPowerSeries(rows[0], 1.0)
+
+
+@dataclass(frozen=True)
+class Lemma1Report:
+    """Worst observed coefficient ratio ``|a_n|(1+gamma)/(1-|a_0|^2)`` over samples.
+
+    ``samples`` counts the requested draws; ``skipped`` counts the degenerate
+    ones among them that ``lemma1_check`` skips without computing a ratio.
+    """
+
+    gamma: float
+    samples: int
+    max_ratio: float
+    worst_spec: SchurSampleSpec | None = None
+    skipped: int = 0
+
+    def as_dict(self) -> dict:
+        out = asdict(self)
+        if self.worst_spec is not None:
+            out["worst_spec"]["gamma"] = self.worst_spec.gamma.gamma
+        return out
+
+
+def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
+                 n_out: int, seed: int) -> Lemma1Report:
+    """Stress the bound ``|a_n| <= (1-|a_0|^2)/(1+gamma)`` over random samples.
+
+    Each sample is checked at n = 1 .. n_out, so n_out must be at least 1.
+    Samples with ``1 - |a_0|^2 < 1e-8`` (near-unimodular constants) are
+    skipped and counted in the report's ``skipped``: the bound forces their
+    higher coefficients to vanish and the ratio degenerates to 0/0.
+    """
+    num_samples = nonnegative_int(num_samples, "num_samples", "be a positive integer",
+                                  lambda n: n >= 1)
+    degree_max = nonnegative_int(degree_max, "degree_max", f"lie in [0, {MAX_BLASCHKE_DEGREE}]",
+                                 lambda d: d <= MAX_BLASCHKE_DEGREE)
+    n_out = nonnegative_int(n_out, "output order", "be >= 1", lambda n: n >= 1)
+    seed = nonnegative_int(seed, "seed")
+    master = np.random.default_rng(seed)
+    # Per sample the master draws a degree, then a child seed.
+    specs = (SchurSampleSpec(int(master.integers(0, degree_max + 1)),
+                             int(master.integers(0, 2 ** 63)), gamma)
+             for _ in range(num_samples))
+    g = gamma.gamma
+    max_ratio, worst, skipped = 0.0, None, 0
+    for batch, rows in _sample_batches(specs, gamma, n_out):
+        mags = np.abs(rows)
+        denom = 1.0 - mags[:, 0] ** 2
+        keep = denom >= DEGENERATE_A0_TOL
+        skipped += len(batch) - int(np.count_nonzero(keep))
+        ratios = np.zeros(len(batch))
+        ratios[keep] = np.max(mags[keep, 1:], axis=1) * (1.0 + g) / denom[keep]
+        i = int(np.argmax(ratios))  # the first maximum, as a sample loop finds it
+        if ratios[i] > max_ratio:
+            max_ratio, worst = float(ratios[i]), batch[i]
+    return Lemma1Report(g, num_samples, max_ratio, worst, skipped)

@@ -36,6 +36,29 @@ def cauchy_coeffs(f, n_max, radius=0.5, samples=4096):
     return hat[: n_max + 1] / radius ** np.arange(n_max + 1)
 
 
+def extremal_coeffs(p, n_out):
+    """Taylor coefficients (A_0, -A_1, ..., -A_N) of the extremal function of
+    ``p`` (an ``ExtremalParams``), written out from their closed form.
+
+    The coefficient moduli decay geometrically with ratio
+    q = a(1-gamma)/(1-a*gamma) < 1, so ``|A_(N+1)|`` bounds every omitted
+    coefficient and is used as the tail bound.  The function maps Omega_gamma
+    into the unit disk, hence the series is Schur-class.
+    """
+    a, g = p.a, p.gamma.gamma
+    q = a * (1.0 - g) / (1.0 - a * g)
+    a0 = (a - g) / (1.0 - a * g)
+    lead = (1.0 - a * a) / (a * (1.0 - a * g))
+    coeffs = np.concatenate(([a0], -lead * q ** np.arange(1, n_out + 1)))
+    return TruncatedPowerSeries(coeffs, min(lead * q ** (n_out + 1), 1.0))
+
+
+def extremal_eval(p, z):
+    """The extremal function in closed rational form (no truncation)."""
+    a, g = p.a, p.gamma.gamma
+    return (a - g - (1.0 - g) * z) / (1.0 - a * g - a * (1.0 - g) * z)
+
+
 # Exact complex-rational arithmetic: numbers are (Fraction, Fraction) pairs.
 
 def _cadd(a, b):
@@ -46,36 +69,24 @@ def _cmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _poly_mul(p, q, n_max):
-    out = [(Fraction(0), Fraction(0))] * (n_max + 1)
-    for i, pi in enumerate(p):
-        if i > n_max:
-            break
-        for j, qj in enumerate(q):
-            if i + j > n_max:
-                break
-            out[i + j] = _cadd(out[i + j], _cmul(pi, qj))
-    return out
-
-
 def rational_blaschke_coeffs(zeros, n_max):
     """Exact-rational Taylor coefficients of prod (a - z)/(1 - conj(a) z).
 
-    zeros are (re, im) Fraction pairs.  Each factor expands as
-    a - (1 - |a|^2) sum conj(a)^(n-1) z^n; factors are multiplied with exact
-    rational bookkeeping and the result returned as complex floats.
+    zeros are (re, im) Fraction pairs.  Multiplying a series f by one factor
+    gives h with ``h(z) (1 - conj(a) z) = f(z) (a - z)``, so
+    ``h_k = conj(a) h_(k-1) + a f_k - f_(k-1)``: each factor costs O(n_max)
+    exact operations.  The result is returned as complex floats.
     """
-    acc = [(Fraction(1), Fraction(0))] + [(Fraction(0), Fraction(0))] * n_max
+    zero = (Fraction(0), Fraction(0))
+    acc = [(Fraction(1), Fraction(0))] + [zero] * n_max
     for a in zeros:
         conj = (a[0], -a[1])
-        mod2 = a[0] * a[0] + a[1] * a[1]
-        one_minus = (Fraction(1) - mod2, Fraction(0))
-        factor = [a]
-        power = (Fraction(1), Fraction(0))
-        for _ in range(n_max):
-            factor.append(_cmul((-one_minus[0], -one_minus[1]), power))
-            power = _cmul(power, conj)
-        acc = _poly_mul(acc, factor, n_max)
+        out, prev_h, prev_f = [], zero, zero
+        for f in acc:
+            t = _cadd(_cmul(conj, prev_h), _cmul(a, f))
+            prev_h, prev_f = (t[0] - prev_f[0], t[1] - prev_f[1]), f
+            out.append(prev_h)
+        acc = out
     return np.array([complex(c[0], c[1]) for c in acc])
 
 

@@ -16,14 +16,13 @@ from bohrkit import cli
 from bohrkit.extremal import (ExtremalParams, bernardi_extremal_decomposition,
                               bernardi_first_order_factor,
                               cesaro_extremal_decomposition,
-                              cesaro_first_order_factor, extremal_coeffs,
-                              lemma1_check, remainder_order_check,
+                              cesaro_first_order_factor, remainder_order_check,
                               sharpness_scan_bernardi, sharpness_scan_cesaro)
 from bohrkit.operators import BernardiParams, bernardi_majorant, cesaro_majorant
 from bohrkit.series import (DomainGamma, SchurSampleSpec, blaschke_coeffs,
-                            majorant_eval, polynomial, sample_schur_omega,
-                            truncation_order)
-from oracles import bernardi_integral_oracle, cesaro_integral_oracle
+                            lemma1_check, majorant_eval, polynomial,
+                            sample_schur_omega, truncation_order)
+from oracles import bernardi_integral_oracle, cesaro_integral_oracle, extremal_coeffs
 
 
 def report(num, ok, detail):

@@ -451,7 +451,7 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# The README's radius, sweep and table examples, and --version.
+# The README's radius, sweep, table and Cesaro verify examples, and --version.
 NUMPY_FREE_COMMANDS = [
     ["--version"],
     ["radius", "cesaro", "--gamma", "0"],
@@ -463,6 +463,9 @@ NUMPY_FREE_COMMANDS = [
     ["table", "paper-constants"],
     ["table", "theorem1"],
     ["table", "theorem2"],
+    ["verify", "identities"],
+    ["verify", "sharpness", "--op", "cesaro", "--gamma", "0", "--r", "0.55"],
+    ["verify", "remainder-order", "--op", "cesaro", "--gamma", "0.3", "--r", "0.4"],
 ]
 # Modules the commands above must not load: numpy, dataclasses with the
 # inspect it pulls in, and typing.  The interpreter's own start may load some
@@ -478,14 +481,16 @@ for argv in json.loads(sys.argv[1]):
         codes.append(main(argv))
 loaded = sorted(set(sys.modules) - before)
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = main(["verify", "identities"])
+    code = main(["verify", "lemma1", "--gamma", "0.4", "--samples", "10", "--seed", "7"])
 print(json.dumps([codes, loaded, code, json.loads(out.getvalue())["pass"]]))
 """
 
 
 def test_radius_sweep_table_and_version_import_no_numpy():
-    # One fresh interpreter runs the commands in turn; verify, whose suites
-    # import numpy on first use, still works after them.
+    # One fresh interpreter runs the commands in turn; verify lemma1, whose
+    # sampler imports numpy on first use, still works after them.  The three
+    # verify commands loaded numpy and dataclasses through the module that
+    # also held the Lemma-1 suite.
     proc = subprocess.run([sys.executable, "-c", COLD_SESSION,
                            json.dumps(NUMPY_FREE_COMMANDS)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -7,22 +7,21 @@ from mpmath import mp
 
 import bohrkit as bk
 from bohrkit.errors import (DomainError, InconclusiveError, PreconditionError)
-from bohrkit.extremal import (ExtremalParams, Lemma1Report, _remainders,
+from bohrkit.extremal import (ExtremalParams, SharpnessReport, _remainders,
                               bernardi_extremal_decomposition,
                               bernardi_first_order_factor,
                               cesaro_extremal_decomposition,
-                              cesaro_first_order_factor, extremal_coeffs,
-                              extremal_eval, identity_suite, lemma1_check,
+                              cesaro_first_order_factor, identity_suite,
                               remainder_order_check, sharpness_scan_bernardi,
                               sharpness_scan_cesaro)
 from bohrkit.operators import BernardiParams, bernardi_majorant, cesaro_majorant
 from bohrkit.radii import bernardi_radius, cesaro_radius
-from bohrkit.series import (DomainGamma, SchurSampleSpec, sample_schur_omega,
-                            truncation_order)
+from bohrkit.series import (DomainGamma, Lemma1Report, SchurSampleSpec, lemma1_check,
+                            sample_schur_omega, truncation_order)
 
 from oracles import (bernardi_extremal_closed_form, cauchy_coeffs,
-                     cesaro_extremal_closed_form, mp_extremal_remainder,
-                     mp_tail_sum)
+                     cesaro_extremal_closed_form, extremal_coeffs, extremal_eval,
+                     mp_extremal_remainder, mp_tail_sum)
 
 WITNESS_LADDER = (0.99, 0.999, 0.9999)
 
@@ -71,6 +70,26 @@ def test_extremal_params_require_a_above_gamma():
         ExtremalParams(1.0, DomainGamma(0.0))
 
 
+def test_extremal_params_is_a_validating_named_tuple():
+    p = ExtremalParams(0.9, 0.3)  # a float gamma becomes a DomainGamma
+    assert p == (0.9, DomainGamma(0.3)) == ExtremalParams(a=0.9, gamma=DomainGamma(0.3))
+    assert isinstance(p.gamma, DomainGamma)
+    with pytest.raises(PreconditionError, match=r"gamma < a < 1, got a=0\.2, gamma=0\.3$"):
+        p._replace(a=0.2)
+    with pytest.raises(DomainError, match="^gamma must lie in"):
+        ExtremalParams(0.9, 1.0)
+
+
+def test_sharpness_report_is_a_validating_named_tuple():
+    report = SharpnessReport(0.0, None, 0.55, 0.53, [0.99, 0.999], [1e-4, 2e-5], True)
+    assert report.a_values == (0.99, 0.999) and report.margins == (1e-4, 2e-5)
+    assert report.as_dict() == {"gamma": 0.0, "beta": None, "r": 0.55, "radius": 0.53,
+                                "a_values": [0.99, 0.999], "margins": [1e-4, 2e-5],
+                                "witness_found": True}
+    with pytest.raises(DomainError, match="^need one margin per a, got 2 a values and 1"):
+        report._replace(margins=(1e-4,))
+
+
 def test_extremal_function_maps_omega_into_unit_disk():
     # Evaluate the closed rational form at 500 random points of Omega_gamma
     # (the affine preimage of the unit disk) and at boundary points.
@@ -90,14 +109,13 @@ def test_extremal_function_maps_omega_into_unit_disk():
 @pytest.mark.parametrize("z", [math.nan, complex(0.5, math.inf), "0.5", True, 10 ** 400],
                          ids=["nan", "inf", "str", "bool", "int_beyond_double"])
 def test_evaluations_name_a_non_finite_or_non_numeric_z(z):
-    # extremal_eval and TruncatedPowerSeries.eval returned nan for a NaN or
-    # infinite z, and raised an unrelated TypeError for a str.
-    p = ExtremalParams(0.8, DomainGamma(0.35))
-    for evaluate in (lambda z: extremal_eval(p, z), extremal_coeffs(p, 4).eval):
-        with pytest.raises(DomainError, match="z must be a finite complex number"):
-            evaluate(z)
-    assert extremal_eval(p, np.complex128(0.5j)) == extremal_eval(p, 0.5j)
-    assert extremal_eval(p, 1) == extremal_eval(p, 1.0 + 0.0j)
+    # TruncatedPowerSeries.eval returned nan for a NaN or infinite z, and
+    # raised an unrelated TypeError for a str.
+    s = extremal_coeffs(ExtremalParams(0.8, DomainGamma(0.35)), 4)
+    with pytest.raises(DomainError, match="z must be a finite complex number"):
+        s.eval(z)
+    assert s.eval(np.complex128(0.5j)) == s.eval(0.5j)
+    assert s.eval(1) == s.eval(1.0 + 0.0j)
 
 
 # ------------------------------------------------------ cesaro decomposition

@@ -10,18 +10,17 @@ from mpmath import mp
 from bohrkit.errors import BohrkitError, DomainError, NumericalError, PreconditionError
 from bohrkit.extremal import (ExtremalParams, _first_order, bernardi_extremal_decomposition,
                               bernardi_first_order_factor, cesaro_extremal_decomposition,
-                              cesaro_first_order_factor, extremal_coeffs, lemma1_check,
-                              remainder_order_check, sharpness_scan_bernardi,
-                              sharpness_scan_cesaro)
+                              cesaro_first_order_factor, remainder_order_check,
+                              sharpness_scan_bernardi, sharpness_scan_cesaro)
 from bohrkit.operators import (BernardiParams, bernardi_majorant,
                                bernardi_transform, cesaro_majorant,
-                               cesaro_transform, lerch_tail_sum, log_bound)
+                               cesaro_transform, lerch_tail_sum)
 from bohrkit.radii import (bernardi_radius, bernardi_radius_classic, cesaro_radius,
-                           solve_bracketed)
+                           log_bound, solve_bracketed)
 from bohrkit.lerch import UNDERFLOW
 from bohrkit.series import (ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, SchurSampleSpec,
-                            TruncatedPowerSeries, blaschke_coeffs, majorant_eval,
-                            polynomial, sample_schur_omega, truncation_order)
+                            TruncatedPowerSeries, blaschke_coeffs, lemma1_check,
+                            majorant_eval, polynomial, sample_schur_omega, truncation_order)
 from oracles import bernardi_integral_oracle, cesaro_integral_oracle, mp_tail_sum
 
 TWO_LN2 = 2.0 * math.log(2.0)
@@ -589,8 +588,6 @@ INTEGER_ARGUMENTS = {
     "sample_schur_omega": (
         lambda k: sample_schur_omega(SchurSampleSpec(2, 1, DomainGamma(0.4)), k), 8, -1,
         "output order"),
-    "extremal_coeffs": (lambda k: extremal_coeffs(ExtremalParams(0.9, G0), k), 8, -1,
-                        "output order"),
     "padded": (lambda k: polynomial([1.0]).padded(k), 3, -1, "order"),
     "lemma1_check.num_samples": (lambda k: lemma1_check(G0, k, 2, 16, 1), 3, 0,
                                  "num_samples"),

@@ -341,8 +341,7 @@ def test_series_coeffs_are_a_read_only_copy():
 def test_compose_matrix_cache_stays_bounded():
     # Its 64 entries could hold about 1.7 GiB: 27 MiB per order-1300 matrix
     # at gamma = 0.4.
-    from bohrkit.extremal import lemma1_check
-    from bohrkit.series import _compose_matrix
+    from bohrkit.series import _compose_matrix, lemma1_check
 
     for order in (8, 16, 24, 32, 40):
         lemma1_check(DomainGamma(0.4), 1, 2, order, 0)
