@@ -16,11 +16,10 @@ import importlib
 _MODULE_OF = {name: module for module, names in {
     "errors": "BohrkitError BracketingError DomainError InconclusiveError NumericalError "
               "PreconditionError",
-    "lerch": "DomainGamma lerch_tail_sum",
+    "lerch": "DomainGamma BernardiParams lerch_tail_sum",
     "series": "TruncatedPowerSeries SchurSampleSpec Lemma1Report majorant_eval "
               "blaschke_coeffs sample_schur_omega polynomial truncation_order lemma1_check",
-    "operators": "BernardiParams cesaro_transform cesaro_majorant bernardi_transform "
-                 "bernardi_majorant",
+    "operators": "cesaro_transform cesaro_majorant bernardi_transform bernardi_majorant",
     "radii": "RadiusResult solve_bracketed cesaro_radius bernardi_radius "
              "bernardi_radius_classic bohr_radius_omega log_bound",
     "extremal": "ExtremalParams SharpnessReport Decomposition cesaro_extremal_decomposition "

@@ -1,6 +1,7 @@
 """Scalar kernels of the radius equations, standard library only: the unit
-roundoff, order cap and argument rule, the parameter gamma, and the tail sum
-``sum_{n>=start} r^n/(n+beta)``.  A radius, sweep or table call needs no numpy.
+roundoff, order cap and argument rule, the parameter gamma, the Bernardi
+parameters beta and m, and the tail sum ``sum_{n>=start} r^n/(n+beta)``.  A
+radius, sweep or table call needs no numpy.
 """
 
 from __future__ import annotations
@@ -116,6 +117,24 @@ class DomainGamma(namedtuple("DomainGamma", "gamma")):
     def __new__(cls, gamma):
         return super().__new__(cls, finite_real(gamma, "gamma", "lie in [0, 1)",
                                                 in_unit_interval))
+
+
+class BernardiParams(namedtuple("BernardiParams", "beta m")):
+    """Exponent beta and vanishing order m of the Bernardi transform.
+
+    The transform is defined for beta > -m acting on series with an m-fold
+    zero at the origin.  This is the one place that checks that rule: the
+    classic Bernardi radius builds one too.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
+
+    def __new__(cls, beta, m=0):
+        m = nonnegative_int(m, "m")
+        if (beta := finite_real(beta, "beta", "exceed -m")) <= -m:
+            raise DomainError(f"beta must exceed -m, got beta={beta}, m={m}")
+        return super().__new__(cls, beta, m)
 
 
 def _digamma(a: float) -> tuple[float, float]:

@@ -5,44 +5,29 @@ and equals the integral ``int_0^1 f(tz)/(1 - tz) dt``.  The Bernardi transform
 scales coefficients, ``a_n -> (1+beta) a_n / (beta+n)``, and equals
 ``(1+beta) z^{-beta} int_0^z f(xi) xi^{beta-1} dxi``.  The test suite checks
 the coefficient route against an independent quadrature of these integrals.
+The Bernardi parameters, beta and the order m of the zero at the origin,
+come as a ``BernardiParams``, the named tuple in ``lerch`` that checks
+beta > -m.
 
 Each operator majorant is ``series.majorant_eval`` of the operator's
 transform of ``|a_n|``, in the normalization of its radius equation: the
 Bernardi majorant ``sum |a_n| r^n / (n+beta)`` is that of the m = 0
-transform *without* the (1+beta) prefactor that the operator carries.
+transform *without* the (1+beta) prefactor that the operator carries, and
+takes m = 0 only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .lerch import UNIT_ROUNDOFF, finite_real, nonnegative_int
+from .lerch import UNIT_ROUNDOFF, BernardiParams
 from .lerch import lerch_tail_sum  # noqa: F401 (re-export)
 from .series import TruncatedPowerSeries, majorant_eval
 
 LEADING_ZERO_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class BernardiParams:
-    """Exponent beta and vanishing order m of the Bernardi transform.
-
-    The transform is defined for beta > -m acting on series with an m-fold
-    zero at the origin.
-    """
-
-    beta: float
-    m: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", nonnegative_int(self.m, "m"))
-        object.__setattr__(self, "beta", finite_real(self.beta, "beta"))
-        if self.beta <= -self.m:
-            raise DomainError(f"beta must exceed -m, got beta={self.beta}, m={self.m}")
 
 
 def _divide(z: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -118,14 +103,15 @@ def bernardi_majorant(s: TruncatedPowerSeries, p: BernardiParams,
                       r: float) -> tuple[float, float]:
     """``sum_{n>=0} |a_n| r^n / (n+beta)`` with certified error: the plain
     majorant of the m = 0 Bernardi transform of ``|a_n|`` over its (1+beta)
-    prefactor.  Summation starts at n = 0, hence beta > 0 is required here.
+    prefactor.  Summation starts at n = 0, hence m = 0, and with it beta > 0,
+    is required here.
 
     The transform's rounding is added: |a_n| carries 8u (a numpy loop within
     4 ulp), the product, the denominator and the division u each, and the
     division by the prefactor u; the prefactor's own rounding cancels in it.
     That is 12u relative to the value."""
-    if p.beta <= 0.0:
-        raise DomainError("the Bernardi majorant normalization needs beta > 0")
-    value, error = majorant_eval(bernardi_transform(_moduli(s), BernardiParams(p.beta)), r)
+    if p.m:
+        raise DomainError(f"the Bernardi majorant normalization needs m = 0, got m={p.m}")
+    value, error = majorant_eval(bernardi_transform(_moduli(s), p), r)
     value /= 1.0 + p.beta
     return value, error / (1.0 + p.beta) + 12.0 * UNIT_ROUNDOFF * value

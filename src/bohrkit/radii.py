@@ -24,8 +24,8 @@ import math
 from collections import namedtuple
 
 from .errors import BracketingError, DomainError, NumericalError
-from .lerch import (UNIT_ROUNDOFF, DomainGamma, finite_real, in_unit_interval,
-                    lerch_tail_sum, nonnegative_int)
+from .lerch import (UNIT_ROUNDOFF, BernardiParams, DomainGamma, finite_real,
+                    in_unit_interval, lerch_tail_sum)
 
 DEFAULT_TOL = 1e-12
 # Safety net for the step loop; Newton needs well under 20 steps here.
@@ -245,12 +245,11 @@ def bernardi_radius_classic(beta: float, m: int, tol: float = DEFAULT_TOL) -> Ra
 
     Dividing out x^m removes the trivial root at 0 and leaves the same
     tail-balance shape with effective exponent m + beta:
-    ``1/(m+beta) - 2 sum_{j>=1} x^j/(j+m+beta)``.
+    ``1/(m+beta) - 2 sum_{j>=1} x^j/(j+m+beta)``.  ``BernardiParams`` checks
+    the arguments, beta > -m among them.
     """
-    m = nonnegative_int(m, "m")
-    if (beta := finite_real(beta, "beta", "exceed -m")) <= -m:
-        raise DomainError(f"beta must exceed -m, got beta={beta}, m={m}")
-    return _solve_tail_balance(m + beta, 2.0, tol)
+    p = BernardiParams(beta, m)
+    return _solve_tail_balance(p.m + p.beta, 2.0, tol)
 
 
 def bohr_radius_omega(gamma: DomainGamma) -> float:

@@ -13,13 +13,18 @@ disk) are produced by composing finite Blaschke products with the affine map
 disk, many samples at a time in batches of bounded memory.  ``lemma1_check``
 reads those batches directly: over seeded random samples it stresses
 Lemma 1, ``|a_n| <= (1 - |a_0|^2)/(1 + gamma)``, the coefficient bound on
-which the paper's below-radius direction rests.
+which the paper's below-radius direction rests.  It draws plain
+``(degree, seed)`` pairs and names only its worst sample by a
+``SchurSampleSpec``.  That spec and the ``Lemma1Report`` are validating named
+tuples, like the package's other records; a series, which holds an array, is
+a frozen dataclass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
@@ -72,7 +77,9 @@ class TruncatedPowerSeries:
     ``coeffs`` accepts any 1-D sequence of numbers (tuple, list, ndarray) and
     is stored as a read-only 1-D complex ndarray copied from it, so the series
     never aliases its input.  Series compare by identity; compare
-    ``coeffs`` arrays to compare values.
+    ``coeffs`` arrays to compare values.  That is why this record, alone in
+    the package, is a frozen dataclass rather than a named tuple: a tuple
+    would compare its arrays element-wise.
 
     ``tail_bound`` is a real B >= 0 with ``|c_n| <= B`` for every n > order.
     A function bounded by 1 on the unit disk has coefficients of modulus at
@@ -121,21 +128,19 @@ def polynomial(coeffs) -> TruncatedPowerSeries:
     return TruncatedPowerSeries(coeffs, 0.0)
 
 
-@dataclass(frozen=True)
-class SchurSampleSpec:
+class SchurSampleSpec(namedtuple("SchurSampleSpec", "degree seed gamma")):
     """Deterministic recipe for one random Schur-class sample on Omega_gamma."""
 
-    degree: int
-    seed: int
-    gamma: DomainGamma
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
 
-    def __post_init__(self):
-        object.__setattr__(self, "degree", nonnegative_int(
-            self.degree, "degree", f"be an integer in [0, {MAX_BLASCHKE_DEGREE}]",
-            lambda d: d <= MAX_BLASCHKE_DEGREE))
-        object.__setattr__(self, "seed", nonnegative_int(self.seed, "seed"))
-        if not isinstance(self.gamma, DomainGamma):
-            object.__setattr__(self, "gamma", DomainGamma(self.gamma))
+    def __new__(cls, degree, seed, gamma):
+        degree = nonnegative_int(degree, "degree", f"be an integer in [0, {MAX_BLASCHKE_DEGREE}]",
+                                 lambda d: d <= MAX_BLASCHKE_DEGREE)
+        seed = nonnegative_int(seed, "seed")
+        if not isinstance(gamma, DomainGamma):
+            gamma = DomainGamma(gamma)
+        return super().__new__(cls, degree, seed, gamma)
 
 
 def majorant_eval(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:
@@ -269,25 +274,27 @@ def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
     return TruncatedPowerSeries(c[0], 1.0)
 
 
-def _sample_batches(specs, gamma: DomainGamma, n_out: int):
-    """Yield ``(batch, rows)``: consecutive specs, all on gamma, and their
-    coefficients 0..n_out, a row each.  A batch holds at most BATCH_ELEMENTS
-    complex entries per FFT product and specs are drawn one batch at a time,
-    so peak memory does not grow with the number of specs."""
+def _sample_batches(draws, gamma: DomainGamma, n_out: int):
+    """Yield ``(batch, rows)``: consecutive draws and the coefficients 0..n_out
+    of their samples on gamma, a row each.  A draw is a checked ``(degree,
+    seed)`` pair or a SchurSampleSpec, whose first two fields they are.  A
+    batch holds at most BATCH_ELEMENTS complex entries per FFT product and
+    draws are taken one batch at a time, so peak memory does not grow with
+    the number of draws."""
     # G is the identity at gamma = 0: the Blaschke rows are the samples.
     m = _compose_matrix(gamma.gamma, n_out) if gamma.gamma else None
     k_in = n_out if m is None else m.shape[1] - 1
     step = max(1, BATCH_ELEMENTS // _fft_length(2 * k_in + 1))
-    specs = iter(specs)
-    while batch := list(islice(specs, step)):
-        degrees = np.array([spec.degree for spec in batch])
+    draws = iter(draws)
+    while batch := list(islice(draws, step)):
+        degrees = np.array([draw[0] for draw in batch])
         zeros = np.zeros((len(batch), degrees.max()), dtype=complex)
         phases = np.empty(len(batch), dtype=complex)
-        for row, spec in enumerate(batch):  # one random(2d+1) call gives the 2d+1 draws
-            u = np.random.default_rng(spec.seed).random(2 * spec.degree + 1)
+        for row, (degree, seed, *_) in enumerate(batch):  # one random(2d+1) call, 2d+1 uniforms
+            u = np.random.default_rng(seed).random(2 * degree + 1)
             angle = 2.0 * math.pi * u[1::2]
-            zeros[row, : spec.degree] = (ZERO_SAMPLING_RADIUS * np.sqrt(u[:-1:2])
-                                         * (np.cos(angle) + 1j * np.sin(angle)))
+            zeros[row, :degree] = (ZERO_SAMPLING_RADIUS * np.sqrt(u[:-1:2])
+                                   * (np.cos(angle) + 1j * np.sin(angle)))
             theta = 2.0 * math.pi * u[-1]
             phases[row] = complex(math.cos(theta), math.sin(theta))
         rows = _blaschke_rows(zeros, degrees, phases, k_in)
@@ -311,25 +318,27 @@ def sample_schur_omega(spec: SchurSampleSpec, n_out: int) -> TruncatedPowerSerie
     return TruncatedPowerSeries(rows[0], 1.0)
 
 
-@dataclass(frozen=True)
-class Lemma1Report:
+class Lemma1Report(namedtuple("Lemma1Report", "gamma samples max_ratio worst_spec skipped")):
     """Worst observed coefficient ratio ``|a_n|(1+gamma)/(1-|a_0|^2)`` over samples.
 
     ``samples`` counts the requested draws; ``skipped`` counts the degenerate
     ones among them that ``lemma1_check`` skips without computing a ratio.
+    ``worst_spec`` is the SchurSampleSpec of the worst sample, or None.
     """
 
-    gamma: float
-    samples: int
-    max_ratio: float
-    worst_spec: SchurSampleSpec | None = None
-    skipped: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
+
+    def __new__(cls, gamma, samples, max_ratio, worst_spec=None, skipped=0):
+        samples = nonnegative_int(samples, "samples")
+        skipped = nonnegative_int(skipped, "skipped", f"lie in [0, {samples}]",
+                                  lambda k: k <= samples)
+        return super().__new__(cls, gamma, samples, max_ratio, worst_spec, skipped)
 
     def as_dict(self) -> dict:
-        out = asdict(self)
-        if self.worst_spec is not None:
-            out["worst_spec"]["gamma"] = self.worst_spec.gamma.gamma
-        return out
+        spec = self.worst_spec
+        return dict(self._asdict(), worst_spec=None if spec is None else {
+            "degree": spec.degree, "seed": spec.seed, "gamma": spec.gamma.gamma})
 
 
 def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
@@ -348,13 +357,12 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
     n_out = nonnegative_int(n_out, "output order", "be >= 1", lambda n: n >= 1)
     seed = nonnegative_int(seed, "seed")
     master = np.random.default_rng(seed)
-    # Per sample the master draws a degree, then a child seed.
-    specs = (SchurSampleSpec(int(master.integers(0, degree_max + 1)),
-                             int(master.integers(0, 2 ** 63)), gamma)
+    # Per sample the master draws a degree, then a child seed: both in range.
+    draws = ((int(master.integers(0, degree_max + 1)), int(master.integers(0, 2 ** 63)))
              for _ in range(num_samples))
     g = gamma.gamma
     max_ratio, worst, skipped = 0.0, None, 0
-    for batch, rows in _sample_batches(specs, gamma, n_out):
+    for batch, rows in _sample_batches(draws, gamma, n_out):
         mags = np.abs(rows)
         denom = 1.0 - mags[:, 0] ** 2
         keep = denom >= DEGENERATE_A0_TOL
@@ -364,4 +372,5 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
         i = int(np.argmax(ratios))  # the first maximum, as a sample loop finds it
         if ratios[i] > max_ratio:
             max_ratio, worst = float(ratios[i]), batch[i]
-    return Lemma1Report(g, num_samples, max_ratio, worst, skipped)
+    return Lemma1Report(g, num_samples, max_ratio,
+                        None if worst is None else SchurSampleSpec(*worst, gamma), skipped)

@@ -500,6 +500,16 @@ def test_radius_sweep_table_and_version_import_no_numpy():
     assert code == 0 and passed
 
 
+def test_bernardi_params_import_no_numpy():
+    # BernardiParams lived in operators, beside the numpy transforms, and was
+    # a dataclass.
+    code = ("import sys\nbefore = set(sys.modules)\nimport bohrkit\n"
+            "bohrkit.BernardiParams(1.0, 1)\nprint(' '.join(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [name for name in HEAVY_MODULES if name in proc.stdout.split()] == []
+
+
 def test_package_exports_resolve_lazily():
     import bohrkit
     import bohrkit.operators
@@ -526,6 +536,17 @@ def test_subprocess_and_main_print_the_same_stdout(cli, argv):
     warm = cli(*argv)
     assert cold.returncode == warm.returncode == 0
     assert cold.stdout == warm.stdout
+
+
+@pytest.mark.parametrize("check", ["sharpness", "remainder-order"])
+def test_verify_bernardi_remainder_above_order_cap_exits_three(cli, check):
+    # Away from r = 1 the Bernardi remainder sums an array whose length grows
+    # with beta; for beta above about 560 it passes twice the order cap.
+    proc = cli("verify", check, "--op", "bernardi", "--gamma", "0", "--beta", "1000",
+               "--r", "0.9992")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "needs 45112 terms, above the order cap 40000" in proc.stderr
 
 
 def test_verify_lemma1_order_above_composition_cap_exits_three(cli):

@@ -341,6 +341,20 @@ def test_lemma1_report_as_dict_lists_every_field():
                                "worst_spec": {"degree": 2, "seed": 99, "gamma": 0.4}}
 
 
+def test_lemma1_report_is_a_validating_named_tuple():
+    report = Lemma1Report(0.4, 3, 0.5)
+    assert report == (0.4, 3, 0.5, None, 0)
+    with pytest.raises(DomainError, match=r"^skipped must lie in \[0, 3\], got 4$"):
+        report._replace(skipped=4)
+    with pytest.raises(DomainError, match="^samples must be a nonnegative integer, got -1$"):
+        report._replace(samples=-1)
+    # lemma1_check draws plain (degree, seed) pairs and names its worst
+    # sample by a spec on the report's gamma.
+    checked = lemma1_check(DomainGamma(0.4), 40, 8, 16, 5)
+    assert isinstance(checked.worst_spec, SchurSampleSpec)
+    assert checked.worst_spec.gamma == DomainGamma(0.4)
+
+
 def test_lemma1_counts_skipped_draws():
     # Replay the draws (degree, then child seed): every degree-0 draw is a
     # unimodular constant and is skipped; no other draw is.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+import bohrkit
 from bohrkit.errors import BohrkitError, DomainError, NumericalError, PreconditionError
 from bohrkit.extremal import (ExtremalParams, _first_order, bernardi_extremal_decomposition,
                               bernardi_first_order_factor, cesaro_extremal_decomposition,
@@ -203,6 +204,23 @@ def test_bernardi_transform_preconditions():
         BernardiParams(0.5, -2)
 
 
+def test_bernardi_params_is_a_validating_named_tuple():
+    # Defined beside DomainGamma, where radii.bernardi_radius_classic builds
+    # one too: beta > -m is checked in that one place.
+    p = BernardiParams(2.0, 1)
+    assert p == (2.0, 1) == BernardiParams(beta=2.0, m=1)
+    assert BernardiParams(2.0) == (2.0, 0)
+    assert bohrkit.BernardiParams is BernardiParams is bohrkit.lerch.BernardiParams
+    with pytest.raises(DomainError, match=r"^beta must exceed -m, got beta=-1\.5, m=1$"):
+        p._replace(beta=-1.5)
+    with pytest.raises(DomainError, match="^m must be a nonnegative integer, got -2$"):
+        p._replace(m=-2)
+    # A NaN beta said "beta must be a finite real" here, but "beta must
+    # exceed -m" in bernardi_radius_classic.
+    with pytest.raises(DomainError, match="^beta must exceed -m, got nan$"):
+        BernardiParams(math.nan, 1)
+
+
 # ---------------------------------------------------------- bernardi majorant
 
 def test_bernardi_majorant_single_term():
@@ -223,6 +241,13 @@ def test_bernardi_majorant_geometric_ones():
 def test_bernardi_majorant_needs_positive_beta():
     with pytest.raises(DomainError):
         bernardi_majorant(polynomial([0.0, 1.0]), BernardiParams(-0.5, 1), 0.3)
+
+
+def test_bernardi_majorant_needs_m_zero():
+    # m was ignored: the m = 0 value (0.41667, 1.4e-15) came back for a
+    # series that bernardi_transform rejects for m = 1.
+    with pytest.raises(DomainError, match="^the Bernardi majorant normalization needs m = 0"):
+        bernardi_majorant(polynomial([0.5, 1.0]), BernardiParams(2.0, 1), 0.5)
 
 
 def exact_polynomial(rng, size):

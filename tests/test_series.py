@@ -290,6 +290,18 @@ def test_sample_spec_validation():
         SchurSampleSpec(17, 0, DomainGamma(0.0))
 
 
+def test_sample_spec_is_a_validating_named_tuple():
+    spec = SchurSampleSpec(2, 99, 0.4)  # a float gamma becomes a DomainGamma
+    assert spec == (2, 99, DomainGamma(0.4)) == SchurSampleSpec(degree=2, seed=99, gamma=0.4)
+    assert isinstance(spec.gamma, DomainGamma)
+    with pytest.raises(DomainError, match=r"^degree must be an integer in \[0, 16\], got 17$"):
+        spec._replace(degree=17)
+    with pytest.raises(DomainError, match="^seed must be a nonnegative integer, got -1$"):
+        spec._replace(seed=-1)
+    with pytest.raises(DomainError, match=r"^gamma must lie in \[0, 1\), got 1\.0$"):
+        spec._replace(gamma=1.0)
+
+
 # ----------------------------------------------------- type-level invariants
 
 def test_domain_gamma_validation():
@@ -322,6 +334,7 @@ def test_padded_requires_polynomial():
         s.padded(4)
     p = polynomial([1.0, 2.0]).padded(4)
     assert np.array_equal(p.coeffs, [1.0, 2.0, 0.0, 0.0, 0.0])
+    assert p.padded(4) is p and p.padded(2) is p  # nothing to pad up to its own order
 
 
 def test_series_coeffs_are_a_read_only_copy():
