@@ -13,6 +13,7 @@ import argparse
 import io
 import json
 import sys
+import warnings
 
 from . import __version__
 from .errors import (BracketingError, DomainError, NumericalError,
@@ -287,6 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Run the chosen command, printing each warning it raises as one
+    ``warning: <message>`` line on stderr, before any error line, without
+    the file path and source line of Python's own format.  The filters in
+    force still decide which warnings show."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.handler(args)
+        finally:
+            for caught_warning in caught:
+                print(f"warning: {caught_warning.message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -294,7 +308,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        return _run(args)
     except ValueError as exc:
         # DomainError and PreconditionError subclass ValueError.
         print(f"error: {exc}", file=sys.stderr)

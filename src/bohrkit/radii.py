@@ -12,10 +12,14 @@ Every equation returns its value, a certified bound on that value's
 truncation and rounding error, and its analytic slope.  The solver takes
 safeguarded Newton steps on the slope and accepts a sign only where the
 value exceeds its error bound, so a converged result carries a bracket whose
-end signs are certified.  The tail sum costs the same at any r < 1
-(``lerch.lerch_tail_sum``), so Bernardi radii within a few 1e-6 of 1
-solve like any other; a root closer to 1 than double resolution raises
-NumericalError.
+end signs are certified.  The Cesaro root has the closed form
+``1 - exp(k + W_-1(-k e^-k))``, ``k = 2/(3+gamma)``, with the lower branch
+of Lambert W (``cesaro_radius``); its solve starts there, so one Newton
+landing and the two probes that certify its bracket finish it.  The
+Bernardi solves start from their bracket ends.  Their tail sum costs the
+same at any r < 1 (``lerch.lerch_tail_sum``), so Bernardi radii within a
+few 1e-6 of 1 solve like any other; a root closer to 1 than double
+resolution raises NumericalError.
 """
 
 from __future__ import annotations
@@ -75,10 +79,16 @@ def solve_bracketed(g, lo: float, hi: float, tol: float = DEFAULT_TOL) -> Radius
     return _solve(g, lo, hi, tol)
 
 
-def _solve(g, lo: float, hi: float, tol: float, ends=(None, None), calls: int = 0):
+def _solve(g, lo: float, hi: float, tol: float, ends=(None, None), calls: int = 0,
+           start: float | None = None):
     """``solve_bracketed`` on a checked bracket.  ``ends`` holds g(lo) and g(hi)
     where the caller has them (None where not), which are not evaluated again;
-    ``evaluations`` counts the caller's ``calls`` of g and the solve's own."""
+    ``evaluations`` counts the caller's ``calls`` of g and the solve's own.
+
+    A ``start`` replaces the ends: the caller has proved g > 0 at lo and
+    g < 0 at hi, so neither is evaluated, and the steps begin at g(start).
+    Only the signs the solve certifies itself narrow the bracket.
+    """
     tol = finite_real(tol, "tolerance", "be a positive real", lambda t: t > 0.0)
     points = []  # (|value|, x) of every evaluation
 
@@ -91,17 +101,6 @@ def _solve(g, lo: float, hi: float, tol: float, ends=(None, None), calls: int = 
         points.append((abs(value), x))
         return value, error, slope
 
-    f_lo, f_hi = sample(lo, ends[0]), sample(hi, ends[1])
-    for x, (value, error, _) in ((lo, f_lo), (hi, f_hi)):
-        if value == 0.0 and error == 0.0:
-            return RadiusResult(x, x, x, 0.0, 0, calls, True)
-    if not (abs(f_lo[0]) > f_lo[1] and abs(f_hi[0]) > f_hi[1]) or (
-            (f_lo[0] > 0.0) == (f_hi[0] > 0.0)):
-        raise BracketingError(
-            f"no certified sign change on [{lo}, {hi}]: g(lo)={f_lo[0]:.3e} +- "
-            f"{f_lo[1]:.1e}, g(hi)={f_hi[0]:.3e} +- {f_hi[1]:.1e}")
-    lo_positive = f_lo[0] > 0.0
-
     def narrow(x, value, error):
         """Move a bracket end to x if the sign there is certified."""
         nonlocal lo, hi
@@ -113,7 +112,22 @@ def _solve(g, lo: float, hi: float, tol: float, ends=(None, None), calls: int = 
             return True
         return False
 
-    x, (value, error, slope) = (lo, f_lo) if abs(f_lo[0]) <= abs(f_hi[0]) else (hi, f_hi)
+    if start is None:
+        f_lo, f_hi = sample(lo, ends[0]), sample(hi, ends[1])
+        for x, (value, error, _) in ((lo, f_lo), (hi, f_hi)):
+            if value == 0.0 and error == 0.0:
+                return RadiusResult(x, x, x, 0.0, 0, calls, True)
+        if not (abs(f_lo[0]) > f_lo[1] and abs(f_hi[0]) > f_hi[1]) or (
+                (f_lo[0] > 0.0) == (f_hi[0] > 0.0)):
+            raise BracketingError(
+                f"no certified sign change on [{lo}, {hi}]: g(lo)={f_lo[0]:.3e} +- "
+                f"{f_lo[1]:.1e}, g(hi)={f_hi[0]:.3e} +- {f_hi[1]:.1e}")
+        lo_positive = f_lo[0] > 0.0
+        x, (value, error, slope) = (lo, f_lo) if abs(f_lo[0]) <= abs(f_hi[0]) else (hi, f_hi)
+    else:
+        lo_positive = True
+        x, (value, error, slope) = start, sample(start)
+        narrow(x, value, error)
     iterations, bisect = 0, False
     while hi - lo > tol and iterations < MAX_STEPS:
         iterations += 1
@@ -147,12 +161,46 @@ def _solve(g, lo: float, hi: float, tol: float, ends=(None, None), calls: int = 
 def cesaro_radius(gamma: DomainGamma, tol: float = DEFAULT_TOL) -> RadiusResult:
     """Positive root of ``(3+gamma)(1-x) ln(1/(1-x)) - 2x`` on (0, 1).
 
-    x = 0 also solves the equation, so the bracket is [0.5, 0.75].  The
-    equation is linear in gamma, and it is positive at 0.5 (0.040 and 0.386)
-    and negative at 0.75 (-0.460 and -0.114) for gamma = 0 and gamma = 1, so
-    both signs hold for every gamma in [0, 1).
+    The root has a closed form.  With ``c = 3+gamma``, ``y = 1-x`` and
+    ``t = ln(1/y)``, the equation ``c y t = 2(1-y)`` reads
+    ``e^-t (c t + 2) = 2``.  Put ``k = 2/c`` and ``s = -(t+k)``; then
+    ``s e^s = -k e^-k``, so s is a real branch of Lambert W at
+    ``z = -k e^-k``.  As 0 < k < 1, z lies in (-1/e, 0), where W has two:
+    ``W_0(z) = -k`` gives t = 0, the trivial root x = 0, and
+    ``W_-1(z) < -1`` gives the radius ``x = 1 - exp(k + W_-1(z))``.  As
+    ``e^W = z/W``, that is ``x = 1 + k/W_-1(z)``, which spares the
+    exponential and its rounding.
+
+    The closed form only starts the solve, whose probes certify the bracket
+    it returns.  x = 0 also solves the equation, so the bracket is
+    [0.5, 0.75].  The equation is linear in gamma, and it is positive at 0.5
+    (0.040 and 0.386) and negative at 0.75 (-0.460 and -0.114) for gamma = 0
+    and gamma = 1, so both signs hold for every gamma in [0, 1) and neither
+    end is evaluated.
     """
-    return solve_bracketed(_cesaro_equation(gamma.gamma), 0.5, 0.75, tol)
+    k = 2.0 / (3.0 + gamma.gamma)
+    start = 1.0 + k / _lambert_w_lower(-k * math.exp(-k))
+    return _solve(_cesaro_equation(gamma.gamma), 0.5, 0.75, tol, start=start)
+
+
+def _lambert_w_lower(z: float) -> float:
+    """The lower real branch ``W_-1(z)`` of Lambert W, the solution
+    ``w <= -1`` of ``w e^w = z``, for z in [-0.35, -0.3].
+
+    The Cesaro radius needs z = -k e^-k for k in (1/2, 2/3], which lies
+    between -0.343 and -0.303, clear of the branch point -1/e.  Four terms of the
+    series at the branch point in ``p = -sqrt(2(1 + e z))`` (Corless et al.,
+    "On the Lambert W function", 1996) start within 0.01 there.  Halley
+    steps on ``w e^w - z`` take that to about 1e-6, then to rounding level;
+    a third step leaves w within about two units in the last place.
+    """
+    p = -math.sqrt(2.0 * (1.0 + math.e * z))
+    w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+    for _ in range(3):
+        ew = math.exp(w)
+        f = w * ew - z
+        w -= f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+    return w
 
 
 def _cesaro_equation(gamma: float):

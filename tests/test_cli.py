@@ -276,6 +276,16 @@ def test_verify_sharpness_finds_witness_near_unit_circle(cli, argv):
     assert doc["report"]["witness_found"] is True
 
 
+def test_verify_sharpness_prints_a_library_warning_as_one_line():
+    # The beta < 1 warning reached stderr as a Python warning, with the path
+    # and line of cli.py and a source line, which differ between checkouts.
+    proc = run_cli("verify", "sharpness", "--op", "bernardi", "--gamma", "0.9",
+                   "--beta", "0.15", "--r", "0.99929", "--a-list", "0.9999,0.99999,0.999999")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["report"]["witness_found"] is True
+    assert proc.stderr == "warning: beta=0.15 < 1: sharpness behaviour is exploratory here\n"
+
+
 def test_verify_sharpness_bernardi_requires_beta(cli):
     proc = cli("verify", "sharpness", "--op", "bernardi", "--gamma", "0", "--r", "0.62")
     assert proc.returncode == 1

@@ -172,9 +172,70 @@ def test_cesaro_radius_bracket_soundness():
         assert res.bracket_lo <= res.value <= res.bracket_hi
 
 
+DENSE_GAMMAS = [0.999999 * j / 1999 for j in range(2000)]
+
+
 def test_cesaro_radius_strictly_increasing_in_gamma():
-    values = [cesaro_radius(DomainGamma(0.1 * k)).value for k in range(10)]
+    values = [cesaro_radius(DomainGamma(gamma)).value for gamma in DENSE_GAMMAS]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+# The ends of the gamma range, with the smallest subnormal gamma, and a
+# grid between them.
+LAMBERT_GAMMAS = [0.0, 5e-324, 0.5, 0.999999] + [0.999999 * j / 150 for j in range(1, 150)]
+
+
+def test_lambert_w_lower_branch_matches_mpmath():
+    # At the argument -k e^-k, k = 2/(3+gamma), that the Cesaro radius forms.
+    with mp.workdps(40):
+        for gamma in LAMBERT_GAMMAS:
+            k = 2.0 / (3.0 + gamma)
+            z = -k * math.exp(-k)
+            w, exact = radii._lambert_w_lower(z), mp.lambertw(z, -1).real
+            assert w < -1.0
+            assert abs(w - exact) <= 3 * math.ulp(w), gamma
+
+
+def test_cesaro_radius_bracket_holds_the_mp_root():
+    for gamma in [0.999999 * j / 100 for j in range(101)]:
+        res = cesaro_radius(DomainGamma(gamma))
+        assert res.converged
+        assert res.bracket_hi - res.bracket_lo <= radii.DEFAULT_TOL
+        assert res.bracket_lo <= mp_cesaro_radius(gamma) <= res.bracket_hi, gamma
+        assert res.bracket_lo <= res.value <= res.bracket_hi
+
+
+def test_cesaro_radius_from_the_closed_form_in_four_evaluations():
+    # The W_-1 start leaves one Newton landing and two closing probes; the
+    # search from the ends of [0.5, 0.75] took 8 to 11 evaluations.
+    for gamma in DENSE_GAMMAS:
+        res = cesaro_radius(DomainGamma(gamma))
+        assert res.converged and res.evaluations <= 4, gamma
+
+
+@pytest.mark.parametrize("tol,converged", [
+    (1e-16, False), (1e-15, False), (1e-13, True), (1e-3, True), (0.3, True)])
+def test_cesaro_radius_tolerance_edges(tol, converged):
+    # The probes 0.4 tol from the root certify a sign only where |value|
+    # exceeds its error bound, about 2e-15: not at tol 1e-15 and below.  A
+    # tol wider than [0.5, 0.75] takes no step: the value is the start.
+    root = mp_cesaro_radius(0.3)
+    res = cesaro_radius(DomainGamma(0.3), tol)
+    assert res.converged is converged
+    assert res.bracket_lo <= root <= res.bracket_hi
+    assert res.bracket_lo <= res.value <= res.bracket_hi
+    if tol == 0.3:
+        assert res.value == pytest.approx(root, abs=1e-15)
+
+
+@pytest.mark.parametrize("start", [0.5, 0.75, 0.7])
+def test_solve_converges_through_the_loop_from_a_poor_start(start):
+    # The start is not trusted: away from the root its Newton step is long,
+    # no probe runs, and the safeguarded loop closes the bracket.
+    res = radii._solve(radii._cesaro_equation(0.0), 0.5, 0.75, 1e-12, start=start)
+    assert res.converged
+    assert res.iterations > 1
+    assert res.bracket_lo <= CESARO_ORACLE[0.0] <= res.bracket_hi
 
 
 # ----------------------------------------------------------- bernardi radius
