@@ -14,14 +14,13 @@ import importlib
 # Public names by defining module, each resolved on first use (PEP 562): the
 # package, and a radius solve, load only the modules they need, and no numpy.
 _MODULE_OF = {name: module for module, names in {
-    "errors": "BohrkitError BracketingError DomainError InconclusiveError NumericalError "
-              "PreconditionError",
+    "errors": "BohrkitError DomainError InconclusiveError NumericalError PreconditionError",
     "lerch": "DomainGamma BernardiParams lerch_tail_sum",
     "series": "TruncatedPowerSeries SchurSampleSpec Lemma1Report majorant_eval "
               "blaschke_coeffs sample_schur_omega polynomial truncation_order lemma1_check",
     "operators": "cesaro_transform cesaro_majorant bernardi_transform bernardi_majorant",
-    "radii": "RadiusResult solve_bracketed cesaro_radius bernardi_radius "
-             "bernardi_radius_classic bohr_radius_omega log_bound",
+    "radii": "RadiusResult cesaro_radius bernardi_radius bernardi_radius_classic "
+             "bohr_radius_omega log_bound",
     "extremal": "ExtremalParams SharpnessReport Decomposition cesaro_extremal_decomposition "
                 "bernardi_extremal_decomposition cesaro_first_order_factor "
                 "bernardi_first_order_factor sharpness_scan_cesaro sharpness_scan_bernardi "

@@ -3,8 +3,8 @@
 Output is machine readable: single JSON documents for radius and verify
 commands, CSV (RFC-4180) or JSON arrays for sweeps, plain aligned text for
 the convenience tables.  Exit codes: 0 success, 1 usage/validation error,
-2 domain error, 3 numerical failure, 4 unwritable output, 5 verification
-assertion failure.
+2 domain error, 3 numerical failure (every NumericalError), 4 unwritable
+output, 5 verification assertion failure.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import sys
 import warnings
 
 from . import __version__
-from .errors import (BracketingError, DomainError, NumericalError,
-                     PreconditionError)
+from .errors import DomainError, NumericalError, PreconditionError
 from .lerch import DomainGamma
 from .radii import (DEFAULT_TOL, RadiusResult, bernardi_radius,
                     bernardi_radius_classic, bohr_radius_omega, cesaro_radius)
@@ -313,7 +312,7 @@ def main(argv=None) -> int:
         # DomainError and PreconditionError subclass ValueError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN if isinstance(exc, (DomainError, PreconditionError)) else EXIT_USAGE
-    except (NumericalError, BracketingError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -13,10 +13,6 @@ class PreconditionError(BohrkitError, ValueError):
     """Inputs are individually valid but violate an operation's contract."""
 
 
-class BracketingError(BohrkitError, RuntimeError):
-    """A root bracket with a sign change could not be established."""
-
-
 class NumericalError(BohrkitError, RuntimeError):
     """A computation could not reach its certified accuracy target."""
 

@@ -9,17 +9,21 @@ equation on (0, 1):
                    ``x^m/(m+beta) = 2 sum_{n>=m+1} x^n/(n+beta)``
 
 Every equation returns its value, a certified bound on that value's
-truncation and rounding error, and its analytic slope.  The solver takes
-safeguarded Newton steps on the slope and accepts a sign only where the
-value exceeds its error bound, so a converged result carries a bracket whose
-end signs are certified.  The Cesaro root has the closed form
+truncation and rounding error, and its analytic slope.  Each is positive
+below its root and negative above it, and each caller proves those signs at
+the ends of the bracket it hands the solver: ``cesaro_radius`` analytically
+for every gamma, the Bernardi solves by the certified values of their walk
+toward 1.  The solver takes safeguarded Newton steps on the slope from a
+start inside that bracket and narrows it only where a value exceeds its
+error bound, so a converged result carries a bracket whose end signs are
+certified.  The Cesaro root has the closed form
 ``1 - exp(k + W_-1(-k e^-k))``, ``k = 2/(3+gamma)``, with the lower branch
 of Lambert W (``cesaro_radius``); its solve starts there, so one Newton
 landing and the two probes that certify its bracket finish it.  The
-Bernardi solves start from their bracket ends.  Their tail sum costs the
-same at any r < 1 (``lerch.lerch_tail_sum``), so Bernardi radii within a
-few 1e-6 of 1 solve like any other; a root closer to 1 than double
-resolution raises NumericalError.
+Bernardi solves start at the walked bracket end nearer the root.  Their
+tail sum costs the same at any r < 1 (``lerch.lerch_tail_sum``), so
+Bernardi radii within a few 1e-6 of 1 solve like any other; a root closer
+to 1 than double resolution raises NumericalError.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import BracketingError, DomainError, NumericalError
+from .errors import NumericalError
 from .lerch import (UNIT_ROUNDOFF, BernardiParams, DomainGamma, finite_real,
                     in_unit_interval, lerch_tail_sum)
 
@@ -43,8 +47,9 @@ class RadiusResult(namedtuple("RadiusResult", "value bracket_lo bracket_hi resid
     """A computed radius with its certifying bracket and convergence data.
 
     ``iterations`` counts solver steps (Newton or bisection, each with its
-    closing probes); ``evaluations`` counts every call of the equation,
-    bracket ends, upper-bracket walk and probes included.
+    closing probes); ``evaluations`` counts every call of the equation, the
+    upper-bracket walk and the probes included.  The bracket ends are proved
+    by the caller and are evaluated only where the walk reached them.
     """
 
     __slots__ = ()
@@ -53,41 +58,31 @@ class RadiusResult(namedtuple("RadiusResult", "value bracket_lo bracket_hi resid
         return self._asdict()
 
 
-def solve_bracketed(g, lo: float, hi: float, tol: float = DEFAULT_TOL) -> RadiusResult:
+def _solve(g, lo: float, hi: float, tol: float, start: float, known=None,
+           calls: int = 0) -> RadiusResult:
     """Root of g on [lo, hi] by safeguarded Newton steps with certified signs.
 
     ``g(x)`` returns ``(value, error, slope)``: the equation's value, a bound
     on that value's error, and its derivative.  A sign counts only where
-    ``|value| > error``, and g(lo), g(hi) must have certified, opposite signs.
+    ``|value| > error``.  The caller has proved g > 0 at lo and g < 0 at hi,
+    so neither end is evaluated; the steps begin at ``start``, whose g value
+    is ``known`` where the caller has it.  ``evaluations`` counts the
+    caller's ``calls`` of g and the solve's own.
 
     Each step moves from the latest point along the Newton step, or to the
     bracket midpoint when that step would leave the bracket or the slope is
     unusable; every certified sign shrinks the bracket.  Once a Newton step
     is shorter than tol/2, the step lands on its target (clamped into the
     bracket) and probes 0.4 tol on either side of it, which closes a
-    certified bracket of width <= tol around a simple root.  If the probes
-    leave a wider bracket, the next step bisects; if they certify no sign,
-    the error bound hides the root and the solve stops there.
+    certified bracket of width <= tol around a simple root.  A probe that
+    rounds to the landing point is skipped: it could certify no sign the
+    landing did not.  If the probes leave a wider bracket, the next step
+    bisects; if they certify no sign, the error bound hides the root and the
+    solve stops there.
 
     Returns the evaluated point inside the final bracket with the smallest
     |value|; ``converged`` is true only when the certified bracket is at most
     tol wide.
-    """
-    lo, hi = finite_real(lo, "lo"), finite_real(hi, "hi")
-    if not (lo < hi):
-        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    return _solve(g, lo, hi, tol)
-
-
-def _solve(g, lo: float, hi: float, tol: float, ends=(None, None), calls: int = 0,
-           start: float | None = None):
-    """``solve_bracketed`` on a checked bracket.  ``ends`` holds g(lo) and g(hi)
-    where the caller has them (None where not), which are not evaluated again;
-    ``evaluations`` counts the caller's ``calls`` of g and the solve's own.
-
-    A ``start`` replaces the ends: the caller has proved g > 0 at lo and
-    g < 0 at hi, so neither is evaluated, and the steps begin at g(start).
-    Only the signs the solve certifies itself narrow the bracket.
     """
     tol = finite_real(tol, "tolerance", "be a positive real", lambda t: t > 0.0)
     points = []  # (|value|, x) of every evaluation
@@ -105,29 +100,15 @@ def _solve(g, lo: float, hi: float, tol: float, ends=(None, None), calls: int = 
         """Move a bracket end to x if the sign there is certified."""
         nonlocal lo, hi
         if abs(value) > error and lo < x < hi:
-            if (value > 0.0) == lo_positive:
+            if value > 0.0:
                 lo = x
             else:
                 hi = x
             return True
         return False
 
-    if start is None:
-        f_lo, f_hi = sample(lo, ends[0]), sample(hi, ends[1])
-        for x, (value, error, _) in ((lo, f_lo), (hi, f_hi)):
-            if value == 0.0 and error == 0.0:
-                return RadiusResult(x, x, x, 0.0, 0, calls, True)
-        if not (abs(f_lo[0]) > f_lo[1] and abs(f_hi[0]) > f_hi[1]) or (
-                (f_lo[0] > 0.0) == (f_hi[0] > 0.0)):
-            raise BracketingError(
-                f"no certified sign change on [{lo}, {hi}]: g(lo)={f_lo[0]:.3e} +- "
-                f"{f_lo[1]:.1e}, g(hi)={f_hi[0]:.3e} +- {f_hi[1]:.1e}")
-        lo_positive = f_lo[0] > 0.0
-        x, (value, error, slope) = (lo, f_lo) if abs(f_lo[0]) <= abs(f_hi[0]) else (hi, f_hi)
-    else:
-        lo_positive = True
-        x, (value, error, slope) = start, sample(start)
-        narrow(x, value, error)
+    x, (value, error, slope) = start, sample(start, known)
+    narrow(x, value, error)
     iterations, bisect = 0, False
     while hi - lo > tol and iterations < MAX_STEPS:
         iterations += 1
@@ -148,7 +129,7 @@ def _solve(g, lo: float, hi: float, tol: float, ends=(None, None), calls: int = 
         if close:
             certified = False
             for p in (t - 0.4 * tol, t + 0.4 * tol):
-                if lo < p < hi:
+                if lo < p < hi and p != t:
                     p_value, p_error, _ = sample(p)
                     certified |= narrow(p, p_value, p_error)
             if not certified:
@@ -180,7 +161,7 @@ def cesaro_radius(gamma: DomainGamma, tol: float = DEFAULT_TOL) -> RadiusResult:
     """
     k = 2.0 / (3.0 + gamma.gamma)
     start = 1.0 + k / _lambert_w_lower(-k * math.exp(-k))
-    return _solve(_cesaro_equation(gamma.gamma), 0.5, 0.75, tol, start=start)
+    return _solve(_cesaro_equation(gamma.gamma), 0.5, 0.75, tol, start)
 
 
 def _lambert_w_lower(z: float) -> float:
@@ -278,7 +259,13 @@ def _solve_tail_balance(beta_eff: float, prefactor: float, tol: float) -> Radius
         jump = max(value / (-slope * w), WALK_MIN_STEP)
         hi = min(max(1.0 - w * math.exp(-jump), math.nextafter(hi, 1.0)),
                  1.0 - UNIT_ROUNDOFF)
-    return _solve(equation, lo, hi, tol, (f_lo, f_hi), walked)  # ends not summed again
+    # Start at the walked end with the smaller |value|, with that value.  An
+    # unwalked lo = 0 is never it: g(0) = 1/beta_eff exceeds |g(0.5)|, as
+    # ``sum 2^-n/(n+beta_eff) < 1/(1+beta_eff)`` and ``prefactor <= 2``.
+    start, known = hi, f_hi
+    if f_lo is not None and abs(f_lo[0]) <= abs(f_hi[0]):
+        start, known = lo, f_lo
+    return _solve(equation, lo, hi, tol, start, known, walked)
 
 
 def bernardi_radius(gamma: DomainGamma, beta: float,

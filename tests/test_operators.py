@@ -16,8 +16,7 @@ from bohrkit.extremal import (ExtremalParams, _first_order, bernardi_extremal_de
 from bohrkit.operators import (BernardiParams, bernardi_majorant,
                                bernardi_transform, cesaro_majorant,
                                cesaro_transform, lerch_tail_sum)
-from bohrkit.radii import (bernardi_radius, bernardi_radius_classic, cesaro_radius,
-                           log_bound, solve_bracketed)
+from bohrkit.radii import bernardi_radius, bernardi_radius_classic, cesaro_radius, log_bound
 from bohrkit.lerch import UNDERFLOW
 from bohrkit.series import (ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, SchurSampleSpec,
                             TruncatedPowerSeries, blaschke_coeffs, lemma1_check,
@@ -483,11 +482,6 @@ G0 = DomainGamma(0.0)
 LADDER = (0.99, 0.999, 0.9999)
 
 
-def LINEAR(x):
-    """A root at 0.3 for solve_bracketed."""
-    return x - 0.3, 0.0, 1.0
-
-
 def _outcome(call, x):
     """What ``call(x)`` returns, pickled so that equal outcomes have equal
     bits and types (a float32 field differs from a float), or its error."""
@@ -532,10 +526,6 @@ REAL_ARGUMENTS = {
                                 "target"),
     "TruncatedPowerSeries": (lambda x: TruncatedPowerSeries([1.0], x), 0.5, 1, -0.5,
                              "tail_bound"),
-    "solve_bracketed.lo": (lambda x: solve_bracketed(LINEAR, x, 1.0), 0.125, 0, None, "lo"),
-    "solve_bracketed.hi": (lambda x: solve_bracketed(LINEAR, 0.0, x), 0.75, 1, None, "hi"),
-    "solve_bracketed.tol": (lambda x: solve_bracketed(LINEAR, 0.0, 1.0, x), 1e-10, 1, 0.0,
-                            "tolerance"),
     "cesaro_radius.tol": (lambda x: cesaro_radius(G0, x), 1e-10, 1, -1e-10, "tolerance"),
     "bernardi_radius.beta": (lambda x: bernardi_radius(G0, x), 1.5, 2, 0.0, "beta"),
     "bernardi_radius.tol": (lambda x: bernardi_radius(G0, 1.0, x), 1e-10, 1, 0.0,

@@ -6,10 +6,10 @@ import pytest
 from mpmath import mp
 
 from bohrkit import radii
-from bohrkit.errors import BracketingError, DomainError, NumericalError
+from bohrkit.errors import DomainError, NumericalError
 from bohrkit.operators import lerch_tail_sum
 from bohrkit.radii import (RadiusResult, bernardi_radius, bernardi_radius_classic,
-                           bohr_radius_omega, cesaro_radius, solve_bracketed)
+                           bohr_radius_omega, cesaro_radius)
 from bohrkit.series import DomainGamma
 
 from oracles import mp_bernardi_equation, mp_bernardi_radius, mp_cesaro_radius
@@ -41,10 +41,11 @@ SOLVER_TOL = 5e-12
 
 
 # -------------------------------------------------------------- root engine
-# Equations return (value, error bound, slope).
+# Equations return (value, error bound, slope), positive below the root and
+# negative above it, as every radius equation is.
 
 def test_solver_linear_root():
-    res = solve_bracketed(lambda x: (x - 0.25, 0.0, 1.0), 0.0, 1.0, 1e-12)
+    res = radii._solve(lambda x: (0.25 - x, 0.0, -1.0), 0.0, 1.0, 1e-12, 0.0)
     assert res.value == pytest.approx(0.25, abs=1e-12)
     assert res.converged
     assert res.bracket_hi - res.bracket_lo <= 1e-12
@@ -52,46 +53,24 @@ def test_solver_linear_root():
 
 
 def test_solver_sqrt2():
-    res = solve_bracketed(lambda x: (x * x - 2.0, 4e-16 * x * x, 2.0 * x), 1.0, 2.0, 1e-12)
+    res = radii._solve(lambda x: (2.0 - x * x, 4e-16 * x * x, -2.0 * x), 1.0, 2.0, 1e-12,
+                       1.0)
     assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-
-def test_solver_cesaro_log_equation():
-    def g(x):
-        log_term = math.log(1.0 / (1.0 - x))
-        return 2.0 * x - 3.0 * (1.0 - x) * log_term, 1e-15, 3.0 * log_term - 1.0
-    res = solve_bracketed(g, 1e-6, 1.0 - 1e-9, 1e-12)
-    assert abs(res.value - 0.5335) < 5e-4
-
-
-def test_solver_requires_sign_change():
-    with pytest.raises(BracketingError):
-        solve_bracketed(lambda x: (x * x + 1.0, 0.0, 2.0 * x), 0.0, 1.0, 1e-12)
-
-
-def test_solver_input_validation():
-    with pytest.raises(DomainError):
-        solve_bracketed(lambda x: (x, 0.0, 1.0), 1.0, 0.0, 1e-12)
-    with pytest.raises(DomainError):
-        solve_bracketed(lambda x: (x, 0.0, 1.0), -1.0, 1.0, 0.0)
+    assert res.converged
+    assert res.bracket_lo <= math.sqrt(2.0) <= res.bracket_hi
 
 
 def test_solver_rejects_a_non_finite_value():
     with pytest.raises(NumericalError, match="not finite"):
-        solve_bracketed(lambda x: (math.nan, 0.0, 1.0), 0.0, 1.0, 1e-12)
-
-
-def test_solver_exact_zero_at_bracket_end():
-    res = solve_bracketed(lambda x: (x - 0.25, 0.0, 1.0), 0.25, 1.0, 1e-12)
-    assert res == RadiusResult(0.25, 0.25, 0.25, 0.0, 0, 2, True)
+        radii._solve(lambda x: (math.nan, 0.0, -1.0), 0.0, 1.0, 1e-12, 0.5)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
 def test_solver_rejects_non_finite_tolerance(tol):
     # A NaN tol never enters the step loop, and an inf tol accepts the whole
-    # bracket: either would report a bracket end as the root.
+    # bracket: either would report the start as the root.
     with pytest.raises(DomainError, match="tolerance"):
-        solve_bracketed(lambda x: (x, 0.0, 1.0), -1.0, 2.0, tol)
+        radii._solve(lambda x: (-x, 0.0, -1.0), -1.0, 2.0, tol, 0.5)
     with pytest.raises(DomainError, match="tolerance"):
         cesaro_radius(DomainGamma(0.0), tol)
     with pytest.raises(DomainError, match="tolerance"):
@@ -101,7 +80,7 @@ def test_solver_rejects_non_finite_tolerance(tol):
 def test_solver_stops_when_the_error_hides_the_sign():
     # |value| <= error within 1e-3 of the root: no sign there counts, so the
     # solver cannot close a 1e-12 bracket and must say so.
-    res = solve_bracketed(lambda x: (x - 0.3, 1e-3, 1.0), 0.0, 1.0, 1e-12)
+    res = radii._solve(lambda x: (0.3 - x, 1e-3, -1.0), 0.0, 1.0, 1e-12, 0.0)
     assert not res.converged
     assert res.bracket_lo < 0.3 < res.bracket_hi
     assert res.bracket_lo <= res.value <= res.bracket_hi
@@ -113,11 +92,18 @@ def test_solver_counts_steps_and_evaluations():
 
     def g(x):
         calls.append(x)
-        return x - 0.25, 0.0, 1.0
-    res = solve_bracketed(g, 0.0, 1.0, 1e-12)
+        return 0.25 - x, 0.0, -1.0
+    res = radii._solve(g, 0.0, 1.0, 1e-12, 0.0)
     assert res.evaluations == len(calls)
     assert 1 <= res.iterations < res.evaluations
     assert res.as_dict()["evaluations"] == res.evaluations
+    # A known start value is not evaluated again, and the caller's own calls
+    # of g are counted with the solve's.
+    calls.clear()
+    res = radii._solve(g, 0.0, 1.0, 1e-12, 0.0, (0.25, 0.0, -1.0), 5)
+    assert 0.0 not in calls
+    assert res.evaluations == len(calls) + 5
+    assert res.converged
 
 
 def test_records_are_immutable_picklable_named_tuples():
@@ -226,6 +212,11 @@ def test_cesaro_radius_tolerance_edges(tol, converged):
     assert res.bracket_lo <= res.value <= res.bracket_hi
     if tol == 0.3:
         assert res.value == pytest.approx(root, abs=1e-15)
+    if tol == 1e-16:
+        # Under one ulp of the root both closing probes round to the landing
+        # point, the start: they could certify no sign it did not, so they
+        # are skipped.
+        assert res.evaluations == 1
 
 
 @pytest.mark.parametrize("start", [0.5, 0.75, 0.7])
@@ -310,8 +301,8 @@ def test_bernardi_radius_domain_errors():
     lambda: bernardi_radius_classic(1.0, 5),
 ], ids=["gamma0-beta0.3", "gamma0.2-beta5", "gamma0.2-beta0.05", "classic-m5"])
 def test_bernardi_solve_sums_each_point_once(monkeypatch, solve):
-    # The bracketed solve summed the walk's last point again, and its lower
-    # end too where the walk had reached it.
+    # The solve reuses the walk's value at its start and sums no other point
+    # twice; r = 0, never the end nearer the root, is not summed at all.
     summed = []
 
     def counting_tail_sum(r, *args, **kwargs):
@@ -320,6 +311,7 @@ def test_bernardi_solve_sums_each_point_once(monkeypatch, solve):
     monkeypatch.setattr(radii, "lerch_tail_sum", counting_tail_sum)
     res = solve()
     assert len(set(summed)) == len(summed)
+    assert 0.0 not in summed
     assert res.evaluations == len(summed)
 
 
