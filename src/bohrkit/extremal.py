@@ -24,13 +24,17 @@ remainder is exactly
              = (K/(1-r)) [m(tau) - rho m((1-q) tau)]
 
 with L(x) = sum_{n>=1} x^n/(n+beta), tau = r/(1-r), rho = (1+a)/(1-a) and
-m(t) = 1 - log1p(t)/t; every c_n is negative.  ``_remainders`` evaluates
-both closed forms for a whole ladder of a, at any r < 1: the differences
-``L(r) - L(qr)`` and ``m(tau) - rho m(...)`` are formed without cancellation,
-and away from r = 1 Bernardi's is summed directly.  The decompositions,
-witness scans and order fits take their remainders from it, never from a
-summed majorant minus its other parts.  Every error they use is certified:
-it bounds truncation and rounding.
+m(t) = 1 - log1p(t)/t; every c_n is negative.  Both are ``(K/w) [level -
+rho drop]``: Bernardi's level is L(r), its drop L(r) - L(qr) and its width
+w = 1; Cesaro's are m(tau), m((1-q) tau) and 1 - r.  ``_remainders`` is the
+one kernel for both: each operator supplies its level, its drops, formed
+without cancellation, and its width, and one loop over a ladder of a forms
+the bracket, its scale and one certified rounding bound, at any r < 1.  The
+decompositions, witness scans and order fits take their remainders from it,
+never from a summed majorant minus its other parts.  Every error they use is
+certified: it bounds truncation and rounding.  For a far below 1 the
+bracket loses every digit; a decomposition whose remainder is not
+certifiably nonzero raises NumericalError, and a fit InconclusiveError.
 
 The module needs only ``lerch`` and ``radii``: its series are closed forms,
 and only Bernardi's direct sum away from r = 1 loads numpy.  The other
@@ -118,127 +122,124 @@ def _log1p_defect(t: float) -> tuple[float, float]:
     return z - part, UNIT_ROUNDOFF * (5.0 * (z - part) + 7.0 * part)
 
 
-def _cesaro_remainders(gamma: float, r: float, a_values) -> tuple[list, list]:
-    """Cesaro's remainders ``(K/(1-r)) [m(tau) - rho m((1-q) tau)]``, tau =
-    r/(1-r), rho = (1+a)/(1-a), m from ``_log1p_defect``; and their errors.
-
-    ``c_1 + ... + c_n = n(1-rho) + rho q S_n`` summed against r^n/(n+1) is
-    ``K [(1-rho)(1/(1-r) - l(r)) + rho q/(1-q) (l(r) - l(qr))]``, l(x) =
-    -ln(1-x)/x; ``(1-r) l(r) = log1p(tau)/tau`` and ``1 - qr = (1-r)(1 +
-    (1-q) tau)`` give the form above.  As a -> 1, ``rho m((1-q) tau)`` tends
-    to ``tau (1+a)/(2d) >= tau >= 2 m(tau)``: the difference has condition
-    at most 3.  Rounding, to first order in u with e = a*gamma/d: tau carries
-    2u and (1-q) tau (6 + e)u, which m passes on; rho and its product add
-    4u, the difference u, ``K/(1-r)`` (8 + e)u and the last product u; the
-    error is BOUND_SLACK times the sum.  Below the normal range a rounding
-    errs by up to half the smallest subnormal instead; each m takes at most
-    28 such errors, so UNDERFLOW (1 + rho) covers the bracket's and UNDERFLOW
-    the last product's.  They matter only for r below about 1e-290.
-    """
-    tau = r / (1.0 - r)
-    m_r, m_r_err = _log1p_defect(tau)
-    remainders, errors = [], []
-    for a in a_values:
-        d = 1.0 - a * gamma
-        m_q, m_q_err = _log1p_defect((1.0 - a) / d * tau)
-        rho, e = (1.0 + a) / (1.0 - a), a * gamma / d
-        bracket = m_r - rho * m_q
-        scale = (1.0 - a) * (1.0 - a) / (a * d * (1.0 - r))
-        remainders.append(scale * bracket)
-        errors.append(BOUND_SLACK * scale * (m_r_err + rho * m_q_err + UNIT_ROUNDOFF * (
-            2.0 * m_r + (10.0 + e) * (rho * m_q + abs(bracket))) + UNDERFLOW * (1.0 + rho))
-            + UNDERFLOW)
-    return remainders, errors
-
-
 def _remainders(gamma: float, r: float, a_values,
                 beta: float | None = None) -> tuple[list, list]:
     """Extremal remainders for every a at once, and their certified errors.
 
-    beta=None selects Cesaro's closed form, ``_cesaro_remainders``.  For
-    Bernardi, ``((1+a)/d) S_n = rho (1 - q^n)`` turns ``K sum r^n/(n+beta) c_n``
-    into ``K [L - rho G]`` with ``L = sum_{n>=1} r^n/(n+beta)`` and
-    ``G = L(r) - L(qr) = sum_{n>=1} r^n (1-q^n)/(n+beta)``.  As 1 + a > d and
-    S_n >= 1, ``|c_n| = ((1+a)/d) S_n - 1 >= S_n |c_1|`` with
-    ``|c_1| = a(1+gamma)/d``, so ``L + rho G <= (1 + 2/|c_1|) |L - rho G|``.
-    With x = ln(1/r), delta = ln(1/q), x2 = x + delta and A = 1 + beta:
+    Both operators' remainders are ``(K/w) [level - rho drop]`` with
+    K = (1-a)^2/(a d) and rho = (1+a)/(1-a); one loop over a forms them, and
+    beta=None selects Cesaro.  Each operator supplies its level, its drop
+    for each a and its width w:
 
-    * near 1, where x <= 1/8 and A x <= 1/2, L is ``lerch_tail_sum(r, beta,
-      1)``.  Where x2 lies in its ln r region too (x2 <= 1/4, A x2 <= 1), G
-      is ``lerch._lerch_ln_expansion``'s drop, which has no cancellation;
-      elsewhere G is the difference ``L(r) - L(qr)``: delta > x there, so its
-      condition is about ``ln(1/x)/ln 2``.  qr carries 2u, which the slope
-      ``1/(1-qr)`` of L turns into ``2u qr/(1-qr)``.  ``lerch_tail_sum``
-      certifies L(qr) at any qr, subnormal included;
-    * away from 1, L sums the weights ``w_n = r^n/(n+beta)``, n <= N, and
-      omits at most ``r^(N+1)/((N+1+beta)(1-r))``; every G is a row of one
-      (len(a), N) array of positive terms ``w_n (-expm1(n log1p(-(1-q))))``.
-      The omitted share of G is largest as q -> 1, since (1-q^n)/n falls
-      with n: there it is ``sum_{n>N} n w_n / sum_{n>=1} n w_n``.  The sum
-      above is at most ``r^(N+1)/(1-r)``, the one below at least
-      ``m r^m/((m+beta)(1-r))`` for every m >= 1, so the share is at most
-      ``r^(N+1-m) (m+beta)/m``.  N is the first count that makes this 8u,
-      m the integer nearest its minimizer ``(sqrt(beta^2 + 4 beta/x) -
-      beta)/2``: a closed form in r and beta.  For x > 1/(2A), N is below
-      ``beta + 2A ln(2/(8u))``, so beyond 2 * ORDER_CAP terms, for beta above
-      about 560, it raises NumericalError; so may the order cap of L(qr).
+    * Cesaro: level m(tau), drop m((1-q) tau), w = 1 - r, with tau = r/(1-r)
+      and m from ``_log1p_defect``.  ``c_1 + ... + c_n = n(1-rho) +
+      rho q S_n`` summed against r^n/(n+1) is ``K [(1-rho)(1/(1-r) - l(r)) +
+      rho q/(1-q) (l(r) - l(qr))]``, l(x) = -ln(1-x)/x; ``(1-r) l(r) =
+      log1p(tau)/tau`` and ``1 - qr = (1-r)(1 + (1-q) tau)`` give the form
+      above.  As a -> 1, ``rho m((1-q) tau)`` tends to ``tau (1+a)/(2d) >=
+      tau >= 2 m(tau)``: the bracket has condition at most 3.
+    * Bernardi: level L = ``sum_{n>=1} r^n/(n+beta)``, drop ``G = L(r) -
+      L(qr) = sum_{n>=1} r^n (1-q^n)/(n+beta)``, w = 1: ``((1+a)/d) S_n =
+      rho (1 - q^n)`` turns ``K sum r^n/(n+beta) c_n`` into ``K [L - rho G]``.
+      As 1 + a > d and S_n >= 1, ``|c_n| = ((1+a)/d) S_n - 1 >= S_n |c_1|``
+      with ``|c_1| = a(1+gamma)/d``, so ``L + rho G <= (1 + 2/|c_1|)
+      |L - rho G|``.  With x = ln(1/r), delta = ln(1/q), x2 = x + delta and
+      A = 1 + beta:
 
-    Rounding, to first order in u = 2**-53, with 8u for each log1p, expm1
-    and pow of the array (numpy's SIMD loops are within 4 ulp) and
-    e = a*gamma/d: 1 - q carries (3 + e)u, and G's relative condition in it
-    is at most 1, as ``n q^(n-1)(1-q) <= 1 - q^n``.  In the array 1 - q^n
-    carries 17u, the weights 10u, their products u, and each sum (N-1)u, its
-    terms sharing one sign.  rho and its product with G add 4u, the
-    subtraction u, K (6 + e)u and the last product u; the error is
-    BOUND_SLACK times the sum.  Below the normal range a rounding errs by up
-    to half the smallest subnormal instead: UNDERFLOW per term covers those
-    of each array sum and of the bracket, and UNDERFLOW the last product's.
-    They matter only for r below about 1e-290, where N = 1.
+      - near 1, where x <= 1/8 and A x <= 1/2, L is ``lerch_tail_sum(r,
+        beta, 1)``.  Where x2 lies in its ln r region too (x2 <= 1/4,
+        A x2 <= 1), G is ``lerch._lerch_ln_expansion``'s drop, which has no
+        cancellation; elsewhere G is the difference ``L(r) - L(qr)``: delta
+        > x there, so its condition is about ``ln(1/x)/ln 2``.  qr carries
+        2u, which the slope ``1/(1-qr)`` of L turns into ``2u qr/(1-qr)``.
+        ``lerch_tail_sum`` certifies L(qr) at any qr, subnormal included;
+      - away from 1, L sums the weights ``w_n = r^n/(n+beta)``, n <= N, and
+        omits at most ``r^(N+1)/((N+1+beta)(1-r))``; every G is a row of one
+        (len(a), N) array of positive terms ``w_n (-expm1(n log1p(-(1-q))))``.
+        The omitted share of G is largest as q -> 1, since (1-q^n)/n falls
+        with n: there it is ``sum_{n>N} n w_n / sum_{n>=1} n w_n``.  The sum
+        above is at most ``r^(N+1)/(1-r)``, the one below at least
+        ``m r^m/((m+beta)(1-r))`` for every m >= 1, so the share is at most
+        ``r^(N+1-m) (m+beta)/m``.  N is the first count that makes this 8u,
+        m the integer nearest its minimizer ``(sqrt(beta^2 + 4 beta/x) -
+        beta)/2``: a closed form in r and beta.  For x > 1/(2A), N is below
+        ``beta + 2A ln(2/(8u))``, so beyond 2 * ORDER_CAP terms, for beta
+        above about 560, it raises NumericalError; so may the order cap of
+        L(qr).  Rounding, with 8u for each log1p, expm1 and pow of the array
+        (numpy's SIMD loops are within 4 ulp): 1 - q^n carries 17u, the
+        weights 10u, their products u, and each sum (N-1)u, its terms
+        sharing one sign; UNDERFLOW per term covers each sum's roundings
+        below the normal range.
+
+    The level's and drop's errors cover their own truncation and rounding
+    at exact arguments.  The bracket's rounding, to first order in
+    u = 2**-53 with e = a*gamma/d, is derived once for both: 1 - q =
+    (1-a)/d carries (3 + e)u, and Cesaro's product with tau, which carries
+    2u, makes (6 + e)u of the drop's argument.  The drop's relative
+    condition in its argument is at most 1 (m's by ``_log1p_defect``; G's as
+    ``n q^(n-1)(1-q) <= 1 - q^n``), and rho and its product add 4u: (10 +
+    e)u of rho drop.  The level's argument carries at most 2u (Cesaro's
+    tau; Bernardi's r is exact) and its relative condition is at most 1 too:
+    2u of the level.  The subtraction adds u of |bracket|, ``K/w`` (8 + e)u
+    and the last product u: (10 + e)u of |bracket|.  The error is
+    BOUND_SLACK times the sum; Bernardi's K, with w = 1, carries only
+    (6 + e)u, and its level none.
+    Below the normal range a rounding errs by up to half the smallest
+    subnormal instead; each m takes at most 28 such errors and Bernardi's
+    errors count their own, so UNDERFLOW (1 + rho) covers the bracket's and
+    UNDERFLOW the last product's.  They matter only for r below about
+    1e-290.  Where the bracket is exactly 0 so is the remainder: ``K/w``
+    overflows as a -> 0, and its error then says the value is uncertified.
     """
+    ts = [(1.0 - a) / (1.0 - a * gamma) for a in a_values]  # 1 - q
     if beta is None:
-        return _cesaro_remainders(gamma, r, a_values)
-    x, exponent = -math.log(r), 1.0 + beta
-    near = x <= 0.125 and exponent * x <= 0.5
-    ts = [(1.0 - a) / (1.0 - a * gamma) for a in a_values]
-    if near:
-        level, level_err = lerch_tail_sum(r, beta, 1)
+        tau, width = r / (1.0 - r), 1.0 - r
+        level, level_err = _log1p_defect(tau)
+        drops = [_log1p_defect(t * tau) for t in ts]
     else:
-        m = max(1, round((math.sqrt(beta * beta + 4.0 * beta / x) - beta) / 2.0))
-        n_terms = max(1, math.ceil(m - 1 + math.log(8.0 * UNIT_ROUNDOFF * m / (m + beta)) / -x))
-        if n_terms > 2 * ORDER_CAP:
-            raise NumericalError(f"the extremal remainder at r={r} needs {n_terms} "
-                                 f"terms, above the order cap {2 * ORDER_CAP}")
-        import numpy as np  # here: the rest of this module runs on the standard library
-        n = np.arange(1.0, n_terms + 1.0)
-        weights = np.power(r, n) / (n + beta)
-        level = float(weights.sum())
-        level_err = ((9 + n_terms) * UNIT_ROUNDOFF * level + n_terms * UNDERFLOW
-                     + r ** (n_terms + 1) / ((n_terms + exponent) * (1.0 - r)))
-        with np.errstate(divide="ignore"):  # q = 0 where 1 - q rounds to 1: rows of 1
-            log_q = np.log1p(-np.array(ts))
-        sums = (-np.expm1(np.multiply.outer(log_q, n)) * weights).sum(axis=1).tolist()
-        relative = (27 + n_terms) * UNIT_ROUNDOFF + r ** (n_terms + 1 - m) * (m + beta) / m
-    remainders, errors = [], []
-    for i, (a, t) in enumerate(zip(a_values, ts)):
-        # Past t = 1/4, delta > 1/4 leaves x + delta outside the ln region.
-        delta = -math.log1p(-t) if t < 0.25 else math.inf
-        if not near:
-            gap, gap_err = sums[i], relative * sums[i] + n_terms * UNDERFLOW
-        elif x + delta <= LN_EXPANSION_MAX_LOG and exponent * (x + delta) <= 1.0:
-            gap, gap_err = _lerch_ln_expansion(x, beta, exponent, delta)
+        x, exponent, width = -math.log(r), 1.0 + beta, 1.0
+        if x <= 0.125 and exponent * x <= 0.5:
+            level, level_err = lerch_tail_sum(r, beta, 1)
+            drops = []
+            for t in ts:
+                # Past t = 1/4, delta > 1/4 leaves x + delta outside the ln region.
+                delta = -math.log1p(-t) if t < 0.25 else math.inf
+                if x + delta <= LN_EXPANSION_MAX_LOG and exponent * (x + delta) <= 1.0:
+                    drops.append(_lerch_ln_expansion(x, beta, exponent, delta))
+                    continue
+                y = r * (1.0 - t)
+                low, low_err = lerch_tail_sum(y, beta, 1)
+                drop = level - low
+                drops.append((drop, level_err + low_err
+                              + UNIT_ROUNDOFF * (2.0 * y / (1.0 - y) + abs(drop))))
         else:
-            y = r * (1.0 - t)
-            low, low_err = lerch_tail_sum(y, beta, 1)
-            gap = level - low
-            gap_err = level_err + low_err + UNIT_ROUNDOFF * (2.0 * y / (1.0 - y) + abs(gap))
+            m = max(1, round((math.sqrt(beta * beta + 4.0 * beta / x) - beta) / 2.0))
+            n_terms = max(1, math.ceil(
+                m - 1 + math.log(8.0 * UNIT_ROUNDOFF * m / (m + beta)) / -x))
+            if n_terms > 2 * ORDER_CAP:
+                raise NumericalError(f"the extremal remainder at r={r} needs {n_terms} "
+                                     f"terms, above the order cap {2 * ORDER_CAP}")
+            import numpy as np  # here: the rest of this module runs on the standard library
+            n = np.arange(1.0, n_terms + 1.0)
+            weights = np.power(r, n) / (n + beta)
+            level = float(weights.sum())
+            level_err = ((9 + n_terms) * UNIT_ROUNDOFF * level + n_terms * UNDERFLOW
+                         + r ** (n_terms + 1) / ((n_terms + exponent) * (1.0 - r)))
+            with np.errstate(divide="ignore"):  # q = 0 where 1 - q rounds to 1: rows of 1
+                log_q = np.log1p(-np.array(ts))
+            sums = (-np.expm1(np.multiply.outer(log_q, n)) * weights).sum(axis=1).tolist()
+            relative = (27 + n_terms) * UNIT_ROUNDOFF + r ** (n_terms + 1 - m) * (m + beta) / m
+            drops = [(s, relative * s + n_terms * UNDERFLOW) for s in sums]
+    remainders, errors = [], []
+    for a, (drop, drop_err) in zip(a_values, drops):
         d = 1.0 - a * gamma
         rho, e = (1.0 + a) / (1.0 - a), a * gamma / d
-        part = rho * gap
-        bracket = level - part
-        scale = (1.0 - a) * (1.0 - a) / (a * d)
-        remainders.append(scale * bracket)
-        errors.append(BOUND_SLACK * scale * (level_err + rho * gap_err + UNIT_ROUNDOFF * (
-            (7.0 + e) * part + (8.0 + e) * abs(bracket))) + UNDERFLOW)
+        bracket = level - rho * drop
+        scale = (1.0 - a) * (1.0 - a) / (a * d * width)
+        remainders.append(scale * bracket if bracket else 0.0)
+        errors.append(BOUND_SLACK * scale * (level_err + rho * drop_err + UNIT_ROUNDOFF * (
+            2.0 * level + (10.0 + e) * (rho * drop + abs(bracket))) + UNDERFLOW * (1.0 + rho))
+            + UNDERFLOW)
     return remainders, errors
 
 
@@ -277,8 +278,9 @@ def _check_beta(beta) -> float:
 
 
 def _expand(gamma: DomainGamma, r: float, a_values, beta: float | None,
-            factor: tuple[float, float]) -> tuple[list, list, list]:
-    """First-order terms, remainders and certified margin errors over a ladder.
+            factor: tuple[float, float]) -> tuple[list, list, list, list]:
+    """First-order terms, remainders, certified margin errors and the
+    remainders' own errors over a ladder.
 
     beta=None selects Cesaro.  ``factor`` is ``_first_order`` at the checked
     r; the remainders come from one ``_remainders`` call.  A
@@ -297,7 +299,19 @@ def _expand(gamma: DomainGamma, r: float, a_values, beta: float | None,
         firsts.append(first)
         errors.append(BOUND_SLACK * (abs(coeff) * value_err + rem_err + UNIT_ROUNDOFF * (
             (5.0 + a * g / d) * abs(first) + abs(first + remainder))))
-    return firsts, remainders, errors
+    return firsts, remainders, errors, rem_errors
+
+
+def _decompose(p: ExtremalParams, r: float, beta: float | None) -> tuple[float, float]:
+    """The first-order term and the remainder at a checked r; NumericalError
+    where the remainder is not certifiably nonzero, as for a far below 1,
+    where ``_remainders`` loses every digit."""
+    (first,), (remainder,), _, (error,) = _expand(p.gamma, r, (p.a,), beta,
+                                                  _first_order(p.gamma, r, beta))
+    if not abs(remainder) > error:
+        raise NumericalError(f"the extremal remainder at a={p.a!r} is {remainder:.3e} +- "
+                             f"{error:.1e}, not certifiably nonzero")
+    return first, remainder
 
 
 def cesaro_extremal_decomposition(p: ExtremalParams, r: float) -> Decomposition:
@@ -306,11 +320,11 @@ def cesaro_extremal_decomposition(p: ExtremalParams, r: float) -> Decomposition:
     bound is ``(1/r) ln(1/(1-r))``; first_order is
     ``((1-a)/(1-a*gamma)) * (2r + (3+gamma)(1-r) ln(1-r)) / (r(1-r))``;
     remainder is the closed-form sum of ``_remainders``, negative and
-    quadratic in (1 - a).
+    quadratic in (1 - a).  Raises NumericalError where the remainder is not
+    certifiably nonzero, as for a far below 1.
     """
     r = _check_r(r)
-    (first,), (remainder,), _ = _expand(p.gamma, r, (p.a,), None, _first_order(p.gamma, r, None))
-    return Decomposition(log_bound(r), first, remainder)
+    return Decomposition(log_bound(r), *_decompose(p, r, None))
 
 
 def bernardi_extremal_decomposition(p: ExtremalParams, beta: float,
@@ -319,13 +333,12 @@ def bernardi_extremal_decomposition(p: ExtremalParams, beta: float,
 
     bound is 1/beta; first_order is ``-(1-a)(1+gamma)/(1-a*gamma)`` times the
     tail-balance factor; remainder is the closed-form sum of ``_remainders``,
-    negative and quadratic in (1 - a).  The sharpness argument is
-    established for beta >= 1; smaller beta is accepted but flagged as
-    exploratory.
+    negative and quadratic in (1 - a); NumericalError as for Cesaro.  The
+    sharpness argument is established for beta >= 1; smaller beta is
+    accepted but flagged as exploratory.
     """
     beta, r = _check_beta(beta), _check_r(r)
-    (first,), (remainder,), _ = _expand(p.gamma, r, (p.a,), beta, _first_order(p.gamma, r, beta))
-    return Decomposition(1.0 / beta, first, remainder)
+    return Decomposition(1.0 / beta, *_decompose(p, r, beta))
 
 
 def _scan(gamma: DomainGamma, r: float, a_values, beta: float | None,
@@ -342,7 +355,7 @@ def _scan(gamma: DomainGamma, r: float, a_values, beta: float | None,
             f"sharpness scan needs r > radius {radius:.6f}, got r={r}: the linear term "
             f"is not certifiably positive there (factor {value:.3e} +- {error:.1e})")
     a_vals = tuple(ExtremalParams(a, gamma).a for a in a_values)
-    firsts, remainders, errors = _expand(gamma, r, a_vals, beta, factor)
+    firsts, remainders, errors, _ = _expand(gamma, r, a_vals, beta, factor)
     margins = tuple(first + rem for first, rem in zip(firsts, remainders))
     found = any(m > WITNESS_SLACK * e for m, e in zip(margins, errors))
     return SharpnessReport(gamma.gamma, beta, r, radius, a_vals, margins, found)

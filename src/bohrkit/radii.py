@@ -70,8 +70,12 @@ def _solve(g, lo: float, hi: float, tol: float, start: float, known=None,
     caller's ``calls`` of g and the solve's own.
 
     Each step moves from the latest point along the Newton step, or to the
-    bracket midpoint when that step would leave the bracket or the slope is
-    unusable; every certified sign shrinks the bracket.  Once a Newton step
+    bracket midpoint when that step would leave the bracket or land on a
+    point already evaluated, or the slope is unusable; every certified sign
+    shrinks the bracket.  Below the root's ulp, Newton steps would otherwise
+    alternate between two neighbouring doubles whose signs the error bound
+    hides.  A midpoint already evaluated, and so of uncertified sign, or one
+    that rounds to a bracket end stops the solve.  Once a Newton step
     is shorter than tol/2, the step lands on its target (clamped into the
     bracket) and probes 0.4 tol on either side of it, which closes a
     certified bracket of width <= tol around a simple root.  A probe that
@@ -85,7 +89,7 @@ def _solve(g, lo: float, hi: float, tol: float, start: float, known=None,
     tol wide.
     """
     tol = finite_real(tol, "tolerance", "be a positive real", lambda t: t > 0.0)
-    points = []  # (|value|, x) of every evaluation
+    points = {}  # |value| at every evaluated x
 
     def sample(x, known=None):
         nonlocal calls
@@ -93,7 +97,7 @@ def _solve(g, lo: float, hi: float, tol: float, start: float, known=None,
         value, error, slope = g(x) if known is None else known
         if not (math.isfinite(value) and math.isfinite(error)):
             raise NumericalError(f"g({x}) is not finite: {value} +- {error}")
-        points.append((abs(value), x))
+        points[x] = abs(value)
         return value, error, slope
 
     def narrow(x, value, error):
@@ -118,10 +122,10 @@ def _solve(g, lo: float, hi: float, tol: float, start: float, known=None,
             t = min(max(x - step, lo), hi)
         else:
             t = x - step
-            if bisect or not lo < t < hi:
+            if bisect or not lo < t < hi or t in points:
                 t = 0.5 * (lo + hi)
-                if not lo < t < hi:
-                    break  # bracket at rounding floor
+                if not lo < t < hi or t in points:
+                    break  # bracket at rounding floor, or its midpoint already evaluated
         if lo < t < hi and t != x:
             x, (value, error, slope) = t, sample(t)
             narrow(x, value, error)
@@ -134,7 +138,7 @@ def _solve(g, lo: float, hi: float, tol: float, start: float, known=None,
                     certified |= narrow(p, p_value, p_error)
             if not certified:
                 break  # the error bound hides the sign around the root
-    inside = [point for point in points if lo <= point[1] <= hi]
+    inside = [(residual, x) for x, residual in points.items() if lo <= x <= hi]
     residual, best = min(inside)
     return RadiusResult(best, lo, hi, residual, iterations, calls, hi - lo <= tol)
 

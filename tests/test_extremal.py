@@ -6,7 +6,8 @@ import pytest
 from mpmath import mp
 
 import bohrkit as bk
-from bohrkit.errors import (DomainError, InconclusiveError, PreconditionError)
+from bohrkit.errors import (DomainError, InconclusiveError, NumericalError,
+                            PreconditionError)
 from bohrkit.extremal import (ExtremalParams, SharpnessReport, _remainders,
                               bernardi_extremal_decomposition,
                               bernardi_first_order_factor,
@@ -297,7 +298,27 @@ def test_remainders_warn_nothing_where_q_rounds_to_zero():
     # numpy's "divide by zero" warning.  The row of 1 - q^n is all ones.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _remainders(0.0, 0.5, [1e-300], 1.0) == ([0.0], [6.544893562865573e+285])
+        assert _remainders(0.0, 0.5, [1e-300], 1.0) == ([0.0], [6.761474374334648e+285])
+
+
+def test_remainders_are_zero_not_nan_where_the_bracket_vanishes():
+    # At a = 1e-300 and r = 1 - 1e-9 the scale (1-a)^2/(a d (1-r)) overflows
+    # to inf where the bracket is exactly 0: the remainder is 0, not inf * 0,
+    # and its infinite error says it is uncertified.
+    assert _remainders(0.0, 0.999999999, [1e-300]) == ([0.0], [math.inf])
+
+
+@pytest.mark.parametrize("r", [0.5, 0.999999999])
+def test_decompositions_refuse_an_uncertified_remainder(r):
+    # The true remainders at a = 1e-300, gamma = 0, r = 0.5 are -0.84111692
+    # (Cesaro) and -0.52258872 (Bernardi, beta = 1); both closed forms lose
+    # every digit there, and the decompositions returned 0.0, or nan near
+    # r = 1, without a word.
+    p = ExtremalParams(1e-300, DomainGamma(0.0))
+    with pytest.raises(NumericalError, match=r"remainder at a=1e-300 is 0\.000e\+00 \+- "):
+        cesaro_extremal_decomposition(p, r)
+    with pytest.raises(NumericalError, match="a=1e-300 .* not certifiably nonzero"):
+        bernardi_extremal_decomposition(p, 1.0, r)
 
 
 def test_decompositions_take_the_kernel_remainder():

@@ -229,6 +229,17 @@ def test_solve_converges_through_the_loop_from_a_poor_start(start):
     assert res.bracket_lo <= CESARO_ORACLE[0.0] <= res.bracket_hi
 
 
+def test_solve_bisects_down_to_the_rounding_floor():
+    # A zero slope leaves only midpoint steps.  Under a tol that no two
+    # doubles meet, they go on until lo and hi are neighbouring doubles,
+    # whose midpoint rounds to an end: there the solve stops.
+    res = radii._solve(lambda x: (1.0 if x < 0.3 else -1.0, 0.0, 0.0), 0.0, 1.0, 1e-300, 0.5)
+    assert not res.converged
+    assert res.bracket_hi == math.nextafter(res.bracket_lo, 1.0)
+    assert res.bracket_lo < 0.3 <= res.bracket_hi
+    assert res.iterations < radii.MAX_STEPS
+
+
 # ----------------------------------------------------------- bernardi radius
 
 @pytest.mark.parametrize("key,expected", sorted(BERNARDI_ORACLE.items()))
@@ -259,6 +270,33 @@ def test_bernardi_radius_near_one_matches_mp_root(gamma, beta):
     assert res.value == pytest.approx(mp_bernardi_radius(gamma, beta), abs=1e-12)
     with mp.workdps(40):
         f = mp_bernardi_equation(gamma, beta)
+        assert f(res.bracket_lo) > 0 > f(res.bracket_hi)
+
+
+@pytest.mark.parametrize("gamma,beta", [(0.0, 0.5), (0.5, 2.0), (0.9, 1.0), (0.9, 2.0)])
+def test_bernardi_radius_below_the_root_ulp_bisects_instead_of_stalling(gamma, beta):
+    # At tol 1e-16, under the root's ulp, Newton steps alternated between two
+    # neighbouring doubles whose signs the error bound hides, until
+    # MAX_STEPS: 102 evaluations and a bracket left up to 0.28 wide.  A target
+    # already evaluated becomes a midpoint step, and a midpoint already
+    # evaluated stops the solve.
+    res = bernardi_radius(DomainGamma(gamma), beta, 1e-16)
+    assert not res.converged
+    assert res.iterations < radii.MAX_STEPS and res.evaluations <= 64
+    assert res.bracket_hi - res.bracket_lo <= 5e-14
+    assert res.bracket_lo <= res.value <= res.bracket_hi
+    with mp.workdps(40):
+        f = mp_bernardi_equation(gamma, beta)
+        assert f(res.bracket_lo) > 0 > f(res.bracket_hi)
+
+
+def test_bernardi_radius_converges_through_midpoint_steps():
+    # At tol 1e-15 the same solve needs its midpoint steps to close the bracket.
+    res = bernardi_radius(DomainGamma(0.0), 0.5, 1e-15)
+    assert res.converged
+    assert res.bracket_hi - res.bracket_lo <= 1e-15
+    with mp.workdps(40):
+        f = mp_bernardi_equation(0.0, 0.5)
         assert f(res.bracket_lo) > 0 > f(res.bracket_hi)
 
 
