@@ -11,19 +11,20 @@ equation on (0, 1):
 Every equation returns its value, a certified bound on that value's
 truncation and rounding error, and its analytic slope.  Each is positive
 below its root and negative above it, and each caller proves those signs at
-the ends of the bracket it hands the solver: ``cesaro_radius`` analytically
-for every gamma, the Bernardi solves by the certified values of their walk
-toward 1.  The solver takes safeguarded Newton steps on the slope from a
-start inside that bracket and narrows it only where a value exceeds its
-error bound, so a converged result carries a bracket whose end signs are
+the ends of the bracket it hands the solver without evaluating them:
+``cesaro_radius`` on [0.5, 0.75] for every gamma, the Bernardi solves on
+[0, 1), where the equation is 1/beta > 0 at 0 and tends to -inf at 1.  One
+solver takes safeguarded Newton steps in ``u = ln(1/(1-x))`` from a start
+inside that bracket and narrows it only where a value exceeds its error
+bound, so a converged result carries a bracket whose end signs are
 certified.  The Cesaro root has the closed form
 ``1 - exp(k + W_-1(-k e^-k))``, ``k = 2/(3+gamma)``, with the lower branch
 of Lambert W (``cesaro_radius``); its solve starts there, so one Newton
 landing and the two probes that certify its bracket finish it.  The
-Bernardi solves start at the walked bracket end nearer the root.  Their
-tail sum costs the same at any r < 1 (``lerch.lerch_tail_sum``), so
-Bernardi radii within a few 1e-6 of 1 solve like any other; a root closer
-to 1 than double resolution raises NumericalError.
+Bernardi solves start at 0.5.  Their tail sum costs the same at any r < 1
+(``lerch.lerch_tail_sum``), so Bernardi radii within a few 1e-6 of 1 solve
+like any other; a root closer to 1 than double resolution raises
+NumericalError.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from .lerch import (UNIT_ROUNDOFF, BernardiParams, DomainGamma, finite_real,
 DEFAULT_TOL = 1e-12
 # Safety net for the step loop; Newton needs well under 20 steps here.
 MAX_STEPS = 100
-# Shortest upper-bracket walk step in ln(1/(1-r)) for the tail balance.
-WALK_MIN_STEP = 1.0 / 64
 
 
 class RadiusResult(namedtuple("RadiusResult", "value bracket_lo bracket_hi residual "
@@ -48,8 +47,8 @@ class RadiusResult(namedtuple("RadiusResult", "value bracket_lo bracket_hi resid
 
     ``iterations`` counts solver steps (Newton or bisection, each with its
     closing probes); ``evaluations`` counts every call of the equation, the
-    upper-bracket walk and the probes included.  The bracket ends are proved
-    by the caller and are evaluated only where the walk reached them.
+    start and the probes included.  The bracket ends are proved by the
+    caller and never evaluated.
     """
 
     __slots__ = ()
@@ -58,89 +57,85 @@ class RadiusResult(namedtuple("RadiusResult", "value bracket_lo bracket_hi resid
         return self._asdict()
 
 
-def _solve(g, lo: float, hi: float, tol: float, start: float, known=None,
-           calls: int = 0) -> RadiusResult:
-    """Root of g on [lo, hi] by safeguarded Newton steps with certified signs.
+def _solve(g, lo: float, hi: float, tol: float, start: float) -> RadiusResult:
+    """Root of g on [lo, hi], within [0, 1], by safeguarded Newton steps with
+    certified signs.
 
     ``g(x)`` returns ``(value, error, slope)``: the equation's value, a bound
     on that value's error, and its derivative.  A sign counts only where
     ``|value| > error``.  The caller has proved g > 0 at lo and g < 0 at hi,
-    so neither end is evaluated; the steps begin at ``start``, whose g value
-    is ``known`` where the caller has it.  ``evaluations`` counts the
-    caller's ``calls`` of g and the solve's own.
+    so neither end is evaluated; the steps begin at ``start``.
 
-    Each step moves from the latest point along the Newton step, or to the
-    bracket midpoint when that step would leave the bracket or land on a
-    point already evaluated, or the slope is unusable; every certified sign
-    shrinks the bracket.  Below the root's ulp, Newton steps would otherwise
-    alternate between two neighbouring doubles whose signs the error bound
-    hides.  A midpoint already evaluated, and so of uncertified sign, or one
-    that rounds to a bracket end stops the solve.  Once a Newton step
-    is shorter than tol/2, the step lands on its target (clamped into the
+    Each Newton step is taken in ``u = ln(1/(1-x))``, which maps [0, 1) onto
+    [0, inf): from ``x`` with ``step = value/slope`` it lands at
+    ``1 - (1-x) exp(step/(1-x))``, computed as
+    ``x - (1-x) expm1(step/(1-x))``.  A step up never reaches 1, and a
+    landing past the largest double below 1 is taken there.  The step moves
+    to the bracket midpoint instead when it would leave the bracket or the
+    slope is unusable; every certified sign shrinks the bracket.  Once a
+    step is shorter than tol/2, it lands on its target (clamped into the
     bracket) and probes 0.4 tol on either side of it, which closes a
-    certified bracket of width <= tol around a simple root.  A probe that
-    rounds to the landing point is skipped: it could certify no sign the
-    landing did not.  If the probes leave a wider bracket, the next step
-    bisects; if they certify no sign, the error bound hides the root and the
-    solve stops there.
+    certified bracket of width <= tol around a simple root.  No point is
+    evaluated twice: a probe at a point already evaluated is skipped.
+
+    Newton has stalled once a landing is a point already evaluated, or its
+    probes leave the bracket wider than tol (the error bound hides their
+    signs, or tol is below the root's ulp, where both round to the landing
+    point).  From then on the solve bisects, and takes only the close steps
+    that a midpoint next to the root allows.  A midpoint already evaluated,
+    and so of uncertified sign, or one that rounds to a bracket end stops
+    the solve.
 
     Returns the evaluated point inside the final bracket with the smallest
     |value|; ``converged`` is true only when the certified bracket is at most
     tol wide.
     """
     tol = finite_real(tol, "tolerance", "be a positive real", lambda t: t > 0.0)
-    points = {}  # |value| at every evaluated x
+    points = {}  # g(x) at every evaluated x
 
-    def sample(x, known=None):
-        nonlocal calls
-        calls += known is None
-        value, error, slope = g(x) if known is None else known
+    def sample(x):
+        """g(x), evaluated once; a certified sign moves a bracket end to x."""
+        nonlocal lo, hi
+        if x in points:
+            return points[x]
+        value, error, slope = points[x] = g(x)
         if not (math.isfinite(value) and math.isfinite(error)):
             raise NumericalError(f"g({x}) is not finite: {value} +- {error}")
-        points[x] = abs(value)
-        return value, error, slope
-
-    def narrow(x, value, error):
-        """Move a bracket end to x if the sign there is certified."""
-        nonlocal lo, hi
         if abs(value) > error and lo < x < hi:
             if value > 0.0:
                 lo = x
             else:
                 hi = x
-            return True
-        return False
+        return value, error, slope
 
-    x, (value, error, slope) = start, sample(start, known)
-    narrow(x, value, error)
-    iterations, bisect = 0, False
+    x, (value, error, slope) = start, sample(start)
+    iterations, probed, stalled = 0, False, False
     while hi - lo > tol and iterations < MAX_STEPS:
-        iterations += 1
         step = value / slope if slope != 0.0 and math.isfinite(slope) else math.inf
-        close = not bisect and abs(step) < 0.5 * tol
+        w = 1.0 - x
+        s = step / w
+        # exp(700) w > 1 for every double x < 1: a longer step down lands below 0.
+        t = x - w * math.expm1(s if s < 700.0 else 700.0)
+        if t >= 1.0:  # a landing beyond every double below 1 is taken at the last one
+            t = 1.0 - UNIT_ROUNDOFF
+        close = not probed and abs(step) < 0.5 * tol
         if close:
-            t = min(max(x - step, lo), hi)
-        else:
-            t = x - step
-            if bisect or not lo < t < hi or t in points:
-                t = 0.5 * (lo + hi)
-                if not lo < t < hi or t in points:
-                    break  # bracket at rounding floor, or its midpoint already evaluated
-        if lo < t < hi and t != x:
+            t = min(max(t, lo), hi)
+        elif probed or stalled or not lo < t < hi or t in points:
+            stalled = stalled or probed or t in points
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi or t in points:
+                break  # bracket at rounding floor, or its midpoint already evaluated
+        iterations += 1
+        if lo < t < hi:
             x, (value, error, slope) = t, sample(t)
-            narrow(x, value, error)
-        bisect = close  # probes that leave the bracket wider than tol: bisect next
         if close:
-            certified = False
             for p in (t - 0.4 * tol, t + 0.4 * tol):
-                if lo < p < hi and p != t:
-                    p_value, p_error, _ = sample(p)
-                    certified |= narrow(p, p_value, p_error)
-            if not certified:
-                break  # the error bound hides the sign around the root
-    inside = [(residual, x) for x, residual in points.items() if lo <= x <= hi]
-    residual, best = min(inside)
-    return RadiusResult(best, lo, hi, residual, iterations, calls, hi - lo <= tol)
+                if lo < p < hi:
+                    sample(p)
+        probed = close
+    residual, best = min([(abs(v[0]), x) for x, v in points.items() if lo <= x <= hi])
+    return RadiusResult(best, lo, hi, residual, iterations, len(points), hi - lo <= tol)
 
 
 def cesaro_radius(gamma: DomainGamma, tol: float = DEFAULT_TOL) -> RadiusResult:
@@ -234,42 +229,25 @@ def _tail_balance_equation(beta_eff: float, prefactor: float):
 
 
 def _solve_tail_balance(beta_eff: float, prefactor: float, tol: float) -> RadiusResult:
-    """Solve the decreasing tail-balance equation with an expanding upper bracket.
+    """Solve the decreasing tail-balance equation on [0, 1).
 
-    The equation is 1/beta_eff at r = 0 and diverges to -inf as r -> 1
-    (harmonic tail), so a sign change always exists.  The upper end walks
-    toward 1 until the value there is certifiably negative; the last
-    certifiably positive point becomes the lower end.  Each walk step is a
-    Newton step in ``u = ln(1/(1-r))``, at least WALK_MIN_STEP long.  In u
-    the sum's slope ``(1-r) d/dr sum = 1 - (beta_eff (1-r)/r) sum`` grows with
-    r, so the equation is concave there and the step from a positive value
-    lands at or just past the root.  Every step moves by at least one double,
-    and the walk stops at the largest double below 1.
+    The equation is 1/beta_eff > 0 at r = 0 and diverges to -inf as r -> 1
+    (harmonic tail), so [0, 1] brackets the root with no evaluation.  The
+    solve starts at 0.5.  In ``u = ln(1/(1-r))`` the sum's slope
+    ``(1-r) d/dr sum = 1 - (beta_eff (1-r)/r) sum`` grows with r, so the
+    equation is concave there: a Newton step from a positive value lands at
+    or just past the root, and steps from above approach it from above.  A
+    solve whose lower end reaches the largest double below 1 has its root
+    beyond every double.
     """
     equation = _tail_balance_equation(beta_eff, prefactor)
-    lo, hi, f_lo, walked = 0.0, 0.5, None, 0
-    while True:
-        f_hi = value, error, slope = equation(hi)
-        walked += 1
-        if value < -error:
-            break
-        if value > error:
-            lo, f_lo = hi, f_hi
-        if hi == 1.0 - UNIT_ROUNDOFF:
-            raise NumericalError(
-                f"the radius for beta={beta_eff} lies within double resolution of 1: "
-                f"the equation is still {value:.3e} +- {error:.1e} at r = 1 - 2**-53")
-        w = 1.0 - hi
-        jump = max(value / (-slope * w), WALK_MIN_STEP)
-        hi = min(max(1.0 - w * math.exp(-jump), math.nextafter(hi, 1.0)),
-                 1.0 - UNIT_ROUNDOFF)
-    # Start at the walked end with the smaller |value|, with that value.  An
-    # unwalked lo = 0 is never it: g(0) = 1/beta_eff exceeds |g(0.5)|, as
-    # ``sum 2^-n/(n+beta_eff) < 1/(1+beta_eff)`` and ``prefactor <= 2``.
-    start, known = hi, f_hi
-    if f_lo is not None and abs(f_lo[0]) <= abs(f_hi[0]):
-        start, known = lo, f_lo
-    return _solve(equation, lo, hi, tol, start, known, walked)
+    res = _solve(equation, 0.0, 1.0, tol, 0.5)
+    if res.bracket_lo == 1.0 - UNIT_ROUNDOFF:
+        value, error, _ = equation(res.bracket_lo)
+        raise NumericalError(
+            f"the radius for beta={beta_eff} lies within double resolution of 1: "
+            f"the equation is still {value:.3e} +- {error:.1e} at r = 1 - 2**-53")
+    return res
 
 
 def bernardi_radius(gamma: DomainGamma, beta: float,

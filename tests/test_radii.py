@@ -53,11 +53,12 @@ def test_solver_linear_root():
 
 
 def test_solver_sqrt2():
-    res = radii._solve(lambda x: (2.0 - x * x, 4e-16 * x * x, -2.0 * x), 1.0, 2.0, 1e-12,
-                       1.0)
-    assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    # The solver takes its steps in ln(1/(1-x)), so its roots lie in (0, 1).
+    res = radii._solve(lambda x: (0.5 - x * x, 4e-16 * x * x, -2.0 * x), 0.0, 1.0, 1e-12,
+                       0.5)
+    assert res.value == pytest.approx(math.sqrt(0.5), abs=1e-12)
     assert res.converged
-    assert res.bracket_lo <= math.sqrt(2.0) <= res.bracket_hi
+    assert res.bracket_lo <= math.sqrt(0.5) <= res.bracket_hi
 
 
 def test_solver_rejects_a_non_finite_value():
@@ -97,13 +98,6 @@ def test_solver_counts_steps_and_evaluations():
     assert res.evaluations == len(calls)
     assert 1 <= res.iterations < res.evaluations
     assert res.as_dict()["evaluations"] == res.evaluations
-    # A known start value is not evaluated again, and the caller's own calls
-    # of g are counted with the solve's.
-    calls.clear()
-    res = radii._solve(g, 0.0, 1.0, 1e-12, 0.0, (0.25, 0.0, -1.0), 5)
-    assert 0.0 not in calls
-    assert res.evaluations == len(calls) + 5
-    assert res.converged
 
 
 def test_records_are_immutable_picklable_named_tuples():
@@ -214,9 +208,13 @@ def test_cesaro_radius_tolerance_edges(tol, converged):
         assert res.value == pytest.approx(root, abs=1e-15)
     if tol == 1e-16:
         # Under one ulp of the root both closing probes round to the landing
-        # point, the start: they could certify no sign it did not, so they
-        # are skipped.
-        assert res.evaluations == 1
+        # point, the start: the solve bisects on, not stopping with the whole
+        # of [0.5, 0.75].
+        assert res.evaluations <= 64
+        assert res.bracket_hi - res.bracket_lo <= 5e-14
+        with mp.workdps(40):
+            f = lambda x: (3 + mp.mpf(0.3)) * (1 - x) * mp.log(1 / (1 - x)) - 2 * x
+            assert f(mp.mpf(res.bracket_lo)) > 0 > f(mp.mpf(res.bracket_hi))
 
 
 @pytest.mark.parametrize("start", [0.5, 0.75, 0.7])
@@ -273,14 +271,17 @@ def test_bernardi_radius_near_one_matches_mp_root(gamma, beta):
         assert f(res.bracket_lo) > 0 > f(res.bracket_hi)
 
 
-@pytest.mark.parametrize("gamma,beta", [(0.0, 0.5), (0.5, 2.0), (0.9, 1.0), (0.9, 2.0)])
-def test_bernardi_radius_below_the_root_ulp_bisects_instead_of_stalling(gamma, beta):
-    # At tol 1e-16, under the root's ulp, Newton steps alternated between two
-    # neighbouring doubles whose signs the error bound hides, until
-    # MAX_STEPS: 102 evaluations and a bracket left up to 0.28 wide.  A target
-    # already evaluated becomes a midpoint step, and a midpoint already
-    # evaluated stops the solve.
-    res = bernardi_radius(DomainGamma(gamma), beta, 1e-16)
+@pytest.mark.parametrize("gamma,beta,tol", [
+    (0.0, 0.5, 1e-16), (0.5, 2.0, 1e-16), (0.9, 1.0, 1e-16), (0.9, 2.0, 1e-16),
+    (0.0, 1.0, 1e-17), (0.3, 3.0, 1e-16),
+], ids=["0.0-0.5", "0.5-2.0", "0.9-1.0", "0.9-2.0", "0.0-1.0-1e-17", "0.3-3.0"])
+def test_bernardi_radius_below_the_root_ulp_bisects_instead_of_stalling(gamma, beta, tol):
+    # Under the root's ulp, Newton steps land on doubles already evaluated,
+    # whose signs the error bound hides, and closing probes round to the
+    # landing point.  Newton has then stalled: the solve bisects until a
+    # midpoint is already evaluated, with no more than 64 evaluations and a
+    # bracket that only its certified signs bound.
+    res = bernardi_radius(DomainGamma(gamma), beta, tol)
     assert not res.converged
     assert res.iterations < radii.MAX_STEPS and res.evaluations <= 64
     assert res.bracket_hi - res.bracket_lo <= 5e-14
@@ -300,16 +301,39 @@ def test_bernardi_radius_converges_through_midpoint_steps():
         assert f(res.bracket_lo) > 0 > f(res.bracket_hi)
 
 
-def test_bernardi_radius_below_double_resolution_says_so():
-    # At beta = 0.01 the root is within 2**-53 of 1: no double lies between.
-    with pytest.raises(NumericalError, match="double resolution"):
-        bernardi_radius(DomainGamma(0.2), 0.01)
+def test_bernardi_radius_below_double_resolution_says_so(monkeypatch):
+    # These roots lie within 2**-53 of 1: no double lies between.  The first
+    # Newton landing is the largest double below 1, whose certified sign
+    # says so; one more sum there words the message.
+    summed = []
+
+    def counting_tail_sum(r, *args, **kwargs):
+        summed.append(r)
+        return lerch_tail_sum(r, *args, **kwargs)
+    monkeypatch.setattr(radii, "lerch_tail_sum", counting_tail_sum)
+    for gamma, beta in [(0.2, 0.01), (0.0, 1e-6), (0.99, 0.01)]:
+        summed.clear()
+        message = (rf"^the radius for beta={beta} lies within double resolution of 1: "
+                   r"the equation is still \S+ \+- \S+ at r = 1 - 2\*\*-53$")
+        with pytest.raises(NumericalError, match=message):
+            bernardi_radius(DomainGamma(gamma), beta)
+        assert len(summed) <= 3, (gamma, beta)
 
 
-def test_bernardi_radius_closed_form_reduction_at_gamma_zero():
-    # With gamma = 0, beta = 1 the equation reduces to ln(1/(1-r)) = 3r/2.
-    root = bernardi_radius(DomainGamma(0.0), 1.0).value
-    assert -math.log1p(-root) == pytest.approx(1.5 * root, abs=1e-10)
+# At beta = 1 the Bernardi equation reads ln(1/(1-r))/r = c, c = (3+gamma)/2,
+# so R = 1 + W_0(-c e^-c)/c; the classic equation with m + beta = 1 is the
+# gamma = 0 one.
+@pytest.mark.parametrize("gamma,classic", [
+    (0.0, False), (0.25, False), (0.5, False), (0.75, False), (0.99, False), (0.0, True)])
+def test_bernardi_radius_at_beta_one_matches_lambert_w(gamma, classic):
+    res = (bernardi_radius_classic(1.0, 0) if classic
+           else bernardi_radius(DomainGamma(gamma), 1.0))
+    with mp.workdps(40):
+        c = (3 + mp.mpf(gamma)) / 2
+        root = 1 + mp.lambertw(-c * mp.exp(-c)).real / c
+        assert res.converged
+        assert res.bracket_lo <= root <= res.bracket_hi
+        assert abs(res.value - root) <= math.ulp(res.value)
 
 
 def test_bernardi_radius_near_gamma_one_limit():
@@ -333,14 +357,14 @@ def test_bernardi_radius_domain_errors():
 
 
 @pytest.mark.parametrize("solve", [
-    lambda: bernardi_radius(DomainGamma(0.0), 0.3),  # bracket ends both walked
-    lambda: bernardi_radius(DomainGamma(0.2), 5.0),  # lower end 0, not walked
+    lambda: bernardi_radius(DomainGamma(0.0), 0.3),  # root near 0.86
+    lambda: bernardi_radius(DomainGamma(0.2), 5.0),  # root near 0.44
     lambda: bernardi_radius(DomainGamma(0.2), 0.05),  # root within 6e-6 of 1
     lambda: bernardi_radius_classic(1.0, 5),
 ], ids=["gamma0-beta0.3", "gamma0.2-beta5", "gamma0.2-beta0.05", "classic-m5"])
 def test_bernardi_solve_sums_each_point_once(monkeypatch, solve):
-    # The solve reuses the walk's value at its start and sums no other point
-    # twice; r = 0, never the end nearer the root, is not summed at all.
+    # The bracket [0, 1) is proved, not summed: the solve sums r = 0 not at
+    # all, and no other point twice.
     summed = []
 
     def counting_tail_sum(r, *args, **kwargs):
@@ -351,6 +375,22 @@ def test_bernardi_solve_sums_each_point_once(monkeypatch, solve):
     assert len(set(summed)) == len(summed)
     assert 0.0 not in summed
     assert res.evaluations == len(summed)
+
+
+# The log grid of beta from 0.1 to 50 that the benchmark sweeps.
+BETA_GRID = [0.1 * 500.0 ** (k / 12) for k in range(13)]
+
+
+@pytest.mark.parametrize("gamma,m", [
+    (0.0, None), (0.2, None), (0.5, None), (0.9, None), (None, 0), (None, 1), (None, 2),
+    (None, 5)])
+def test_bernardi_solve_takes_at_most_eight_evaluations(gamma, m):
+    # From 0.5 the first Newton landing in ln(1/(1-r)) lies at or just past
+    # the root; Newton steps from there and two probes close the bracket.
+    for beta in BETA_GRID:
+        res = (bernardi_radius(DomainGamma(gamma), beta) if m is None
+               else bernardi_radius_classic(beta, m))
+        assert res.converged and res.evaluations <= 8, beta
 
 
 def test_bernardi_radius_residual_certificate():
