@@ -248,7 +248,7 @@ def _first_order(gamma: DomainGamma, r: float, beta: float | None) -> tuple[floa
     selects Cesaro, whose ``-E(r)/(r(1-r))`` adds 3u for the division."""
     if beta is not None:
         return _tail_balance_equation(beta, 2.0 / (1.0 + gamma.gamma))(r)[:2]
-    value, error, _ = _cesaro_equation(gamma.gamma)(r)
+    value, error = _cesaro_equation(gamma.gamma)(r)[:2]
     value = -value / (r * (1.0 - r))
     return value, error / (r * (1.0 - r)) + 3.0 * UNIT_ROUNDOFF * abs(value)
 

@@ -8,23 +8,26 @@ equation on (0, 1):
 * Bernardi (unit disk, m-fold zero):
                    ``x^m/(m+beta) = 2 sum_{n>=m+1} x^n/(n+beta)``
 
-Every equation returns its value, a certified bound on that value's
-truncation and rounding error, and its analytic slope.  Each is positive
-below its root and negative above it, and each caller proves those signs at
-the ends of the bracket it hands the solver without evaluating them:
-``cesaro_radius`` on [0.5, 0.75] for every gamma, the Bernardi solves on
-[0, 1), where the equation is 1/beta > 0 at 0 and tends to -inf at 1.  One
-solver takes safeguarded Newton steps in ``u = ln(1/(1-x))`` from a start
-inside that bracket and narrows it only where a value exceeds its error
-bound, so a converged result carries a bracket whose end signs are
-certified.  The Cesaro root has the closed form
+Every equation returns its value with a certified bound on that value's
+truncation and rounding error, its slope with a bound on the slope's
+rounding error, its second derivative, and a bound on ``|g''|`` from 0 to
+halfway between its argument and 1.  Each is positive below its root and
+negative above it, and each caller proves those signs at the ends of the
+bracket it hands the solver without evaluating them: ``cesaro_radius`` on
+[0.5, 0.75] for every gamma, the Bernardi solves on [0, 1), where the
+equation is 1/beta > 0 at 0 and tends to -inf at 1.  One solver takes
+safeguarded Halley steps in ``u = ln(1/(1-x))`` from a start inside that
+bracket.  Once a step is short, it lands once more and certifies the
+bracket from that landing alone by a mean-value enclosure (Moore, *Interval
+Analysis*): the value's error and a lower bound on the slope near the
+landing place the root between two doubles whose signs follow without an
+evaluation.  The Cesaro root has the closed form
 ``1 - exp(k + W_-1(-k e^-k))``, ``k = 2/(3+gamma)``, with the lower branch
-of Lambert W (``cesaro_radius``); its solve starts there, so one Newton
-landing and the two probes that certify its bracket finish it.  The
-Bernardi solves start at 0.5.  Their tail sum costs the same at any r < 1
-(``lerch.lerch_tail_sum``), so Bernardi radii within a few 1e-6 of 1 solve
-like any other; a root closer to 1 than double resolution raises
-NumericalError.
+of Lambert W (``cesaro_radius``); its solve starts there, so it takes one
+or two evaluations.  The Bernardi solves start at 0.5 and take three to
+five.  Their tail sum costs the same at any r < 1 (``lerch.lerch_tail_sum``),
+so Bernardi radii within a few 1e-6 of 1 solve like any other; a root
+closer to 1 than double resolution raises NumericalError.
 """
 
 from __future__ import annotations
@@ -37,18 +40,22 @@ from .lerch import (UNIT_ROUNDOFF, BernardiParams, DomainGamma, finite_real,
                     in_unit_interval, lerch_tail_sum)
 
 DEFAULT_TOL = 1e-12
-# Safety net for the step loop; Newton needs well under 20 steps here.
+# Safety net for the step loop; Halley needs well under 20 steps here.
 MAX_STEPS = 100
+# A Halley step of s in u lands within about s**3 of the root, so a step
+# shorter than the cube root of the unit roundoff lands within rounding.
+CLOSE_STEP = UNIT_ROUNDOFF ** (1.0 / 3.0)
 
 
 class RadiusResult(namedtuple("RadiusResult", "value bracket_lo bracket_hi residual "
                                               "iterations evaluations converged")):
     """A computed radius with its certifying bracket and convergence data.
 
-    ``iterations`` counts solver steps (Newton or bisection, each with its
-    closing probes); ``evaluations`` counts every call of the equation, the
-    start and the probes included.  The bracket ends are proved by the
-    caller and never evaluated.
+    ``iterations`` counts solver steps (Halley or bisection; the last one
+    lands next to the root and certifies the bracket); ``evaluations``
+    counts every call of the equation, the start included.  The bracket
+    ends are never evaluated: the caller proves them, an evaluation's
+    certified sign moves them, or the mean-value enclosure places them.
     """
 
     __slots__ = ()
@@ -58,33 +65,52 @@ class RadiusResult(namedtuple("RadiusResult", "value bracket_lo bracket_hi resid
 
 
 def _solve(g, lo: float, hi: float, tol: float, start: float) -> RadiusResult:
-    """Root of g on [lo, hi], within [0, 1], by safeguarded Newton steps with
+    """Root of g on [lo, hi], within [0, 1], by safeguarded Halley steps with
     certified signs.
 
-    ``g(x)`` returns ``(value, error, slope)``: the equation's value, a bound
-    on that value's error, and its derivative.  A sign counts only where
-    ``|value| > error``.  The caller has proved g > 0 at lo and g < 0 at hi,
-    so neither end is evaluated; the steps begin at ``start``.
+    ``g(x)`` returns ``(value, error, slope, slope_error, second, curvature)``:
+    the equation's value and a bound on that value's error, its derivative
+    and a bound on that derivative's rounding error, its second derivative,
+    and a bound on ``|g''(t)|`` for every t in [0, (1+x)/2].  A sign counts
+    only where ``|value| > error``.  The caller has proved
+    g > 0 at lo and g < 0 at hi, so neither end is evaluated; the steps
+    begin at ``start``.
 
-    Each Newton step is taken in ``u = ln(1/(1-x))``, which maps [0, 1) onto
-    [0, inf): from ``x`` with ``step = value/slope`` it lands at
-    ``1 - (1-x) exp(step/(1-x))``, computed as
-    ``x - (1-x) expm1(step/(1-x))``.  A step up never reaches 1, and a
-    landing past the largest double below 1 is taken there.  The step moves
-    to the bracket midpoint instead when it would leave the bracket or the
-    slope is unusable; every certified sign shrinks the bracket.  Once a
-    step is shorter than tol/2, it lands on its target (clamped into the
-    bracket) and probes 0.4 tol on either side of it, which closes a
-    certified bracket of width <= tol around a simple root.  No point is
-    evaluated twice: a probe at a point already evaluated is skipped.
+    Each step is taken in ``u = ln(1/(1-x))``, which maps [0, 1) onto
+    [0, inf): with ``h(u) = g(x)`` and the Newton step ``s = h/h'``, Halley
+    divides s by ``1 - (s/2) h''/h'``, where ``h''/h' = second (1-x)/slope
+    - 1``, and keeps that factor in [1/2, 1]: a Halley step is at least the
+    Newton step and at most twice it.  (Halley would shorten a step from a
+    positive value of a concave h, such as the tail balance, where Newton
+    lands at or past the root; that puts the first landing at the largest
+    double below 1 when the root lies beyond it.)  The step lands at
+    ``1 - (1-x) exp(s)``, computed as ``x - (1-x) expm1(s)``; a step up never
+    reaches 1, and a landing past the largest double below 1 is taken there.
+    The step moves to the bracket midpoint instead when it would leave the
+    bracket or the slope is unusable; every certified sign shrinks the
+    bracket.
 
-    Newton has stalled once a landing is a point already evaluated, or its
-    probes leave the bracket wider than tol (the error bound hides their
-    signs, or tol is below the root's ulp, where both round to the landing
-    point).  From then on the solve bisects, and takes only the close steps
-    that a midpoint next to the root allows.  A midpoint already evaluated,
-    and so of uncertified sign, or one that rounds to a bracket end stops
-    the solve.
+    A step is close once it is shorter than tol/2 in x or than CLOSE_STEP in
+    u, or lands on a point already evaluated.  A close step lands on its
+    target where that lies inside the bracket and encloses the root from the
+    last landing, as does any step that leaves the bracket at most tol wide.
+    With ``reach = 4 (|value| + error)/|slope|`` and ``2 reach < 1-x``,
+    every t within reach of x lies below (1+x)/2, so
+    ``-g'(t) >= low = |slope| - slope_error - reach curvature``, which is
+    shrunk by 64 units roundoff to cover its own rounding (its terms cancel
+    by at most half).  Where ``low > |slope|/2`` the root lies within
+    ``(|value| + error)/low``, at most reach/2, of x, and by the mean-value
+    theorem it lies between ``x + min(value - error, 0)/low`` and
+    ``x + max(value + error, 0)/low``; g is positive below that interval and
+    negative above it.  Its ends are rounded outward to doubles.  An
+    enclosure wider than tol (a tol below the root's ulp) still shrinks the
+    bracket.  Where a close step's enclosure leaves the bracket wider than
+    tol, or the step lands on no new point (Halley has stalled), the solve
+    bisects what is left, taking only the close steps that a midpoint next
+    to the root allows; where it lands but cannot enclose, the Halley steps
+    go on.  A midpoint already evaluated, and so of uncertified sign, or one
+    that rounds to a bracket end stops the solve.  No point is evaluated
+    twice.
 
     Returns the evaluated point inside the final bracket with the smallest
     |value|; ``converged`` is true only when the certified bracket is at most
@@ -98,7 +124,8 @@ def _solve(g, lo: float, hi: float, tol: float, start: float) -> RadiusResult:
         nonlocal lo, hi
         if x in points:
             return points[x]
-        value, error, slope = points[x] = g(x)
+        out = points[x] = g(x)
+        value, error = out[0], out[1]
         if not (math.isfinite(value) and math.isfinite(error)):
             raise NumericalError(f"g({x}) is not finite: {value} +- {error}")
         if abs(value) > error and lo < x < hi:
@@ -106,36 +133,45 @@ def _solve(g, lo: float, hi: float, tol: float, start: float) -> RadiusResult:
                 lo = x
             else:
                 hi = x
-        return value, error, slope
+        return out
 
-    x, (value, error, slope) = start, sample(start)
-    iterations, probed, stalled = 0, False, False
+    x, (value, error, slope, slope_error, second, curvature) = start, sample(start)
+    iterations, closed, stalled = 0, False, False
     while hi - lo > tol and iterations < MAX_STEPS:
-        step = value / slope if slope != 0.0 and math.isfinite(slope) else math.inf
         w = 1.0 - x
-        s = step / w
+        s = value / slope / w if slope != 0.0 and math.isfinite(slope) else math.inf
+        if math.isfinite(s):
+            s /= min(max(1.0 - 0.5 * s * (second * w / slope - 1.0), 0.5), 1.0)
         # exp(700) w > 1 for every double x < 1: a longer step down lands below 0.
-        t = x - w * math.expm1(s if s < 700.0 else 700.0)
-        if t >= 1.0:  # a landing beyond every double below 1 is taken at the last one
-            t = 1.0 - UNIT_ROUNDOFF
-        close = not probed and abs(step) < 0.5 * tol
-        if close:
-            t = min(max(t, lo), hi)
-        elif probed or stalled or not lo < t < hi or t in points:
-            stalled = stalled or probed or t in points
+        t = min(x - w * math.expm1(s if s < 700.0 else 700.0), 1.0 - UNIT_ROUNDOFF)
+        close = not closed and (abs(s) * w < 0.5 * tol or abs(s) < CLOSE_STEP or t in points)
+        if not close and (closed or stalled or not lo < t < hi):
+            stalled = stalled or closed
             t = 0.5 * (lo + hi)
             if not lo < t < hi or t in points:
                 break  # bracket at rounding floor, or its midpoint already evaluated
         iterations += 1
+        closed = close and (t in points or not lo < t < hi)  # Halley has stalled
         if lo < t < hi:
-            x, (value, error, slope) = t, sample(t)
-        if close:
-            for p in (t - 0.4 * tol, t + 0.4 * tol):
-                if lo < p < hi:
-                    sample(p)
-        probed = close
+            x, (value, error, slope, slope_error, second, curvature) = t, sample(t)
+        if (close or hi - lo <= tol) and slope < 0.0:
+            reach = 4.0 * (abs(value) + error) / -slope
+            low = (-slope - slope_error - reach * curvature) * (1.0 - 64.0 * UNIT_ROUNDOFF)
+            if 2.0 * reach < 1.0 - x and low > -0.5 * slope:
+                lo = max(lo, _beyond(x, min(value - error, 0.0) / low, -1.0))
+                hi = min(hi, _beyond(x, max(value + error, 0.0) / low, 1.0))
+                closed = close
     residual, best = min([(abs(v[0]), x) for x, v in points.items() if lo <= x <= hi])
     return RadiusResult(best, lo, hi, residual, iterations, len(points), hi - lo <= tol)
+
+
+def _beyond(x: float, d: float, side: float) -> float:
+    """The double nearest ``x + d`` that lies strictly beyond it on ``side``
+    (-1 below, +1 above); TwoSum (Knuth) gives the rounding error of the sum
+    exactly."""
+    y = x + d
+    error = (x - (y - (y - x))) + (d - (y - x))
+    return y if error * side < 0.0 else math.nextafter(y, side * math.inf)
 
 
 def cesaro_radius(gamma: DomainGamma, tol: float = DEFAULT_TOL) -> RadiusResult:
@@ -151,8 +187,9 @@ def cesaro_radius(gamma: DomainGamma, tol: float = DEFAULT_TOL) -> RadiusResult:
     ``e^W = z/W``, that is ``x = 1 + k/W_-1(z)``, which spares the
     exponential and its rounding.
 
-    The closed form only starts the solve, whose probes certify the bracket
-    it returns.  x = 0 also solves the equation, so the bracket is
+    The closed form only starts the solve: one Halley landing next to it
+    and that landing's mean-value enclosure certify the bracket it returns.
+    x = 0 also solves the equation, so the bracket is
     [0.5, 0.75].  The equation is linear in gamma, and it is positive at 0.5
     (0.040 and 0.386) and negative at 0.75 (-0.460 and -0.114) for gamma = 0
     and gamma = 1, so both signs hold for every gamma in [0, 1) and neither
@@ -185,13 +222,20 @@ def _lambert_w_lower(z: float) -> float:
 
 def _cesaro_equation(gamma: float):
     """``x -> (3+gamma)(1-x) ln(1/(1-x)) - 2x`` with slope
-    ``(1+gamma) - (3+gamma) ln(1/(1-x))``; the value's error bound allows one
-    unit roundoff for each of its six roundings, libm counted twice."""
-    def equation(x: float) -> tuple[float, float, float]:
+    ``(1+gamma) - (3+gamma) ln(1/(1-x))``, second derivative
+    ``-(3+gamma)/(1-x)``, whose modulus grows with x, so that it is at most
+    ``2 (3+gamma)/(1-x)`` up to (1+x)/2.  The value's error bound
+    allows one unit roundoff for each of its six roundings, libm counted
+    twice; the slope's, 8u of both of its parts, covers its five the same
+    way."""
+    c = 3.0 + gamma
+
+    def equation(x: float) -> tuple:
         log_term = -math.log1p(-x)
-        first = (3.0 + gamma) * (1.0 - x) * log_term
-        error = 8.0 * UNIT_ROUNDOFF * (first + 2.0 * x)
-        return first - 2.0 * x, error, (1.0 + gamma) - (3.0 + gamma) * log_term
+        first = c * (1.0 - x) * log_term
+        return (first - 2.0 * x, 8.0 * UNIT_ROUNDOFF * (first + 2.0 * x),
+                1.0 + gamma - c * log_term, 8.0 * UNIT_ROUNDOFF * (1.0 + gamma + c * log_term),
+                -c / (1.0 - x), 2.0 * c / (1.0 - x))
 
     return equation
 
@@ -207,23 +251,32 @@ def log_bound(r: float) -> float:
 
 
 def _tail_balance_equation(beta_eff: float, prefactor: float):
-    """``r -> 1/beta_eff - prefactor * sum_{n>=1} r^n/(n+beta_eff)``.
+    """``r -> 1/beta_eff - prefactor * sum_{n>=1} r^n/(n+beta_eff)``, for r > 0.
 
-    The slope uses ``d/dr sum = 1/(1-r) - (beta_eff/r) sum`` (1/(1+beta_eff)
-    at r = 0), free once the sum is known.  The error bound adds to the
-    scaled sum's bound the roundings of 1/beta_eff (u), of the product (3u,
-    two of them in ``2/(1+gamma)``) and of the difference (u of both parts):
-    ``4u (1/beta_eff + prefactor * sum)``.  The sum's own error is the one
-    ``lerch_tail_sum`` certifies: at most about 5.3u of it where summed
-    directly.
+    With L the sum, the slope uses ``L' = 1/(1-r) - (beta_eff/r) L`` and the
+    second derivative ``L'' = 1/(1-r)^2 + (beta_eff/r^2) L - (beta_eff/r) L'``,
+    both free once L is known.  As ``n/(n+beta_eff) <= min(1, n/beta_eff)``,
+    ``L''(t) <= min(1/(1-t)^2, 2/(beta_eff (1-t)^3))``, which grows with t:
+    up to ``t = (1+r)/2`` it is at most ``4 min(1, 4/(beta_eff (1-r)))/(1-r)^2``.
+    The second bound keeps the enclosure narrow at large beta_eff, where the
+    slope itself is small.
+
+    The value's error bound adds to the scaled sum's bound the roundings of
+    1/beta_eff (u), of the product (3u, two of them in ``2/(1+gamma)``) and
+    of the difference (u of both parts): ``4u (1/beta_eff + prefactor * L)``.
+    The slope's bound is prefactor times ``beta_eff/r`` times the sum's
+    bound, plus 8u of both ``1/(1-r)`` and ``(beta_eff/r) L``.  The sum's own
+    error is the one ``lerch_tail_sum`` certifies: at most about 5.3u of it
+    where summed directly.
     """
-    def equation(r: float) -> tuple[float, float, float]:
+    def equation(r: float) -> tuple:
         total, total_err = lerch_tail_sum(r, beta_eff, 1)
-        value = 1.0 / beta_eff - prefactor * total
-        error = (prefactor * total_err
-                 + 4.0 * UNIT_ROUNDOFF * (1.0 / beta_eff + prefactor * total))
-        d_sum = 1.0 / (1.0 - r) - beta_eff / r * total if r > 0.0 else 1.0 / (1.0 + beta_eff)
-        return value, error, -prefactor * d_sum
+        pole, level = 1.0 / (1.0 - r), beta_eff / r * total
+        error = prefactor * total_err + 4.0 * UNIT_ROUNDOFF * (1.0 / beta_eff + prefactor * total)
+        slope_error = prefactor * (beta_eff / r * total_err + 8.0 * UNIT_ROUNDOFF * (pole + level))
+        bend = 4.0 * prefactor * pole * pole * min(1.0, 4.0 * pole / beta_eff)
+        return (1.0 / beta_eff - prefactor * total, error, prefactor * (level - pole), slope_error,
+                -prefactor * (pole * pole + (level - beta_eff * (pole - level)) / r), bend)
 
     return equation
 
@@ -235,19 +288,23 @@ def _solve_tail_balance(beta_eff: float, prefactor: float, tol: float) -> Radius
     (harmonic tail), so [0, 1] brackets the root with no evaluation.  The
     solve starts at 0.5.  In ``u = ln(1/(1-r))`` the sum's slope
     ``(1-r) d/dr sum = 1 - (beta_eff (1-r)/r) sum`` grows with r, so the
-    equation is concave there: a Newton step from a positive value lands at
-    or just past the root, and steps from above approach it from above.  A
-    solve whose lower end reaches the largest double below 1 has its root
-    beyond every double.
+    equation is concave there: a step from a positive value lands at or past
+    the root.  A certified positive value at the largest double below 1,
+    where the first step lands when the root lies beyond it, puts the root
+    beyond every double: the solve raises NumericalError from that
+    evaluation.
     """
     equation = _tail_balance_equation(beta_eff, prefactor)
-    res = _solve(equation, 0.0, 1.0, tol, 0.5)
-    if res.bracket_lo == 1.0 - UNIT_ROUNDOFF:
-        value, error, _ = equation(res.bracket_lo)
-        raise NumericalError(
-            f"the radius for beta={beta_eff} lies within double resolution of 1: "
-            f"the equation is still {value:.3e} +- {error:.1e} at r = 1 - 2**-53")
-    return res
+
+    def checked(r: float) -> tuple:
+        value, error, *_ = out = equation(r)
+        if r == 1.0 - UNIT_ROUNDOFF and value > error:
+            raise NumericalError(
+                f"the radius for beta={beta_eff} lies within double resolution of 1: "
+                f"the equation is still {value:.3e} +- {error:.1e} at r = 1 - 2**-53")
+        return out
+
+    return _solve(checked, 0.0, 1.0, tol, 0.5)
 
 
 def bernardi_radius(gamma: DomainGamma, beta: float,

@@ -112,11 +112,16 @@ def mp_findroot(f, lo, hi):
     return root
 
 
+def mp_cesaro_equation(gamma):
+    """``x -> (3+gamma)(1-x) ln(1/(1-x)) - 2x`` at mp.dps digits."""
+    g = mp.mpf(gamma)
+    return lambda x: (3 + g) * (1 - x) * mp.log(1 / (1 - x)) - 2 * x
+
+
 def mp_cesaro_radius(gamma, dps=40):
     """40-digit root of (3+gamma)(1-x) ln(1/(1-x)) = 2x on [1e-6, 1 - 1e-12]."""
     with mp.workdps(dps):
-        g = mp.mpf(gamma)
-        f = lambda x: (3 + g) * (1 - x) * mp.log(1 / (1 - x)) - 2 * x
+        f = mp_cesaro_equation(gamma)
         return float(mp_findroot(f, mp.mpf("1e-6"), 1 - mp.mpf("1e-12")))
 
 

@@ -12,7 +12,8 @@ from bohrkit.radii import (RadiusResult, bernardi_radius, bernardi_radius_classi
                            bohr_radius_omega, cesaro_radius)
 from bohrkit.series import DomainGamma
 
-from oracles import mp_bernardi_equation, mp_bernardi_radius, mp_cesaro_radius
+from oracles import (mp_bernardi_equation, mp_bernardi_radius, mp_cesaro_equation,
+                     mp_cesaro_radius, mp_findroot)
 
 # 40-digit roots, frozen; the mpmath consistency tests below
 # recompute a few of them at runtime.
@@ -45,7 +46,7 @@ SOLVER_TOL = 5e-12
 # negative above it, as every radius equation is.
 
 def test_solver_linear_root():
-    res = radii._solve(lambda x: (0.25 - x, 0.0, -1.0), 0.0, 1.0, 1e-12, 0.0)
+    res = radii._solve(lambda x: (0.25 - x, 0.0, -1.0, 0.0, 0.0, 0.0), 0.0, 1.0, 1e-12, 0.0)
     assert res.value == pytest.approx(0.25, abs=1e-12)
     assert res.converged
     assert res.bracket_hi - res.bracket_lo <= 1e-12
@@ -54,8 +55,8 @@ def test_solver_linear_root():
 
 def test_solver_sqrt2():
     # The solver takes its steps in ln(1/(1-x)), so its roots lie in (0, 1).
-    res = radii._solve(lambda x: (0.5 - x * x, 4e-16 * x * x, -2.0 * x), 0.0, 1.0, 1e-12,
-                       0.5)
+    res = radii._solve(lambda x: (0.5 - x * x, 4e-16 * x * x, -2.0 * x, 0.0, -2.0, 2.0),
+                       0.0, 1.0, 1e-12, 0.5)
     assert res.value == pytest.approx(math.sqrt(0.5), abs=1e-12)
     assert res.converged
     assert res.bracket_lo <= math.sqrt(0.5) <= res.bracket_hi
@@ -63,7 +64,7 @@ def test_solver_sqrt2():
 
 def test_solver_rejects_a_non_finite_value():
     with pytest.raises(NumericalError, match="not finite"):
-        radii._solve(lambda x: (math.nan, 0.0, -1.0), 0.0, 1.0, 1e-12, 0.5)
+        radii._solve(lambda x: (math.nan, 0.0, -1.0, 0.0, 0.0, 0.0), 0.0, 1.0, 1e-12, 0.5)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -71,7 +72,7 @@ def test_solver_rejects_non_finite_tolerance(tol):
     # A NaN tol never enters the step loop, and an inf tol accepts the whole
     # bracket: either would report the start as the root.
     with pytest.raises(DomainError, match="tolerance"):
-        radii._solve(lambda x: (-x, 0.0, -1.0), -1.0, 2.0, tol, 0.5)
+        radii._solve(lambda x: (-x, 0.0, -1.0, 0.0, 0.0, 0.0), -1.0, 2.0, tol, 0.5)
     with pytest.raises(DomainError, match="tolerance"):
         cesaro_radius(DomainGamma(0.0), tol)
     with pytest.raises(DomainError, match="tolerance"):
@@ -81,7 +82,7 @@ def test_solver_rejects_non_finite_tolerance(tol):
 def test_solver_stops_when_the_error_hides_the_sign():
     # |value| <= error within 1e-3 of the root: no sign there counts, so the
     # solver cannot close a 1e-12 bracket and must say so.
-    res = radii._solve(lambda x: (0.3 - x, 1e-3, -1.0), 0.0, 1.0, 1e-12, 0.0)
+    res = radii._solve(lambda x: (0.3 - x, 1e-3, -1.0, 0.0, 0.0, 0.0), 0.0, 1.0, 1e-12, 0.0)
     assert not res.converged
     assert res.bracket_lo < 0.3 < res.bracket_hi
     assert res.bracket_lo <= res.value <= res.bracket_hi
@@ -93,11 +94,30 @@ def test_solver_counts_steps_and_evaluations():
 
     def g(x):
         calls.append(x)
-        return 0.25 - x, 0.0, -1.0
+        return 0.25 - x, 0.0, -1.0, 0.0, 0.0, 0.0
     res = radii._solve(g, 0.0, 1.0, 1e-12, 0.0)
     assert res.evaluations == len(calls)
     assert 1 <= res.iterations < res.evaluations
     assert res.as_dict()["evaluations"] == res.evaluations
+
+
+@pytest.mark.parametrize("slope_error,curvature,enclosed", [
+    (0.0, 1e30, False), (0.9, 0.0, False), (0.0, 1.0, True)],
+    ids=["curvature-exceeds-slope", "slope-error-exceeds-half", "enclosed"])
+def test_solver_encloses_only_where_the_slope_bound_holds(slope_error, curvature, enclosed):
+    # A curvature bound that swamps the slope near every landing, or a slope
+    # error above half the slope, leaves no lower bound on |g'|: no
+    # enclosure is taken, and the ends are evaluated points the loop reached.
+    # Otherwise the enclosure from the close landing places both ends, which
+    # are never evaluated.
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return 0.25 - x, 1e-16, -1.0, slope_error, 0.0, curvature
+    res = radii._solve(g, 0.0, 1.0, 1e-12, 0.0)
+    assert res.converged and res.bracket_lo < 0.25 < res.bracket_hi
+    assert (res.bracket_lo in calls, res.bracket_hi in calls) == (not enclosed, not enclosed)
 
 
 def test_records_are_immutable_picklable_named_tuples():
@@ -185,20 +205,22 @@ def test_cesaro_radius_bracket_holds_the_mp_root():
         assert res.bracket_lo <= res.value <= res.bracket_hi
 
 
-def test_cesaro_radius_from_the_closed_form_in_four_evaluations():
-    # The W_-1 start leaves one Newton landing and two closing probes; the
-    # search from the ends of [0.5, 0.75] took 8 to 11 evaluations.
+def test_cesaro_radius_from_the_closed_form_in_two_evaluations():
+    # The W_-1 start leaves one Halley landing, whose mean-value enclosure
+    # certifies the bracket; where that landing is the start itself, the
+    # solve takes one evaluation.
     for gamma in DENSE_GAMMAS:
         res = cesaro_radius(DomainGamma(gamma))
-        assert res.converged and res.evaluations <= 4, gamma
+        assert res.converged and res.evaluations <= 2, gamma
 
 
 @pytest.mark.parametrize("tol,converged", [
     (1e-16, False), (1e-15, False), (1e-13, True), (1e-3, True), (0.3, True)])
 def test_cesaro_radius_tolerance_edges(tol, converged):
-    # The probes 0.4 tol from the root certify a sign only where |value|
-    # exceeds its error bound, about 2e-15: not at tol 1e-15 and below.  A
-    # tol wider than [0.5, 0.75] takes no step: the value is the start.
+    # The enclosure from the landing reaches the value's error bound over the
+    # slope, about 1.2e-15, to either side of the root: no tol of 1e-15 or
+    # below is met.  A tol wider than [0.5, 0.75] takes no step: the value is
+    # the start.
     root = mp_cesaro_radius(0.3)
     res = cesaro_radius(DomainGamma(0.3), tol)
     assert res.converged is converged
@@ -207,20 +229,20 @@ def test_cesaro_radius_tolerance_edges(tol, converged):
     if tol == 0.3:
         assert res.value == pytest.approx(root, abs=1e-15)
     if tol == 1e-16:
-        # Under one ulp of the root both closing probes round to the landing
-        # point, the start: the solve bisects on, not stopping with the whole
-        # of [0.5, 0.75].
-        assert res.evaluations <= 64
+        # Under one ulp of the root the enclosure from the start itself,
+        # not a bisection from [0.5, 0.75], gives the narrowest certified
+        # bracket.
+        assert res.evaluations <= 2
         assert res.bracket_hi - res.bracket_lo <= 5e-14
         with mp.workdps(40):
-            f = lambda x: (3 + mp.mpf(0.3)) * (1 - x) * mp.log(1 / (1 - x)) - 2 * x
+            f = mp_cesaro_equation(0.3)
             assert f(mp.mpf(res.bracket_lo)) > 0 > f(mp.mpf(res.bracket_hi))
 
 
 @pytest.mark.parametrize("start", [0.5, 0.75, 0.7])
 def test_solve_converges_through_the_loop_from_a_poor_start(start):
-    # The start is not trusted: away from the root its Newton step is long,
-    # no probe runs, and the safeguarded loop closes the bracket.
+    # The start is not trusted: away from the root its Halley step is long,
+    # takes no enclosure, and the safeguarded loop closes the bracket.
     res = radii._solve(radii._cesaro_equation(0.0), 0.5, 0.75, 1e-12, start=start)
     assert res.converged
     assert res.iterations > 1
@@ -231,7 +253,8 @@ def test_solve_bisects_down_to_the_rounding_floor():
     # A zero slope leaves only midpoint steps.  Under a tol that no two
     # doubles meet, they go on until lo and hi are neighbouring doubles,
     # whose midpoint rounds to an end: there the solve stops.
-    res = radii._solve(lambda x: (1.0 if x < 0.3 else -1.0, 0.0, 0.0), 0.0, 1.0, 1e-300, 0.5)
+    res = radii._solve(lambda x: (1.0 if x < 0.3 else -1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                       0.0, 1.0, 1e-300, 0.5)
     assert not res.converged
     assert res.bracket_hi == math.nextafter(res.bracket_lo, 1.0)
     assert res.bracket_lo < 0.3 <= res.bracket_hi
@@ -271,19 +294,51 @@ def test_bernardi_radius_near_one_matches_mp_root(gamma, beta):
         assert f(res.bracket_lo) > 0 > f(res.bracket_hi)
 
 
+# Small grids of the three equations, the near-1 Bernardi rows among them;
+# classic rows keep m + beta exact in binary.
+CERTIFIED_ROWS = [
+    ("bernardi", 0.0, 1.0), ("bernardi", 0.5, 2.0), ("bernardi", 0.9, 20.0),
+    ("bernardi", 0.2, 0.05), ("bernardi", 0.9, 0.15), ("bernardi", 0.0, 0.02),
+    ("classic", 0, 0.3), ("classic", 1, 1.0), ("classic", 5, 10.0),
+    ("cesaro", 0.0, None), ("cesaro", 0.5, None), ("cesaro", 0.999999, None),
+]
+
+
+@pytest.mark.parametrize("equation,a,b", CERTIFIED_ROWS)
+def test_radius_bracket_ends_have_certified_signs_at_40_digits(equation, a, b):
+    # Each end is the caller's, an evaluated point whose sign is certified,
+    # or placed by the mean-value enclosure without an evaluation: 40-digit
+    # arithmetic confirms the sign it claims, and the radius lies within
+    # 2 ulp of the 40-digit root between them.
+    if equation == "cesaro":
+        res, limit = cesaro_radius(DomainGamma(a)), 2
+    elif equation == "bernardi":
+        res, limit = bernardi_radius(DomainGamma(a), b), 5
+    else:
+        res, limit = bernardi_radius_classic(b, a), 5
+    assert res.converged and res.evaluations <= limit
+    assert res.bracket_lo <= res.value <= res.bracket_hi < 1.0
+    with mp.workdps(40):
+        f = (mp_cesaro_equation(a) if equation == "cesaro"
+             else mp_bernardi_equation(a, b) if equation == "bernardi"
+             else mp_bernardi_equation(0.0, a + b))
+        root = mp_findroot(f, res.bracket_lo, res.bracket_hi)  # asserts the signs
+        assert abs(mp.mpf(res.value) - root) <= 2 * math.ulp(res.value)
+
+
 @pytest.mark.parametrize("gamma,beta,tol", [
     (0.0, 0.5, 1e-16), (0.5, 2.0, 1e-16), (0.9, 1.0, 1e-16), (0.9, 2.0, 1e-16),
     (0.0, 1.0, 1e-17), (0.3, 3.0, 1e-16),
 ], ids=["0.0-0.5", "0.5-2.0", "0.9-1.0", "0.9-2.0", "0.0-1.0-1e-17", "0.3-3.0"])
 def test_bernardi_radius_below_the_root_ulp_bisects_instead_of_stalling(gamma, beta, tol):
-    # Under the root's ulp, Newton steps land on doubles already evaluated,
-    # whose signs the error bound hides, and closing probes round to the
-    # landing point.  Newton has then stalled: the solve bisects until a
-    # midpoint is already evaluated, with no more than 64 evaluations and a
-    # bracket that only its certified signs bound.
+    # Under the root's ulp a Halley step lands on a double already evaluated,
+    # whose sign the error bound hides.  The mean-value enclosure from there
+    # is the narrowest certified bracket, a few ulp wide, and the solve
+    # bisects inside it until a midpoint is already evaluated: 4-5
+    # evaluations here.
     res = bernardi_radius(DomainGamma(gamma), beta, tol)
     assert not res.converged
-    assert res.iterations < radii.MAX_STEPS and res.evaluations <= 64
+    assert res.iterations < radii.MAX_STEPS and res.evaluations <= 7
     assert res.bracket_hi - res.bracket_lo <= 5e-14
     assert res.bracket_lo <= res.value <= res.bracket_hi
     with mp.workdps(40):
@@ -303,21 +358,23 @@ def test_bernardi_radius_converges_through_midpoint_steps():
 
 def test_bernardi_radius_below_double_resolution_says_so(monkeypatch):
     # These roots lie within 2**-53 of 1: no double lies between.  The first
-    # Newton landing is the largest double below 1, whose certified sign
-    # says so; one more sum there words the message.
+    # landing is the largest double below 1, whose certified sign says so;
+    # the message is worded from that sum, the second.
     summed = []
 
     def counting_tail_sum(r, *args, **kwargs):
         summed.append(r)
         return lerch_tail_sum(r, *args, **kwargs)
     monkeypatch.setattr(radii, "lerch_tail_sum", counting_tail_sum)
-    for gamma, beta in [(0.2, 0.01), (0.0, 1e-6), (0.99, 0.01)]:
+    # At (0.5, 0.02) a Halley step shortened from Newton's would land below
+    # 1 - 2**-53, leaving a bracket to 1 narrower than tol around no double.
+    for gamma, beta in [(0.2, 0.01), (0.0, 1e-6), (0.99, 0.01), (0.5, 0.02)]:
         summed.clear()
         message = (rf"^the radius for beta={beta} lies within double resolution of 1: "
                    r"the equation is still \S+ \+- \S+ at r = 1 - 2\*\*-53$")
         with pytest.raises(NumericalError, match=message):
             bernardi_radius(DomainGamma(gamma), beta)
-        assert len(summed) <= 3, (gamma, beta)
+        assert len(summed) <= 2, (gamma, beta)
 
 
 # At beta = 1 the Bernardi equation reads ln(1/(1-r))/r = c, c = (3+gamma)/2,
@@ -385,12 +442,14 @@ BETA_GRID = [0.1 * 500.0 ** (k / 12) for k in range(13)]
     (0.0, None), (0.2, None), (0.5, None), (0.9, None), (None, 0), (None, 1), (None, 2),
     (None, 5)])
 def test_bernardi_solve_takes_at_most_eight_evaluations(gamma, m):
-    # From 0.5 the first Newton landing in ln(1/(1-r)) lies at or just past
-    # the root; Newton steps from there and two probes close the bracket.
+    # From 0.5 the first landing in ln(1/(1-r)) lies at or just past the
+    # root; Halley steps from there and one close landing, whose mean-value
+    # enclosure certifies the bracket, take at most five evaluations, where
+    # Newton steps and two closing probes took up to eight.
     for beta in BETA_GRID:
         res = (bernardi_radius(DomainGamma(gamma), beta) if m is None
                else bernardi_radius_classic(beta, m))
-        assert res.converged and res.evaluations <= 8, beta
+        assert res.converged and res.evaluations <= 5, beta
 
 
 def test_bernardi_radius_residual_certificate():
