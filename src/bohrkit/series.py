@@ -159,6 +159,29 @@ def majorant_eval(s: TruncatedPowerSeries, r: float) -> tuple[float, float]:
     return value, error + 18.0 * UNIT_ROUNDOFF * value
 
 
+def _compose_row(gamma: float, n: int, gk: np.ndarray, ks: np.ndarray,
+                 row: np.ndarray) -> None:
+    """Write row n of the composition matrix into ``row``, K+1 entries long.
+
+    The row is zeros up to n, then ``lead * cumprod(gamma k/(k-n))`` over
+    k = n+1..K with ``lead = (1-gamma)^n``, each step written in place.
+    ``ks`` is ``arange(1, K+1)`` and ``gk`` is ``gamma * ks``, shared by all
+    rows of one K.  Raises NumericalError when ``lead`` underflows.
+    """
+    lead = (1.0 - gamma) ** n
+    if lead == 0.0:
+        raise NumericalError(
+            f"(1-gamma)^n underflows at n={n} for gamma={gamma}; "
+            "requested order is too large for this gamma")
+    row[:n] = 0.0
+    row[n] = lead
+    tail = row[n + 1:]
+    np.subtract(ks[n:], n, out=tail)
+    np.divide(gk[n:], tail, out=tail)
+    np.cumprod(tail, out=tail)
+    np.multiply(tail, lead, out=tail)
+
+
 @lru_cache(maxsize=4)
 def _compose_matrix(gamma: float, n_out: int) -> np.ndarray:
     """Certified recombination matrix of the composition with G, for gamma > 0.
@@ -169,39 +192,37 @@ def _compose_matrix(gamma: float, n_out: int) -> np.ndarray:
     entry is bounded by 1/(1-gamma).  For a series with ``|b_k| <= 1`` the
     coefficients beyond K change a_n by at most the deficit
     ``1/(1-gamma) - sum_{k<=K} M[n, k]``.  K grows from n_out + 32 until
-    every deficit is at most COMPOSE_TARGET, and the matrix certified there is
-    returned: its last column index is the input order K.  Raises
-    NumericalError: before building anything when n_out + 32 exceeds
-    ORDER_CAP; when a row leaves the double range (orders beyond about
-    700/ln(1/(1-gamma))); and when K reaches the cap first.
+    every deficit is at most COMPOSE_TARGET.  The search builds one row at a
+    time in a single buffer of K+1 entries and keeps only its sum, so a trial,
+    and a refusal, holds one row, never a matrix.  The matrix is built once,
+    from the same rows, at the K the search certifies, and returned: its last
+    column index is the input order K.  Raises NumericalError: before
+    building anything when n_out + 32 exceeds ORDER_CAP; while building a
+    trial's rows, when ``(1-gamma)^n`` underflows (orders beyond about
+    700/ln(1/(1-gamma))); after all of them, when a row overflows; and when
+    K reaches the cap first.
     """
     if n_out + 32 > ORDER_CAP:
         raise NumericalError(
             f"composition to order {n_out} needs an input order of at least "
             f"{n_out + 32}, above the cap {ORDER_CAP}")
-    one_m = 1.0 - gamma
+    total = 1.0 / (1.0 - gamma)
     k, best = n_out + 32, math.inf
     while True:
-        m = np.zeros((n_out + 1, k + 1))
+        ks = np.arange(1, k + 1, dtype=float)
+        gk, row, sums = gamma * ks, np.empty(k + 1), np.empty(n_out + 1)
         with np.errstate(over="ignore"):  # an overflow fails the check below
             for n in range(n_out + 1):
-                lead = one_m ** n
-                if lead == 0.0:
-                    raise NumericalError(
-                        f"(1-gamma)^n underflows at n={n} for gamma={gamma}; "
-                        "requested order is too large for this gamma")
-                ks = np.arange(n + 1, k + 1, dtype=float)
-                m[n, n] = lead
-                m[n, n + 1:] = lead * np.cumprod(gamma * ks / (ks - n))
-        deficits = 1.0 / one_m - m.sum(axis=1)
+                _compose_row(gamma, n, gk, ks, row)
+                sums[n] = row.sum()
+        deficits = total - sums
         if not np.isfinite(deficits).all():
             raise NumericalError(
                 f"the composition matrix overflows for gamma={gamma} and order "
                 f"{n_out}; requested order is too large for this gamma")
         deficit = float(deficits.max())
         if deficit <= COMPOSE_TARGET:
-            m.flags.writeable = False  # cached, so shared by every caller
-            return m
+            break
         best = min(best, deficit)
         if k >= ORDER_CAP:
             raise NumericalError(
@@ -209,6 +230,11 @@ def _compose_matrix(gamma: float, n_out: int) -> np.ndarray:
                 f"gamma={gamma} and order {n_out} within the cap {ORDER_CAP}: "
                 f"the smallest deficit reached is {best:.1e}")
         k = min(2 * k + 32, ORDER_CAP)
+    m = np.empty((n_out + 1, k + 1))
+    for n in range(n_out + 1):
+        _compose_row(gamma, n, gk, ks, m[n])
+    m.flags.writeable = False  # cached, so shared by every caller
+    return m
 
 
 def _fft_length(n: int) -> int:
@@ -229,7 +255,7 @@ def _fft_length(n: int) -> int:
 
 
 def _blaschke_rows(zeros: np.ndarray, degrees: np.ndarray, phases: np.ndarray,
-                   n_out: int) -> np.ndarray:
+                   n_out: int, spectra: np.ndarray | None = None) -> np.ndarray:
     """Coefficients 0..n_out of ``phase * prod (a_j - z)/(1 - conj(a_j) z)``, a row each.
 
     Row i has the zeros ``zeros[i, :degrees[i]]``.  Factor rows
@@ -237,10 +263,20 @@ def _blaschke_rows(zeros: np.ndarray, degrees: np.ndarray, phases: np.ndarray,
     the phase directly (no FFT rounding for one factor); each further one is
     a batched FFT product over the rows that have it, exact through n_out
     because the convolution is lower triangular.
+
+    The products run in ``spectra``, two buffers of at least one row per
+    sample and ``_fft_length(2 n_out + 1)`` columns, allocated here when not
+    given.  A caller that passes the same buffers for every batch spares each
+    factor four fresh arrays of up to 128 KB: glibc's malloc, unless an
+    earlier free of a larger block raised its thresholds, hands such memory
+    back to the system when it is freed, and every page faults in again at
+    the next allocation.
     """
     c = np.zeros((phases.size, n_out + 1), dtype=complex)
     c[:, 0] = phases
     length = _fft_length(2 * n_out + 1)
+    if spectra is None:
+        spectra = np.empty((2, phases.size, length), dtype=complex)
     for j in range(zeros.shape[1]):
         live = degrees > j
         a = zeros[live, j, None]
@@ -252,8 +288,12 @@ def _blaschke_rows(zeros: np.ndarray, degrees: np.ndarray, phases: np.ndarray,
         if j == 0:
             c[live] = phases[live, None] * f
         else:
-            c[live] = np.fft.ifft(np.fft.fft(c[live], length)
-                                  * np.fft.fft(f, length))[:, : n_out + 1]
+            x, y = spectra[0, : a.size], spectra[1, : a.size]
+            np.fft.fft(c[live], length, out=x)
+            np.fft.fft(f, length, out=y)
+            np.multiply(x, y, out=x)
+            np.fft.ifft(x, out=y)
+            c[live] = y[:, : n_out + 1]
     return c
 
 
@@ -284,7 +324,9 @@ def _sample_batches(draws, gamma: DomainGamma, n_out: int):
     # G is the identity at gamma = 0: the Blaschke rows are the samples.
     m = _compose_matrix(gamma.gamma, n_out) if gamma.gamma else None
     k_in = n_out if m is None else m.shape[1] - 1
-    step = max(1, BATCH_ELEMENTS // _fft_length(2 * k_in + 1))
+    length = _fft_length(2 * k_in + 1)
+    step = max(1, BATCH_ELEMENTS // length)
+    spectra = np.empty((2, step, length), dtype=complex)  # shared by every batch
     draws = iter(draws)
     while batch := list(islice(draws, step)):
         degrees = np.array([draw[0] for draw in batch])
@@ -297,7 +339,7 @@ def _sample_batches(draws, gamma: DomainGamma, n_out: int):
                                    * (np.cos(angle) + 1j * np.sin(angle)))
             theta = 2.0 * math.pi * u[-1]
             phases[row] = complex(math.cos(theta), math.sin(theta))
-        rows = _blaschke_rows(zeros, degrees, phases, k_in)
+        rows = _blaschke_rows(zeros, degrees, phases, k_in, spectra)
         if m is not None:  # the composition with G: one real matrix product
             parts = np.concatenate([rows.real, rows.imag]) @ m.T
             rows = parts[: len(batch)] + 1j * parts[len(batch):]

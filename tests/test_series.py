@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 import bohrkit as bk
 from bohrkit.errors import DomainError, NumericalError
-from bohrkit.series import (ORDER_CAP, UNIT_ROUNDOFF, ZERO_SAMPLING_RADIUS,
-                            DomainGamma, SchurSampleSpec, TruncatedPowerSeries,
-                            _sample_batches, blaschke_coeffs, majorant_eval,
-                            polynomial, sample_schur_omega, truncation_order)
+from bohrkit.series import (COMPOSE_TARGET, ORDER_CAP, UNIT_ROUNDOFF,
+                            ZERO_SAMPLING_RADIUS, DomainGamma, SchurSampleSpec,
+                            TruncatedPowerSeries, _compose_matrix, _sample_batches,
+                            blaschke_coeffs, majorant_eval, polynomial, sample_schur_omega,
+                            truncation_order)
 
 from oracles import blaschke_eval, cauchy_coeffs, rational_blaschke_coeffs
 
@@ -241,6 +242,19 @@ def test_sample_batches_match_cauchy_oracle(gamma):
         assert np.max(np.abs(row - expected)) <= 1e-12
 
 
+def test_batches_share_fft_buffers_without_stale_rows():
+    # Every batch runs its FFT products in the same two buffers, with fewer
+    # live rows at each further factor.  At gamma = 0 there is no matrix
+    # product, so each batched row equals a one-sample batch bit for bit.
+    dg = DomainGamma(0.0)
+    specs = [SchurSampleSpec(k % 9, 700 + k, dg) for k in range(150)]
+    batches = list(_sample_batches(specs, dg, 64))
+    assert len(batches) > 2
+    for batch, rows in batches:
+        for spec, row in zip(batch, rows):
+            assert np.array_equal(row, sample_schur_omega(spec, 64).coeffs)
+
+
 def test_lemma1_peak_memory_does_not_grow_with_samples():
     def peak(samples):
         tracemalloc.start()
@@ -252,6 +266,83 @@ def test_lemma1_peak_memory_does_not_grow_with_samples():
 
     peak(10)  # caches (compose matrix, FFT plans) filled outside the measurement
     assert peak(2000) <= 1.25 * peak(200)
+
+
+def test_refused_composition_holds_one_row_not_a_matrix():
+    # The search at gamma = 0.97 doubles K up to the cap and refuses.  A
+    # full matrix per trial held about 18 MiB (8.1 MiB at K = 16352 still
+    # alive beside 9.9 MiB at K = 20000); one row at the cap is 160 KB.
+    def peak():
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="cannot certify the composition"):
+                bk.lemma1_check(DomainGamma(0.97), 10, 8, 64, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak()  # lazy imports on a first call are measured outside the bound
+    assert peak() < 2 ** 20
+
+
+def _compose_matrix_full_search(gamma, n_out):
+    # Reference search that builds each trial's whole matrix and reads its
+    # row sums.  The row-by-row search must match it bit for bit, refusals
+    # included.
+    if n_out + 32 > ORDER_CAP:
+        raise NumericalError(
+            f"composition to order {n_out} needs an input order of at least "
+            f"{n_out + 32}, above the cap {ORDER_CAP}")
+    one_m = 1.0 - gamma
+    k, best = n_out + 32, math.inf
+    while True:
+        m = np.zeros((n_out + 1, k + 1))
+        with np.errstate(over="ignore"):
+            for n in range(n_out + 1):
+                lead = one_m ** n
+                if lead == 0.0:
+                    raise NumericalError(
+                        f"(1-gamma)^n underflows at n={n} for gamma={gamma}; "
+                        "requested order is too large for this gamma")
+                ks = np.arange(n + 1, k + 1, dtype=float)
+                m[n, n] = lead
+                m[n, n + 1:] = lead * np.cumprod(gamma * ks / (ks - n))
+        deficits = 1.0 / one_m - m.sum(axis=1)
+        if not np.isfinite(deficits).all():
+            raise NumericalError(
+                f"the composition matrix overflows for gamma={gamma} and order "
+                f"{n_out}; requested order is too large for this gamma")
+        deficit = float(deficits.max())
+        if deficit <= COMPOSE_TARGET:
+            return m
+        best = min(best, deficit)
+        if k >= ORDER_CAP:
+            raise NumericalError(
+                f"cannot certify the composition to {COMPOSE_TARGET} for "
+                f"gamma={gamma} and order {n_out} within the cap {ORDER_CAP}: "
+                f"the smallest deficit reached is {best:.1e}")
+        k = min(2 * k + 32, ORDER_CAP)
+
+
+@pytest.mark.parametrize("gamma, n_out", [(0.1, 8), (0.4, 64), (0.6, 200), (0.9, 64),
+                                          (0.955, 64)])
+def test_row_search_builds_the_full_search_matrix(gamma, n_out):
+    m = _compose_matrix.__wrapped__(gamma, n_out)
+    assert np.array_equal(m, _compose_matrix_full_search(gamma, n_out))
+    assert not m.flags.writeable
+
+
+@pytest.mark.parametrize("gamma, n_out", [(0.96, 64), (0.97, 64), (0.99, 8), (0.99, 200),
+                                          (0.4, 1400)])
+def test_row_search_refuses_like_the_full_search(gamma, n_out):
+    # The cap's messages pin the smallest deficit over the trials; (0.99, 200)
+    # underflows at row 162 of its first trial, and (0.4, 1400) overflows in
+    # its second, after a first trial that fails only its deficits.
+    with pytest.raises(NumericalError) as expected:
+        _compose_matrix_full_search(gamma, n_out)
+    with pytest.raises(NumericalError) as got:
+        _compose_matrix.__wrapped__(gamma, n_out)
+    assert str(got.value) == str(expected.value)
 
 
 def test_gamma_zero_samples_need_no_composition_matrix():
