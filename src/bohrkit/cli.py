@@ -36,6 +36,15 @@ DEFAULT_ORDER_LADDER = (0.9, 0.99, 0.999, 0.9999)
 # The parameters of each radius equation, in the order its solver takes them.
 EQUATIONS = {"cesaro": ("gamma",), "bernardi": ("gamma", "beta"),
              "bernardi-classic": ("beta", "m")}
+# Each table's rows as (equation, parameters) points for _solve; the theorem
+# tables print their parameters in these formats.
+TABLES = {
+    "theorem1": [("cesaro", {"gamma": round(0.1 * k, 1)}) for k in range(10)],
+    "theorem2": [("bernardi", {"gamma": g, "beta": b})
+                 for g in (0.0, 0.25, 0.5, 0.75) for b in (1.0, 2.0, 5.0)],
+    "paper-constants": [("cesaro", {"gamma": 0.0}), ("bernardi-classic", {"beta": 1.0, "m": 1})],
+}
+PARAMETER_FORMATS = {"gamma": ".2f", "beta": ".1f"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,16 +127,21 @@ def _cmd_radius(args) -> int:
     return EXIT_OK if result.converged else EXIT_NUMERIC
 
 
-def run_sweep(equation: str, parameter: str, grid, fixed: dict,
-              output_format: str = "csv", tol: float = DEFAULT_TOL) -> str:
-    """Solve the radius equation over the grid; returns the table text."""
+def _cmd_sweep(args) -> int:
+    grid = _parse_float_list(args.grid, "--grid")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("sweep grid must be strictly increasing")
+    parameter = args.parameter
+    if parameter not in EQUATIONS[args.equation]:
+        raise ValueError(f"{args.equation} has no parameter {parameter!r}")
+    fixed = _fixed(args, args.equation, parameter)
     rows = []
     for v in grid:
-        res = _solve(equation, {**fixed, parameter: v}, tol)
+        res = _solve(args.equation, {**fixed, parameter: v}, args.tol)
         rows.append({parameter: v, "radius": res.value,
                      "residual": res.residual, "iterations": res.iterations})
-    if output_format == "json":
-        return _json_doc(rows)
+    if args.format == "json":
+        return _emit(_json_doc(rows), args.out)
     import csv  # here: radius and table calls write no CSV
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -135,18 +149,7 @@ def run_sweep(equation: str, parameter: str, grid, fixed: dict,
     for row in rows:
         writer.writerow([f"{row[parameter]:.17g}", f"{row['radius']:.17g}",
                          f"{row['residual']:.17g}", row["iterations"]])
-    return buf.getvalue()
-
-
-def _cmd_sweep(args) -> int:
-    grid = _parse_float_list(args.grid, "--grid")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("sweep grid must be strictly increasing")
-    if args.parameter not in EQUATIONS[args.equation]:
-        raise ValueError(f"{args.equation} has no parameter {args.parameter!r}")
-    fixed = _fixed(args, args.equation, args.parameter)
-    return _emit(run_sweep(args.equation, args.parameter, grid, fixed, args.format,
-                           args.tol), args.out)
+    return _emit(buf.getvalue(), args.out)
 
 
 def _cmd_verify(args) -> int:
@@ -201,32 +204,20 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _cmd_table(args) -> int:
-    if args.name == "theorem1":
-        rows = []
-        for k in range(10):
-            g = round(0.1 * k, 1)
-            res = cesaro_radius(DomainGamma(g))
-            rows.append([f"{g:.2f}", f"{res.value:.6f}", f"{res.residual:.1e}"])
-        text = _format_table(["gamma", "radius", "residual"], rows)
-    elif args.name == "theorem2":
-        rows = []
-        for g in (0.0, 0.25, 0.5, 0.75):
-            for b in (1.0, 2.0, 5.0):
-                res = bernardi_radius(DomainGamma(g), b)
-                rows.append([f"{g:.2f}", f"{b:.1f}", f"{res.value:.6f}",
-                             f"{res.residual:.1e}"])
-        text = _format_table(["gamma", "beta", "radius", "residual"], rows)
-    else:  # paper-constants
-        bohr = bohr_radius_omega(DomainGamma(0.0))
-        theorem_b = cesaro_radius(DomainGamma(0.0)).value
-        classic = bernardi_radius_classic(1.0, 1).value
-        rows = [
-            ["bohr gamma=0", f"{bohr:.6f}", "1/3"],
-            ["cesaro gamma=0", f"{theorem_b:.6f}", "0.5335"],
-            ["bernardi-classic beta=1 m=1", f"{classic:.6f}", "-"],
-        ]
-        text = _format_table(["quantity", "computed", "reference"], rows)
-    return _emit(text, args.out)
+    points = TABLES[args.name]
+    results = [_solve(equation, fixed, DEFAULT_TOL) for equation, fixed in points]
+    if args.name == "paper-constants":
+        headers = ["quantity", "computed", "reference"]
+        rows = [["bohr gamma=0", f"{bohr_radius_omega(DomainGamma(0.0)):.6f}", "1/3"]]
+        for (equation, fixed), res, reference in zip(points, results, ("0.5335", "-")):
+            label = " ".join([equation, *(f"{k}={v:g}" for k, v in fixed.items())])
+            rows.append([label, f"{res.value:.6f}", reference])
+    else:
+        headers = [*points[0][1], "radius", "residual"]
+        rows = [[*(f"{v:{PARAMETER_FORMATS[k]}}" for k, v in fixed.items()),
+                 f"{res.value:.6f}", f"{res.residual:.1e}"]
+                for (_, fixed), res in zip(points, results)]
+    return _emit(_format_table(headers, rows), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,14 +27,17 @@ with L(x) = sum_{n>=1} x^n/(n+beta), tau = r/(1-r), rho = (1+a)/(1-a) and
 m(t) = 1 - log1p(t)/t; every c_n is negative.  Both are ``(K/w) [level -
 rho drop]``: Bernardi's level is L(r), its drop L(r) - L(qr) and its width
 w = 1; Cesaro's are m(tau), m((1-q) tau) and 1 - r.  ``_remainders`` is the
-one kernel for both: each operator supplies its level, its drops, formed
-without cancellation, and its width, and one loop over a ladder of a forms
-the bracket, its scale and one certified rounding bound, at any r < 1.  The
-decompositions, witness scans and order fits take their remainders from it,
-never from a summed majorant minus its other parts.  Every error they use is
-certified: it bounds truncation and rounding.  For a far below 1 the
-bracket loses every digit; a decomposition whose remainder is not
-certifiably nonzero raises NumericalError, and a fit InconclusiveError.
+one kernel for both: it forms d from complements, ``(1-gamma) + gamma
+(1-a)``, which cancels nowhere as gamma -> 1, and 1 - q once per a; each
+operator supplies its level, its drops, formed without cancellation, and its
+width, and one loop over a ladder of a forms the bracket, its scale and one
+certified rounding bound, at any r < 1.  The first-order terms take the same
+1 - q.  The decompositions, witness scans and order fits take their
+remainders from it, never from a summed majorant minus its other parts.
+Every error they use is certified: it bounds truncation and rounding.  For
+a far below 1 the bracket loses every digit; a decomposition whose
+remainder is not certifiably nonzero raises NumericalError, and a fit
+InconclusiveError.
 
 The module needs only ``lerch`` and ``radii``: its series are closed forms,
 and only Bernardi's direct sum away from r = 1 loads numpy.  The other
@@ -123,8 +126,9 @@ def _log1p_defect(t: float) -> tuple[float, float]:
 
 
 def _remainders(gamma: float, r: float, a_values,
-                beta: float | None = None) -> tuple[list, list]:
-    """Extremal remainders for every a at once, and their certified errors.
+                beta: float | None = None) -> tuple[list, list, list]:
+    """Extremal remainders for every a at once, their certified errors, and
+    the 1 - q = (1-a)/d they share with the first-order terms.
 
     Both operators' remainders are ``(K/w) [level - rho drop]`` with
     K = (1-a)^2/(a d) and rho = (1+a)/(1-a); one loop over a forms them, and
@@ -173,17 +177,22 @@ def _remainders(gamma: float, r: float, a_values,
 
     The level's and drop's errors cover their own truncation and rounding
     at exact arguments.  The bracket's rounding, to first order in
-    u = 2**-53 with e = a*gamma/d, is derived once for both: 1 - q =
-    (1-a)/d carries (3 + e)u, and Cesaro's product with tau, which carries
-    2u, makes (6 + e)u of the drop's argument.  The drop's relative
+    u = 2**-53, is derived once for both.  ``d = (1-gamma) + gamma (1-a)``
+    adds two nonnegative terms, so nothing cancels as gamma -> 1: it
+    carries the sum's u, and u of its first term (1 - gamma) or 2u of its
+    second (1 - a and the product), whose shares of d add up to 1; so
+    ``D u`` with D = 3, and D = 0 at gamma = 0, where d is exactly 1.
+    1 - q = (1-a)/d carries (2 + D)u, and Cesaro's product with tau, which
+    carries 2u, makes (5 + D)u of the drop's argument.  The drop's relative
     condition in its argument is at most 1 (m's by ``_log1p_defect``; G's as
-    ``n q^(n-1)(1-q) <= 1 - q^n``), and rho and its product add 4u: (10 +
-    e)u of rho drop.  The level's argument carries at most 2u (Cesaro's
+    ``n q^(n-1)(1-q) <= 1 - q^n``), and rho and its product add 4u: (9 +
+    D)u of rho drop.  The level's argument carries at most 2u (Cesaro's
     tau; Bernardi's r is exact) and its relative condition is at most 1 too:
-    2u of the level.  The subtraction adds u of |bracket|, ``K/w`` (8 + e)u
-    and the last product u: (10 + e)u of |bracket|.  The error is
-    BOUND_SLACK times the sum; Bernardi's K, with w = 1, carries only
-    (6 + e)u, and its level none.
+    2u of the level.  The subtraction adds u of |bracket|, ``K/w = (1-q)
+    (1-a)/(a w)`` (7 + D)u and the last product u: (9 + D)u of |bracket|.
+    The error takes 12u of both where gamma > 0 and 10u, u to spare, at
+    gamma = 0, and is BOUND_SLACK times the sum; Bernardi's K, with w = 1,
+    carries only (5 + D)u, and its level none.
     Below the normal range a rounding errs by up to half the smallest
     subnormal instead; each m takes at most 28 such errors and Bernardi's
     errors count their own, so UNDERFLOW (1 + rho) covers the bracket's and
@@ -191,7 +200,7 @@ def _remainders(gamma: float, r: float, a_values,
     1e-290.  Where the bracket is exactly 0 so is the remainder: ``K/w``
     overflows as a -> 0, and its error then says the value is uncertified.
     """
-    ts = [(1.0 - a) / (1.0 - a * gamma) for a in a_values]  # 1 - q
+    ts = [(1.0 - a) / ((1.0 - gamma) + gamma * (1.0 - a)) for a in a_values]  # 1 - q
     if beta is None:
         tau, width = r / (1.0 - r), 1.0 - r
         level, level_err = _log1p_defect(tau)
@@ -231,16 +240,16 @@ def _remainders(gamma: float, r: float, a_values,
             relative = (27 + n_terms) * UNIT_ROUNDOFF + r ** (n_terms + 1 - m) * (m + beta) / m
             drops = [(s, relative * s + n_terms * UNDERFLOW) for s in sums]
     remainders, errors = [], []
-    for a, (drop, drop_err) in zip(a_values, drops):
-        d = 1.0 - a * gamma
-        rho, e = (1.0 + a) / (1.0 - a), a * gamma / d
+    units = 12.0 if gamma else 10.0
+    for a, t, (drop, drop_err) in zip(a_values, ts, drops):
+        rho = (1.0 + a) / (1.0 - a)
         bracket = level - rho * drop
-        scale = (1.0 - a) * (1.0 - a) / (a * d * width)
+        scale = t * (1.0 - a) / (a * width)
         remainders.append(scale * bracket if bracket else 0.0)
         errors.append(BOUND_SLACK * scale * (level_err + rho * drop_err + UNIT_ROUNDOFF * (
-            2.0 * level + (10.0 + e) * (rho * drop + abs(bracket))) + UNDERFLOW * (1.0 + rho))
+            2.0 * level + units * (rho * drop + abs(bracket))) + UNDERFLOW * (1.0 + rho))
             + UNDERFLOW)
-    return remainders, errors
+    return remainders, errors, ts
 
 
 def _first_order(gamma: DomainGamma, r: float, beta: float | None) -> tuple[float, float]:
@@ -283,22 +292,25 @@ def _expand(gamma: DomainGamma, r: float, a_values, beta: float | None,
     remainders' own errors over a ladder.
 
     beta=None selects Cesaro.  ``factor`` is ``_first_order`` at the checked
-    r; the remainders come from one ``_remainders`` call.  A
-    margin ``first + remainder`` is certified to the remainder's error, plus
-    the factor's error times its coefficient, (5 + a*gamma/d)u of the
-    first-order term and u of the sum.
+    r; the remainders, and the 1 - q = (1-a)/d that is Cesaro's first-order
+    coefficient, come from one ``_remainders`` call.  A margin ``first +
+    remainder`` is certified to the remainder's error, plus the factor's
+    error times its coefficient, (5 + D)u of the first-order term and u of
+    the sum, with ``_remainders``' D: 1 - q carries (2 + D)u, Bernardi's
+    factor 1 + gamma and its product 2u, exact at gamma = 0, and the
+    product with the factor u.
     """
     g = gamma.gamma
     value, value_err = factor
-    remainders, rem_errors = _remainders(g, r, a_values, beta)
+    remainders, rem_errors, ts = _remainders(g, r, a_values, beta)
+    units = 8.0 if g else 5.0
     firsts, errors = [], []
-    for a, remainder, rem_err in zip(a_values, remainders, rem_errors):
-        d = 1.0 - a * g
-        coeff = (1.0 - a) / d if beta is None else -(1.0 - a) * (1.0 + g) / d
+    for t, remainder, rem_err in zip(ts, remainders, rem_errors):
+        coeff = t if beta is None else -t * (1.0 + g)
         first = coeff * value
         firsts.append(first)
         errors.append(BOUND_SLACK * (abs(coeff) * value_err + rem_err + UNIT_ROUNDOFF * (
-            (5.0 + a * g / d) * abs(first) + abs(first + remainder))))
+            units * abs(first) + abs(first + remainder))))
     return firsts, remainders, errors, rem_errors
 
 
@@ -396,7 +408,7 @@ def remainder_order_check(kind: str, gamma: DomainGamma, r: float, a_values,
     beta = _check_beta(beta) if kind == "bernardi" else None
     if len(set(a_vals)) < 2:
         raise InconclusiveError("an order slope needs at least two distinct a values")
-    remainders, errors = _remainders(gamma.gamma, r, a_vals, beta)
+    remainders, errors, _ = _remainders(gamma.gamma, r, a_vals, beta)
     for a, remainder, error in zip(a_vals, remainders, errors):
         if not abs(remainder) > error:
             raise InconclusiveError(f"the remainder at a={a!r} is {remainder:.3e} +- "

@@ -8,6 +8,9 @@ equation on (0, 1):
 * Bernardi (unit disk, m-fold zero):
                    ``x^m/(m+beta) = 2 sum_{n>=m+1} x^n/(n+beta)``
 
+The third, divided by x^m, is the second at gamma = 0 with exponent
+m + beta, and is solved as that.
+
 Every equation returns its value with a certified bound on that value's
 truncation and rounding error, its slope with a bound on the slope's
 rounding error, its second derivative, and a bound on ``|g''|`` from 0 to
@@ -281,49 +284,45 @@ def _tail_balance_equation(beta_eff: float, prefactor: float):
     return equation
 
 
-def _solve_tail_balance(beta_eff: float, prefactor: float, tol: float) -> RadiusResult:
-    """Solve the decreasing tail-balance equation on [0, 1).
+def bernardi_radius(gamma: DomainGamma, beta: float,
+                    tol: float = DEFAULT_TOL) -> RadiusResult:
+    """Root of ``1/beta = (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)`` on (0, 1).
 
-    The equation is 1/beta_eff > 0 at r = 0 and diverges to -inf as r -> 1
+    The equation is 1/beta > 0 at r = 0 and diverges to -inf as r -> 1
     (harmonic tail), so [0, 1] brackets the root with no evaluation.  The
     solve starts at 0.5.  In ``u = ln(1/(1-r))`` the sum's slope
-    ``(1-r) d/dr sum = 1 - (beta_eff (1-r)/r) sum`` grows with r, so the
+    ``(1-r) d/dr sum = 1 - (beta (1-r)/r) sum`` grows with r, so the
     equation is concave there: a step from a positive value lands at or past
     the root.  A certified positive value at the largest double below 1,
     where the first step lands when the root lies beyond it, puts the root
     beyond every double: the solve raises NumericalError from that
     evaluation.
     """
-    equation = _tail_balance_equation(beta_eff, prefactor)
+    beta = finite_real(beta, "beta", "be a positive real", lambda b: b > 0.0)
+    equation = _tail_balance_equation(beta, 2.0 / (1.0 + gamma.gamma))
 
     def checked(r: float) -> tuple:
         value, error, *_ = out = equation(r)
         if r == 1.0 - UNIT_ROUNDOFF and value > error:
             raise NumericalError(
-                f"the radius for beta={beta_eff} lies within double resolution of 1: "
+                f"the radius for beta={beta} lies within double resolution of 1: "
                 f"the equation is still {value:.3e} +- {error:.1e} at r = 1 - 2**-53")
         return out
 
     return _solve(checked, 0.0, 1.0, tol, 0.5)
 
 
-def bernardi_radius(gamma: DomainGamma, beta: float,
-                    tol: float = DEFAULT_TOL) -> RadiusResult:
-    """Root of ``1/beta = (2/(1+gamma)) sum_{n>=1} r^n/(n+beta)`` on (0, 1)."""
-    beta = finite_real(beta, "beta", "be a positive real", lambda b: b > 0.0)
-    return _solve_tail_balance(beta, 2.0 / (1.0 + gamma.gamma), tol)
-
-
 def bernardi_radius_classic(beta: float, m: int, tol: float = DEFAULT_TOL) -> RadiusResult:
     """Positive root of ``x^m/(m+beta) - 2 sum_{n>=m+1} x^n/(n+beta)`` on (0, 1).
 
-    Dividing out x^m removes the trivial root at 0 and leaves the same
-    tail-balance shape with effective exponent m + beta:
-    ``1/(m+beta) - 2 sum_{j>=1} x^j/(j+m+beta)``.  ``BernardiParams`` checks
-    the arguments, beta > -m among them.
+    Dividing out x^m removes the trivial root at 0 and leaves
+    ``1/(m+beta) - 2 sum_{j>=1} x^j/(j+m+beta)``: the Bernardi equation at
+    gamma = 0, where ``2/(1+gamma)`` is exactly 2, with exponent m + beta,
+    solved by ``bernardi_radius``.  ``BernardiParams`` checks the arguments,
+    beta > -m among them.
     """
     p = BernardiParams(beta, m)
-    return _solve_tail_balance(p.m + p.beta, 2.0, tol)
+    return bernardi_radius(DomainGamma(0.0), p.m + p.beta, tol)
 
 
 def bohr_radius_omega(gamma: DomainGamma) -> float:

@@ -442,6 +442,63 @@ def test_table_theorem_grids(cli):
     assert len(t2.stdout.splitlines()) == 13
 
 
+# Frozen stdout of the three tables and of a classic sweep: every table row
+# and every classic radius is solved through the same path as `radius`, and
+# must print these bytes.
+GOLDEN_STDOUT = {
+    ('table', 'theorem1'): (
+        'gamma  radius    residual\n'
+        '0.00   0.533589  0.0e+00\n'
+        '0.10   0.559874  0.0e+00\n'
+        '0.20   0.583723  0.0e+00\n'
+        '0.30   0.605442  0.0e+00\n'
+        '0.40   0.625288  2.2e-16\n'
+        '0.50   0.643479  0.0e+00\n'
+        '0.60   0.660203  2.2e-16\n'
+        '0.70   0.675620  0.0e+00\n'
+        '0.80   0.689869  0.0e+00\n'
+        '0.90   0.703072  0.0e+00\n'
+    ),
+    ('table', 'theorem2'): (
+        'gamma  beta  radius    residual\n'
+        '0.00   1.0   0.582812  0.0e+00\n'
+        '0.00   2.0   0.474278  0.0e+00\n'
+        '0.00   5.0   0.394909  0.0e+00\n'
+        '0.25   1.0   0.655129  0.0e+00\n'
+        '0.25   2.0   0.541327  5.6e-17\n'
+        '0.25   5.0   0.454381  2.8e-17\n'
+        '0.50   1.0   0.712698  0.0e+00\n'
+        '0.50   2.0   0.597090  1.1e-16\n'
+        '0.50   5.0   0.504946  2.8e-17\n'
+        '0.75   1.0   0.759073  0.0e+00\n'
+        '0.75   2.0   0.643984  1.1e-16\n'
+        '0.75   5.0   0.548411  2.8e-17\n'
+    ),
+    ('table', 'paper-constants'): (
+        'quantity                     computed  reference\n'
+        'bohr gamma=0                 0.333333  1/3\n'
+        'cesaro gamma=0               0.533589  0.5335\n'
+        'bernardi-classic beta=1 m=1  0.474278  -\n'
+    ),
+    ('sweep', '--op', 'bernardi-classic', '--parameter', 'beta', '--grid', '0.5,1,2,5,50',
+     '--m', '2'): (
+        'beta,radius,residual,iterations\n'
+        '0.5,0.4492155939293902,0,3\n'
+        '1,0.43177179173199198,0,3\n'
+        '2,0.40906195499102077,5.5511151231257827e-17,3\n'
+        '5,0.37819655441432271,2.7755575615628914e-17,3\n'
+        '50,0.33968416165501475,0,3\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=lambda argv: " ".join(argv[:2]))
+def test_tables_and_classic_sweep_print_frozen_stdout(cli, argv):
+    proc = cli(*argv)
+    assert proc.returncode == 0
+    assert proc.stdout == GOLDEN_STDOUT[argv]
+
+
 def test_table_unknown_name_exit_one(cli):
     proc = cli("table", "nosuch")
     assert proc.returncode == 1

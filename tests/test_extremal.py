@@ -242,7 +242,7 @@ def test_remainders_certified_against_mpmath(r, gamma, beta):
     # Cesaro): every remainder is negative, lies within its certified error
     # of the 50-digit value, and that error is at most 1e-12 relative.
     a_values = [1.0 - 10.0 ** -k for k in range(2, 11)]
-    remainders, errors = _remainders(gamma, r, a_values, beta)
+    remainders, errors, _ = _remainders(gamma, r, a_values, beta)
     for a, rem, err in zip(a_values, remainders, errors):
         ref = mp_extremal_remainder(a, gamma, r, beta)
         assert rem < 0.0
@@ -258,7 +258,7 @@ def test_cesaro_remainders_certified_against_mpmath_up_to_r_near_one(r, gamma):
     # from the majorant, and at 50 digits that cancellation swamps the
     # remainder at r = 1e-6.
     a_values = [1.0 - 10.0 ** -k for k in range(1, 14)]
-    remainders, errors = _remainders(gamma, r, a_values)
+    remainders, errors, _ = _remainders(gamma, r, a_values)
     for a, rem, err in zip(a_values, remainders, errors):
         ref = mp_extremal_remainder(a, gamma, r, dps=90)
         assert rem < 0.0
@@ -274,11 +274,26 @@ def test_bernardi_remainders_certified_against_mpmath_up_to_r_near_one(r, gamma,
     # evaluations of G: the array at r = 1e-6 and 0.3, the ln difference
     # near a = 1 and the plain difference at 1-a = 0.1 and r >= 0.95.
     a_values = [1.0 - 10.0 ** -k for k in (1, 4, 7, 10, 13)]
-    remainders, errors = _remainders(gamma, r, a_values, beta)
+    remainders, errors, _ = _remainders(gamma, r, a_values, beta)
     for a, rem, err in zip(a_values, remainders, errors):
         ref = mp_extremal_remainder(a, gamma, r, beta, dps=90)
         assert rem < 0.0
         assert abs(rem - ref) <= err <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("gamma", [0.999, 1.0 - 1e-6, 1.0 - 1e-9])
+def test_remainders_keep_their_digits_as_gamma_tends_to_one(gamma):
+    # d = 1 - a*gamma comes from complements, (1-gamma) + gamma (1-a): a
+    # subtraction would cancel about 1/(1-gamma) of the remainders' digits,
+    # 2e-12 off here, certified only to 2.2e-7.  30 digits put the oracle
+    # within 3e-18 of its 120-digit value on these points.
+    a = 1.0 - (1.0 - gamma) / 1000.0
+    for r in (0.5, 0.9995):
+        for beta in (None, 2.0):
+            (rem,), (err,), _ = _remainders(gamma, r, [a], beta)
+            ref = mp_extremal_remainder(a, gamma, r, beta, dps=30)
+            assert abs(rem - ref) <= min(err, 1e-14 * abs(ref)), (r, beta)
+            assert err <= 1e-13 * abs(ref), (r, beta)
 
 
 @pytest.mark.parametrize("beta", [None, 1.0])
@@ -288,7 +303,7 @@ def test_remainder_errors_count_underflow(r, beta):
     # subnormal, which no multiple of u covers.  The oracle needs 1200
     # digits, since it resolves a remainder of order r against terms of 1.
     a_values = [1.0 - 10.0 ** -k for k in range(1, 14)]
-    remainders, errors = _remainders(0.3, r, a_values, beta)
+    remainders, errors, _ = _remainders(0.3, r, a_values, beta)
     for a, rem, err in zip(a_values, remainders, errors):
         assert abs(rem - mp_extremal_remainder(a, 0.3, r, beta, dps=1200)) <= err
 
@@ -298,14 +313,14 @@ def test_remainders_warn_nothing_where_q_rounds_to_zero():
     # numpy's "divide by zero" warning.  The row of 1 - q^n is all ones.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _remainders(0.0, 0.5, [1e-300], 1.0) == ([0.0], [6.761474374334648e+285])
+        assert _remainders(0.0, 0.5, [1e-300], 1.0)[:2] == ([0.0], [6.761474374334648e+285])
 
 
 def test_remainders_are_zero_not_nan_where_the_bracket_vanishes():
     # At a = 1e-300 and r = 1 - 1e-9 the scale (1-a)^2/(a d (1-r)) overflows
     # to inf where the bracket is exactly 0: the remainder is 0, not inf * 0,
     # and its infinite error says it is uncertified.
-    assert _remainders(0.0, 0.999999999, [1e-300]) == ([0.0], [math.inf])
+    assert _remainders(0.0, 0.999999999, [1e-300])[:2] == ([0.0], [math.inf])
 
 
 @pytest.mark.parametrize("r", [0.5, 0.999999999])
@@ -324,8 +339,8 @@ def test_decompositions_refuse_an_uncertified_remainder(r):
 def test_decompositions_take_the_kernel_remainder():
     gamma, r = 0.3, 0.6
     p = ExtremalParams(1.0 - 1e-8, DomainGamma(gamma))
-    (rem_c,), _ = _remainders(gamma, r, [p.a])
-    (rem_b,), _ = _remainders(gamma, r, [p.a], 2.0)
+    (rem_c,), _, _ = _remainders(gamma, r, [p.a])
+    (rem_b,), _, _ = _remainders(gamma, r, [p.a], 2.0)
     assert cesaro_extremal_decomposition(p, r).remainder == rem_c
     assert bernardi_extremal_decomposition(p, 2.0, r).remainder == rem_b
 
@@ -606,7 +621,7 @@ def test_remainder_order_uncertified_remainder_is_inconclusive():
     # At a = 1e-16 the closed form's two bracket terms, m(tau) and
     # rho m((1-q) tau), differ by about a times their size, below their
     # rounding, and the certified error says so.
-    (rem,), (err,) = _remainders(0.0, 0.4, [1e-16])
+    (rem,), (err,), _ = _remainders(0.0, 0.4, [1e-16])
     assert err > abs(rem)
     with pytest.raises(InconclusiveError, match="not certifiably nonzero"):
         remainder_order_check("cesaro", DomainGamma(0.0), 0.4, [1e-16, 0.5])

@@ -489,9 +489,13 @@ def test_classic_radius_against_frozen_oracle(key, expected):
 
 
 def test_classic_radius_m0_equals_unit_disk_bernardi():
-    classic = bernardi_radius_classic(1.0, 0).value
-    plain = bernardi_radius(DomainGamma(0.0), 1.0).value
-    assert classic == pytest.approx(plain, abs=1e-10)
+    # Divided by x^m, the classic equation is the unit-disk Bernardi one at
+    # exponent m + beta, and is solved as that: the whole result, bracket
+    # and counts included, is the same, at m = 0 and above.
+    for m in (0, 1, 2, 5):
+        for beta in BETA_GRID:
+            assert (bernardi_radius_classic(beta, m)
+                    == bernardi_radius(DomainGamma(0.0), m + beta)), (beta, m)
 
 
 def test_classic_radius_m1_closed_form_reduction():
