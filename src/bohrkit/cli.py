@@ -10,7 +10,6 @@ output, 5 verification assertion failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 import warnings
@@ -18,7 +17,7 @@ import warnings
 from . import __version__
 from .errors import DomainError, NumericalError, PreconditionError
 from .lerch import DomainGamma
-from .radii import (DEFAULT_TOL, RadiusResult, bernardi_radius,
+from .radii import (DEFAULT_TOL, UNIT_DISK, RadiusResult, bernardi_radius,
                     bernardi_radius_classic, bohr_radius_omega, cesaro_radius)
 
 EXIT_OK = 0
@@ -47,25 +46,19 @@ TABLES = {
 PARAMETER_FORMATS = {"gamma": ".2f", "beta": ".1f"}
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports usage errors with exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _emit(text: str, path: str | None) -> int:
+def _emit(text: str, path: str | None) -> bool:
+    """Write ``text`` to ``path``, or to stdout if None; False, after an
+    error line on stderr, if the file cannot be written."""
     if path is None:
         sys.stdout.write(text)
-        return EXIT_OK
+        return True
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
-    return EXIT_OK
+        return False
+    return True
 
 
 def _json_doc(payload) -> str:
@@ -108,7 +101,7 @@ def _solve(equation: str, fixed: dict, tol: float) -> RadiusResult:
     return bernardi_radius_classic(fixed["beta"], fixed["m"], tol)
 
 
-def _cmd_radius(args) -> int:
+def _cmd_radius(args) -> tuple[str, int]:
     fixed = _fixed(args, args.equation)
     result = _solve(args.equation, fixed, args.tol)
     doc = {
@@ -121,13 +114,10 @@ def _cmd_radius(args) -> int:
         "converged": result.converged,
         "version": __version__,
     }
-    code = _emit(_json_doc(doc), args.out)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if result.converged else EXIT_NUMERIC
+    return _json_doc(doc), EXIT_OK if result.converged else EXIT_NUMERIC
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[str, int]:
     grid = _parse_float_list(args.grid, "--grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sweep grid must be strictly increasing")
@@ -135,24 +125,18 @@ def _cmd_sweep(args) -> int:
     if parameter not in EQUATIONS[args.equation]:
         raise ValueError(f"{args.equation} has no parameter {parameter!r}")
     fixed = _fixed(args, args.equation, parameter)
-    rows = []
-    for v in grid:
-        res = _solve(args.equation, {**fixed, parameter: v}, args.tol)
-        rows.append({parameter: v, "radius": res.value,
-                     "residual": res.residual, "iterations": res.iterations})
+    results = [(v, _solve(args.equation, {**fixed, parameter: v}, args.tol)) for v in grid]
     if args.format == "json":
-        return _emit(_json_doc(rows), args.out)
-    import csv  # here: radius and table calls write no CSV
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([parameter, "radius", "residual", "iterations"])
-    for row in rows:
-        writer.writerow([f"{row[parameter]:.17g}", f"{row['radius']:.17g}",
-                         f"{row['residual']:.17g}", row["iterations"]])
-    return _emit(buf.getvalue(), args.out)
+        return _json_doc([{parameter: v, "radius": res.value, "residual": res.residual,
+                           "iterations": res.iterations} for v, res in results]), EXIT_OK
+    # No CSV field needs quoting: fixed names, numbers in .17g and integers.
+    lines = [f"{parameter},radius,residual,iterations"]
+    lines += [f"{v:.17g},{res.value:.17g},{res.residual:.17g},{res.iterations}"
+              for v, res in results]
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     # Each branch imports its suite's module on first use: only lemma1's, the
     # sampler in series, needs numpy, and radius, sweep and table need neither.
     doc = {"check": args.check}
@@ -189,10 +173,7 @@ def _cmd_verify(args) -> int:
             ok = report.witness_found
             doc["report"] = report.as_dict()
     doc.update({"pass": ok, "version": __version__})
-    code = _emit(_json_doc(doc), args.out)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if ok else EXIT_ASSERTION
+    return _json_doc(doc), EXIT_OK if ok else EXIT_ASSERTION
 
 
 def _format_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -203,12 +184,12 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[str, int]:
     points = TABLES[args.name]
     results = [_solve(equation, fixed, DEFAULT_TOL) for equation, fixed in points]
     if args.name == "paper-constants":
         headers = ["quantity", "computed", "reference"]
-        rows = [["bohr gamma=0", f"{bohr_radius_omega(DomainGamma(0.0)):.6f}", "1/3"]]
+        rows = [["bohr gamma=0", f"{bohr_radius_omega(UNIT_DISK):.6f}", "1/3"]]
         for (equation, fixed), res, reference in zip(points, results, ("0.5335", "-")):
             label = " ".join([equation, *(f"{k}={v:g}" for k, v in fixed.items())])
             rows.append([label, f"{res.value:.6f}", reference])
@@ -217,13 +198,13 @@ def _cmd_table(args) -> int:
         rows = [[*(f"{v:{PARAMETER_FORMATS[k]}}" for k, v in fixed.items()),
                  f"{res.value:.6f}", f"{res.residual:.1e}"]
                 for (_, fixed), res in zip(points, results)]
-    return _emit(_format_table(headers, rows), args.out)
+    return _format_table(headers, rows), EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bohrkit",
-                     description="Bohr-type radii for the Cesaro and Bernardi "
-                                 "integral operators on the disks Omega_gamma")
+    parser = argparse.ArgumentParser(
+        prog="bohrkit", description="Bohr-type radii for the Cesaro and Bernardi "
+                                    "integral operators on the disks Omega_gamma")
     parser.add_argument("--version", action="version", version=f"bohrkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -279,13 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    """Run the chosen command, printing each warning it raises as one
-    ``warning: <message>`` line on stderr, before any error line, without
-    the file path and source line of Python's own format.  The filters in
-    force still decide which warnings show."""
+    """Run the chosen command, write its output to ``--out`` or stdout, and
+    return the command's exit code, or EXIT_OUTPUT if the file cannot be
+    written.  Each warning the command raises prints after the write as one
+    ``warning: <message>`` line on stderr, before the error line of any
+    exception, without the file path and source line of Python's own
+    format.  The filters in force still decide which warnings show."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return args.handler(args)
+            text, code = args.handler(args)
+            return code if _emit(text, args.out) else EXIT_OUTPUT
         finally:
             for caught_warning in caught:
                 print(f"warning: {caught_warning.message}", file=sys.stderr)
@@ -295,8 +279,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:  # --help and --version exit 0, a usage error 2
+        return EXIT_USAGE if exc.code == 2 else exc.code
     try:
         return _run(args)
     except ValueError as exc:

@@ -48,6 +48,8 @@ MAX_STEPS = 100
 # A Halley step of s in u lands within about s**3 of the root, so a step
 # shorter than the cube root of the unit roundoff lands within rounding.
 CLOSE_STEP = UNIT_ROUNDOFF ** (1.0 / 3.0)
+# gamma = 0, the unit disk: the classic radius solves there.
+UNIT_DISK = DomainGamma(0.0)
 
 
 class RadiusResult(namedtuple("RadiusResult", "value bracket_lo bracket_hi residual "
@@ -322,7 +324,7 @@ def bernardi_radius_classic(beta: float, m: int, tol: float = DEFAULT_TOL) -> Ra
     beta > -m among them.
     """
     p = BernardiParams(beta, m)
-    return bernardi_radius(DomainGamma(0.0), p.m + p.beta, tol)
+    return bernardi_radius(UNIT_DISK, p.m + p.beta, tol)
 
 
 def bohr_radius_omega(gamma: DomainGamma) -> float:

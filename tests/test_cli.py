@@ -127,19 +127,19 @@ def test_sweep_missing_fixed_parameter(cli):
     assert "gamma" in proc.stderr
 
 
-def test_sweep_unwritable_output_exit_four(tmp_path):
-    out = tmp_path / "no_such_dir" / "table.csv"
-    proc = run_cli("sweep", "--op", "cesaro", "--parameter", "gamma",
-                   "--grid", "0,0.5", "--out", str(out))
-    assert proc.returncode == 4
-
-
 @pytest.mark.parametrize("argv", [
     ("radius", "cesaro", "--gamma", "0"),
     ("verify", "sharpness", "--op", "cesaro", "--gamma", "0", "--r", "0.55"),
-    ("verify", "identities")])
-def test_radius_and_verify_unwritable_output_exit_four(cli, tmp_path, argv):
-    out = tmp_path / "no_such_dir" / "doc.json"
+    ("verify", "identities"),
+    ("sweep", "--op", "cesaro", "--parameter", "gamma", "--grid", "0,0.5"),
+    ("sweep", "--op", "bernardi", "--parameter", "beta", "--grid", "1,2", "--gamma", "0.2",
+     "--format", "json"),
+    ("table", "theorem1"),
+    ("verify", "lemma1", "--gamma", "0.4", "--samples", "20", "--seed", "7"),
+    ("verify", "remainder-order", "--op", "cesaro", "--gamma", "0.3", "--r", "0.4")])
+def test_unwritable_output_exit_four(cli, tmp_path, argv):
+    # Every command writes through one path, which reports the failed write.
+    out = tmp_path / "no_such_dir" / "out.txt"
     proc = cli(*argv, "--out", str(out))
     assert proc.returncode == 4
     assert proc.stdout == ""
@@ -153,6 +153,20 @@ def test_sweep_writes_file(cli, tmp_path):
     assert proc.returncode == 0
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "theorem2"),
+    ("verify", "lemma1", "--gamma", "0.4", "--samples", "50", "--seed", "7"),
+    ("sweep", "--op", "bernardi-classic", "--parameter", "beta", "--grid=-0.5,1e9", "--m", "1")])
+def test_out_file_holds_the_stdout_bytes(cli, tmp_path, argv):
+    out = tmp_path / "out.txt"
+    written = cli(*argv, "--out", str(out))
+    assert written.returncode == 0
+    assert written.stdout == ""
+    printed = cli(*argv)
+    assert printed.returncode == 0
+    assert out.read_bytes() == printed.stdout.encode()
 
 
 def test_sweep_deterministic(cli):
@@ -442,9 +456,10 @@ def test_table_theorem_grids(cli):
     assert len(t2.stdout.splitlines()) == 13
 
 
-# Frozen stdout of the three tables and of a classic sweep: every table row
+# Frozen stdout of the three tables and of two classic sweeps: every table row
 # and every classic radius is solved through the same path as `radius`, and
-# must print these bytes.
+# must print these bytes.  The second sweep's CSV holds a negative field and
+# a residual in exponent form, as the csv module wrote them.
 GOLDEN_STDOUT = {
     ('table', 'theorem1'): (
         'gamma  radius    residual\n'
@@ -489,10 +504,21 @@ GOLDEN_STDOUT = {
         '5,0.37819655441432271,2.7755575615628914e-17,3\n'
         '50,0.33968416165501475,0,3\n'
     ),
+    ('sweep', '--op', 'bernardi-classic', '--parameter', 'beta', '--grid=-0.5,1e9', '--m', '1'): (
+        'beta,radius,residual,iterations\n'
+        '-0.5,0.73712464966759828,4.4408920985006262e-16,3\n'
+        '1000000000,0.33333333366665979,3.0812477817600281e-23,9\n'
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=lambda argv: " ".join(argv[:2]))
+def _golden_id(argv):
+    """The command's first two words, and an inline ``--grid=``, which tells
+    the two sweeps apart."""
+    return " ".join([*argv[:2], *(arg for arg in argv if arg.startswith("--grid="))])
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=_golden_id)
 def test_tables_and_classic_sweep_print_frozen_stdout(cli, argv):
     proc = cli(*argv)
     assert proc.returncode == 0
@@ -535,9 +561,10 @@ NUMPY_FREE_COMMANDS = [
     ["verify", "remainder-order", "--op", "cesaro", "--gamma", "0.3", "--r", "0.4"],
 ]
 # Modules the commands above must not load: numpy, dataclasses with the
-# inspect it pulls in, and typing.  The interpreter's own start may load some
-# of them (site loads typing on some installs), so only new ones count.
-HEAVY_MODULES = ["numpy", "dataclasses", "inspect", "typing"]
+# inspect it pulls in, typing, and csv (sweep joins its fields itself).  The
+# interpreter's own start may load some of them (site loads typing on some
+# installs), so only new ones count.
+HEAVY_MODULES = ["numpy", "dataclasses", "inspect", "typing", "csv"]
 COLD_SESSION = """
 import contextlib, io, json, sys
 before = set(sys.modules)
