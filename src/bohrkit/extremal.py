@@ -53,9 +53,8 @@ from collections import namedtuple
 
 from .errors import (DomainError, InconclusiveError, NumericalError,
                      PreconditionError)
-from .lerch import (LN_EXPANSION_MAX_LOG, ORDER_CAP, UNDERFLOW, UNIT_ROUNDOFF,
-                    DomainGamma, _float_range, _lerch_ln_expansion, finite_real,
-                    lerch_tail_sum)
+from .lerch import (ORDER_CAP, UNDERFLOW, UNIT_ROUNDOFF, DomainGamma, _float_range,
+                    _lerch_ln_expansion, finite_real, lerch_tail_sum)
 from .radii import (_cesaro_equation, _tail_balance_equation, bernardi_radius,
                     cesaro_radius, log_bound)
 
@@ -150,13 +149,14 @@ def _remainders(gamma: float, r: float, a_values,
       |L - rho G|``.  With x = ln(1/r), delta = ln(1/q), x2 = x + delta and
       A = 1 + beta:
 
-      - near 1, where x <= 1/8 and A x <= 1/2, L is ``lerch_tail_sum(r,
-        beta, 1)``.  Where x2 lies in its ln r region too (x2 <= 1/4,
-        A x2 <= 1), G is ``lerch._lerch_ln_expansion``'s drop, which has no
-        cancellation; elsewhere G is the difference ``L(r) - L(qr)``: delta
-        > x there, so its condition is about ``ln(1/x)/ln 2``.  qr carries
-        2u, which the slope ``1/(1-qr)`` of L turns into ``2u qr/(1-qr)``.
-        ``lerch_tail_sum`` certifies L(qr) at any qr, subnormal included;
+      - near 1, where x <= 1/8 and A x <= 1/2, half the bounds of the ln r
+        region, L is ``lerch_tail_sum(r, beta)``.  Where
+        ``lerch._lerch_ln_expansion`` takes x2 into that region too, G is
+        its drop, which has no cancellation; elsewhere G is the difference
+        ``L(r) - L(qr)``: delta > x there, so its condition is about
+        ``ln(1/x)/ln 2``.  qr carries 2u, which the slope ``1/(1-qr)`` of L
+        turns into ``2u qr/(1-qr)``.  ``lerch_tail_sum`` certifies L(qr) at
+        any qr, subnormal included;
       - away from 1, L sums the weights ``w_n = r^n/(n+beta)``, n <= N, and
         omits at most ``r^(N+1)/((N+1+beta)(1-r))``; every G is a row of one
         (len(a), N) array of positive terms ``w_n (-expm1(n log1p(-(1-q))))``.
@@ -208,16 +208,16 @@ def _remainders(gamma: float, r: float, a_values,
     else:
         x, exponent, width = -math.log(r), 1.0 + beta, 1.0
         if x <= 0.125 and exponent * x <= 0.5:
-            level, level_err = lerch_tail_sum(r, beta, 1)
+            level, level_err = lerch_tail_sum(r, beta)
             drops = []
             for t in ts:
-                # Past t = 1/4, delta > 1/4 leaves x + delta outside the ln region.
-                delta = -math.log1p(-t) if t < 0.25 else math.inf
-                if x + delta <= LN_EXPANSION_MAX_LOG and exponent * (x + delta) <= 1.0:
-                    drops.append(_lerch_ln_expansion(x, beta, exponent, delta))
+                # t = 1 where 1 - q rounds to 1, as for a far below 1: q = 0.
+                delta = -math.log1p(-t) if t < 1.0 else math.inf
+                if (near := _lerch_ln_expansion(x, beta, delta)) is not None:
+                    drops.append(near)
                     continue
                 y = r * (1.0 - t)
-                low, low_err = lerch_tail_sum(y, beta, 1)
+                low, low_err = lerch_tail_sum(y, beta)
                 drop = level - low
                 drops.append((drop, level_err + low_err
                               + UNIT_ROUNDOFF * (2.0 * y / (1.0 - y) + abs(drop))))
@@ -256,7 +256,7 @@ def _first_order(gamma: DomainGamma, r: float, beta: float | None) -> tuple[floa
     """The first-order factor at a checked r and its certified error; beta=None
     selects Cesaro, whose ``-E(r)/(r(1-r))`` adds 3u for the division."""
     if beta is not None:
-        return _tail_balance_equation(beta, 2.0 / (1.0 + gamma.gamma))(r)[:2]
+        return _tail_balance_equation(beta, gamma.gamma)(r)[:2]
     value, error = _cesaro_equation(gamma.gamma)(r)[:2]
     value = -value / (r * (1.0 - r))
     return value, error / (r * (1.0 - r)) + 3.0 * UNIT_ROUNDOFF * abs(value)

@@ -1,7 +1,7 @@
 """Scalar kernels of the radius equations, standard library only: the unit
 roundoff, order cap and argument rule, the parameter gamma, the Bernardi
-parameters beta and m, and the tail sum ``sum_{n>=start} r^n/(n+beta)``.  A
-radius, sweep or table call needs no numpy.
+parameters beta and m, and the Bernardi tail sum ``sum_{n>=1} r^n/(n+beta)``.
+A radius, sweep or table call needs no numpy.
 """
 
 from __future__ import annotations
@@ -186,12 +186,14 @@ def _lerch_coefficients(a: float) -> tuple[float, float, tuple]:
     return psi, psi_err, tuple(coeffs)
 
 
-def _lerch_ln_expansion(x: float, beta: float, a: float,
-                        delta: float = 0.0) -> tuple[float, float]:
-    """``sum_{n>=s} r^n/(n+beta) = r^(-beta) E(x)`` by the ln r expansion,
-    a = s+beta, and a bound on its error; with delta > 0, instead the drop
-    ``sum_{n>=s} (r^n - (qr)^n)/(n+beta)`` to qr, delta = ln(1/q), for
-    x2 = x + delta in the ln r region.  qr itself is never formed.
+def _lerch_ln_expansion(x: float, beta: float,
+                        delta: float = 0.0) -> tuple[float, float] | None:
+    """``sum_{n>=1} r^n/(n+beta) = r^(-beta) E(x)`` by the ln r expansion,
+    a = 1+beta, and a bound on its error; with delta > 0, instead the drop
+    ``sum_{n>=1} (r^n - (qr)^n)/(n+beta)`` to qr, delta = ln(1/q).  qr
+    itself is never formed.  None outside the ln r region, which is decided
+    here alone: x2 = x + delta <= LN_EXPANSION_MAX_LOG, a x2 <= 1 and
+    a <= LN_EXPANSION_MAX_EXPONENT.
 
     ``E(x) = -ln x - gamma_E - psi(a) - sum_{k>=1} c_k (-x)^k`` with
     ``x = ln(1/r)`` and ``c_k = B_k(a)/(k k!)``; see lerch_tail_sum.  The
@@ -234,7 +236,9 @@ def _lerch_ln_expansion(x: float, beta: float, a: float,
     mean is at most (1+r)/(1-r), its mean under n r^n, and
     ``x (1+r)/(1-r) <= 2.011``.  So the inputs add 6.1u relative.
     """
-    x2 = x + delta
+    a, x2 = 1.0 + beta, x + delta
+    if not (x2 <= LN_EXPANSION_MAX_LOG and a * x2 <= 1.0 and a <= LN_EXPANSION_MAX_EXPONENT):
+        return None
     log_x = math.log(x2)
     psi, psi_err, coeffs = _lerch_coefficients(a)
     q = x2 / (2.0 * math.pi)
@@ -279,70 +283,64 @@ def _lerch_ln_expansion(x: float, beta: float, a: float,
     return value, error
 
 
-def lerch_tail_sum(r: float, beta: float, start: int) -> tuple[float, float]:
-    """``sum_{n>=start} r^n / (n+beta)`` and a certified bound on its error.
+def lerch_tail_sum(r: float, beta: float) -> tuple[float, float]:
+    """``sum_{n>=1} r^n / (n+beta)``, beta > -1, and a certified bound on its
+    error: the Bernardi tail sum.
 
-    The sum is ``r^s Phi(r, 1, a)`` with s = start and a = s + beta > 0,
-    where Phi is the Lerch transcendent.  Two branches:
+    The sum is ``r Phi(r, 1, a)`` with a = 1 + beta > 0, where Phi is the
+    Lerch transcendent.  Two branches:
 
     * Near 1, where ``x = ln(1/r) <= LN_EXPANSION_MAX_LOG`` (1/4) and
       ``a x <= 1``, the ln z expansion of Phi (Erdelyi et al., Higher
       Transcendental Functions I, 1.11(8), at s -> 1, valid for
       0 < x < 2 pi) gives
-      ``r^s Phi(r,1,a) = r^(-beta) [-ln x - gamma_E - psi(a)
+      ``r Phi(r,1,a) = r^(-beta) [-ln x - gamma_E - psi(a)
       - sum_{k>=1} B_k(a) (ln r)^k/(k k!)]``.
       Its cost does not grow as r -> 1: at most LN_EXPANSION_TERMS terms,
       two to five within 1e-5 of 1, plus per-exponent coefficients cached
       on first use.  psi comes from its recurrence and asymptotic series
       (DLMF 5.5.2, 5.11.2); the truncation bound uses the Fourier bound on
-      Bernoulli polynomials (DLMF 24.8).  Both bounds and the rounding
-      budget are derived in ``_lerch_ln_expansion`` and ``_digamma``.
-    * Elsewhere the terms n = s..N are summed directly, N - s + 1 the fewest
-      with ``r^(N+1-s) <= u/(16a)``: about (39.5 + ln a)/x terms, 175 at
-      x = 1/4 and a = 50.  The omitted tail
-      ``T = r^(N+1)/((N+1+beta)(1-r))`` is then at most u/16 of
-      ``S+ = r^s/(a(1-r))``, which bounds the sum from above and is at most
-      4.6 times it wherever this branch runs: for x > 1/4 the sum is at least
-      its first term, ``(1 - e^(-1/4)) S+``; for a x > 1 each of its first
-      ceil(a) terms is at least ``r^n/(2a)``, so it is at least
-      ``(1 - 1/e) S+/2``.  T stays below u/3 of the sum.  Each positive term
-      rounds pow (2u: a full ulp, where glibc's stays within 0.52, so the
-      slack covers second-order terms), k + beta and the division (u each);
-      fsum rounds once, so ``5u`` times the value bounds the rounding, and
-      the error is at most about 5.3u of the sum.  Below the normal range a
-      rounding errs by up to half the smallest subnormal instead: UNDERFLOW
-      (1 + 1/a) covers each term's two, pow's divided by k + beta >= a, and
-      UNDERFLOW more those of fsum and of T, whose pow underflows only where
-      (N+1) x > 708, so its 1/(1-r) is below 29.
+      Bernoulli polynomials (DLMF 24.8).  Both bounds, the rounding budget
+      and the region are in ``_lerch_ln_expansion`` and ``_digamma``.
+    * Elsewhere the terms n = 1..N are summed directly, N the fewest with
+      ``r^N <= u/(16a)``: about (39.5 + ln a)/x terms, 175 at x = 1/4 and
+      a = 50.  The omitted tail ``T = r^(N+1)/((N+1+beta)(1-r))`` is then
+      at most u/16 of ``S+ = r/(a(1-r))``, which bounds the sum from above
+      and is at most 4.6 times it wherever this branch runs: for x > 1/4 the
+      sum is at least its first term, ``(1 - e^(-1/4)) S+``; for a x > 1
+      each of its first ceil(a) terms is at least ``r^n/(2a)``, so it is at
+      least ``(1 - 1/e) S+/2``.  T stays below u/3 of the sum.  Each
+      positive term rounds pow (2u: a full ulp, where glibc's stays within
+      0.52, so the slack covers second-order terms), k + beta and the
+      division (u each); fsum rounds once, so ``5u`` times the value bounds
+      the rounding, and the error is at most about 5.3u of the sum.  Below
+      the normal range a rounding errs by up to half the smallest subnormal
+      instead: UNDERFLOW (1 + 1/a) covers each term's two, pow's divided by
+      k + beta >= a, and UNDERFLOW more those of fsum and of T, whose pow
+      underflows only where (N+1) x > 708, so its 1/(1-r) is below 29.
 
     The returned error is truncation plus rounding, at any r.  Where a x > 1
     the direct sum needs fewer than about (39.5 + ln a) a terms, so the
     ORDER_CAP NumericalError, raised for N above the cap, is left to
-    exponents a above about 440 with r close to 1 and to starts above the
-    cap.  The slope in r of the ``start = 1`` sum is
-    ``1/(1-r) - (beta/r) * value``.
+    exponents a above about 440 with r close to 1.  The slope in r of the
+    sum is ``1/(1-r) - (beta/r) * value``.
     """
     r = finite_real(r, "radius", "lie in [0, 1)", in_unit_interval)
-    start = nonnegative_int(start, "start")
-    if (beta := finite_real(beta, "beta")) <= -start:
-        raise DomainError(f"beta must be a finite real above -start, got beta={beta}, "
-                          f"start={start}")
+    beta = finite_real(beta, "beta", "exceed -1", lambda b: b > -1.0)
     if r == 0.0:
-        value = 1.0 / beta if start == 0 else 0.0
-        return value, UNIT_ROUNDOFF * value
-    a = start + beta
+        return 0.0, 0.0
     x = -math.log(r)
-    if x <= LN_EXPANSION_MAX_LOG and a * x <= 1.0 and a <= LN_EXPANSION_MAX_EXPONENT:
-        return _lerch_ln_expansion(x, beta, a)
-    n = start + max(0, math.ceil((math.log(16.0 / UNIT_ROUNDOFF) + math.log(a)) / x) - 1)
+    if (near := _lerch_ln_expansion(x, beta)) is not None:
+        return near
+    a = 1.0 + beta
+    n = max(1, math.ceil((math.log(16.0 / UNIT_ROUNDOFF) + math.log(a)) / x))
     if n > ORDER_CAP:
-        raise NumericalError(f"tail-sum order {n} at r={r} for start {start} and exponent "
-                             f"{a} is above the order cap {ORDER_CAP}")
-    ks = _float_range(1 << (n + 1).bit_length())[start:n + 1]
+        raise NumericalError(f"tail-sum order {n} at r={r} for exponent {a} is above "
+                             f"the order cap {ORDER_CAP}")
+    ks = _float_range(1 << (n + 1).bit_length())[1:n + 1]
     value = math.fsum([r ** k / (k + beta) for k in ks])
     tail = r ** (n + 1) / ((n + 1 + beta) * (1.0 - r))
-    return value, (tail + 5.0 * UNIT_ROUNDOFF * value
-                   + (n - start + 2 + (n - start + 1) / a) * UNDERFLOW)
+    return value, tail + 5.0 * UNIT_ROUNDOFF * value + (n + 1 + n / a) * UNDERFLOW
 
 
 @lru_cache(maxsize=None)

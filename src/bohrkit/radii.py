@@ -255,8 +255,10 @@ def log_bound(r: float) -> float:
     return -math.log1p(-r) / r if r else 1.0
 
 
-def _tail_balance_equation(beta_eff: float, prefactor: float):
-    """``r -> 1/beta_eff - prefactor * sum_{n>=1} r^n/(n+beta_eff)``, for r > 0.
+def _tail_balance_equation(beta_eff: float, gamma: float):
+    """``r -> 1/beta_eff - P sum_{n>=1} r^n/(n+beta_eff)`` for r > 0, with the
+    prefactor P = 2/(1+gamma) formed here: the Bernardi radius equation, and
+    the first-order factor of ``extremal``.
 
     With L the sum, the slope uses ``L' = 1/(1-r) - (beta_eff/r) L`` and the
     second derivative ``L'' = 1/(1-r)^2 + (beta_eff/r^2) L - (beta_eff/r) L'``,
@@ -267,15 +269,17 @@ def _tail_balance_equation(beta_eff: float, prefactor: float):
     slope itself is small.
 
     The value's error bound adds to the scaled sum's bound the roundings of
-    1/beta_eff (u), of the product (3u, two of them in ``2/(1+gamma)``) and
-    of the difference (u of both parts): ``4u (1/beta_eff + prefactor * L)``.
-    The slope's bound is prefactor times ``beta_eff/r`` times the sum's
-    bound, plus 8u of both ``1/(1-r)`` and ``(beta_eff/r) L``.  The sum's own
-    error is the one ``lerch_tail_sum`` certifies: at most about 5.3u of it
-    where summed directly.
+    1/beta_eff (u), of the product (3u, two of them in P) and of the
+    difference (u of both parts): ``4u (1/beta_eff + P L)``.  The slope's
+    bound is P times ``beta_eff/r`` times the sum's bound, plus 8u of both
+    ``1/(1-r)`` and ``(beta_eff/r) L``.  The sum's own error is the one
+    ``lerch_tail_sum`` certifies: at most about 5.3u of it where summed
+    directly.
     """
+    prefactor = 2.0 / (1.0 + gamma)
+
     def equation(r: float) -> tuple:
-        total, total_err = lerch_tail_sum(r, beta_eff, 1)
+        total, total_err = lerch_tail_sum(r, beta_eff)
         pole, level = 1.0 / (1.0 - r), beta_eff / r * total
         error = prefactor * total_err + 4.0 * UNIT_ROUNDOFF * (1.0 / beta_eff + prefactor * total)
         slope_error = prefactor * (beta_eff / r * total_err + 8.0 * UNIT_ROUNDOFF * (pole + level))
@@ -301,7 +305,7 @@ def bernardi_radius(gamma: DomainGamma, beta: float,
     evaluation.
     """
     beta = finite_real(beta, "beta", "be a positive real", lambda b: b > 0.0)
-    equation = _tail_balance_equation(beta, 2.0 / (1.0 + gamma.gamma))
+    equation = _tail_balance_equation(beta, gamma.gamma)
 
     def checked(r: float) -> tuple:
         value, error, *_ = out = equation(r)

@@ -255,7 +255,7 @@ def _fft_length(n: int) -> int:
 
 
 def _blaschke_rows(zeros: np.ndarray, degrees: np.ndarray, phases: np.ndarray,
-                   n_out: int, spectra: np.ndarray | None = None) -> np.ndarray:
+                   n_out: int, spectra: np.ndarray) -> np.ndarray:
     """Coefficients 0..n_out of ``phase * prod (a_j - z)/(1 - conj(a_j) z)``, a row each.
 
     Row i has the zeros ``zeros[i, :degrees[i]]``.  Factor rows
@@ -265,18 +265,16 @@ def _blaschke_rows(zeros: np.ndarray, degrees: np.ndarray, phases: np.ndarray,
     because the convolution is lower triangular.
 
     The products run in ``spectra``, two buffers of at least one row per
-    sample and ``_fft_length(2 n_out + 1)`` columns, allocated here when not
-    given.  A caller that passes the same buffers for every batch spares each
-    factor four fresh arrays of up to 128 KB: glibc's malloc, unless an
-    earlier free of a larger block raised its thresholds, hands such memory
-    back to the system when it is freed, and every page faults in again at
-    the next allocation.
+    sample, whose ``_fft_length(2 n_out + 1)`` columns set the FFT length.
+    A caller that passes the same buffers for every batch spares each factor
+    four fresh arrays of up to 128 KB: glibc's malloc, unless an earlier
+    free of a larger block raised its thresholds, hands such memory back to
+    the system when it is freed, and every page faults in again at the next
+    allocation.
     """
     c = np.zeros((phases.size, n_out + 1), dtype=complex)
     c[:, 0] = phases
-    length = _fft_length(2 * n_out + 1)
-    if spectra is None:
-        spectra = np.empty((2, phases.size, length), dtype=complex)
+    length = spectra.shape[2]
     for j in range(zeros.shape[1]):
         live = degrees > j
         a = zeros[live, j, None]
@@ -309,18 +307,18 @@ def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
         raise DomainError(f"phase must be unimodular, got |phase| = {abs(phase)}")
     zeros = [finite_complex(z, "Blaschke zeros", "lie strictly inside the unit disk",
                             lambda w: abs(w) < 1.0) for z in zeros]
+    spectra = np.empty((2, 1, _fft_length(2 * n_out + 1)), dtype=complex)
     c = _blaschke_rows(np.array([zeros], dtype=complex), np.array([len(zeros)]),
-                       np.array([phase]), n_out)
+                       np.array([phase]), n_out, spectra)
     return TruncatedPowerSeries(c[0], 1.0)
 
 
 def _sample_batches(draws, gamma: DomainGamma, n_out: int):
     """Yield ``(batch, rows)``: consecutive draws and the coefficients 0..n_out
     of their samples on gamma, a row each.  A draw is a checked ``(degree,
-    seed)`` pair or a SchurSampleSpec, whose first two fields they are.  A
-    batch holds at most BATCH_ELEMENTS complex entries per FFT product and
-    draws are taken one batch at a time, so peak memory does not grow with
-    the number of draws."""
+    seed)`` pair.  A batch holds at most BATCH_ELEMENTS complex entries per
+    FFT product and draws are taken one batch at a time, so peak memory does
+    not grow with the number of draws."""
     # G is the identity at gamma = 0: the Blaschke rows are the samples.
     m = _compose_matrix(gamma.gamma, n_out) if gamma.gamma else None
     k_in = n_out if m is None else m.shape[1] - 1
@@ -332,7 +330,7 @@ def _sample_batches(draws, gamma: DomainGamma, n_out: int):
         degrees = np.array([draw[0] for draw in batch])
         zeros = np.zeros((len(batch), degrees.max()), dtype=complex)
         phases = np.empty(len(batch), dtype=complex)
-        for row, (degree, seed, *_) in enumerate(batch):  # one random(2d+1) call, 2d+1 uniforms
+        for row, (degree, seed) in enumerate(batch):  # one random(2d+1) call, 2d+1 uniforms
             u = np.random.default_rng(seed).random(2 * degree + 1)
             angle = 2.0 * math.pi * u[1::2]
             zeros[row, :degree] = (ZERO_SAMPLING_RADIUS * np.sqrt(u[:-1:2])
@@ -356,7 +354,7 @@ def sample_schur_omega(spec: SchurSampleSpec, n_out: int) -> TruncatedPowerSerie
     unit disk.  Identical specs give identical output.
     """
     n_out = nonnegative_int(n_out, "output order", "be >= 0")
-    ((_, rows),) = _sample_batches([spec], spec.gamma, n_out)
+    ((_, rows),) = _sample_batches([spec[:2]], spec.gamma, n_out)
     return TruncatedPowerSeries(rows[0], 1.0)
 
 

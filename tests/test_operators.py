@@ -18,7 +18,7 @@ from bohrkit.operators import (BernardiParams, bernardi_majorant,
                                cesaro_transform, lerch_tail_sum)
 from bohrkit.radii import bernardi_radius, bernardi_radius_classic, cesaro_radius, log_bound
 from bohrkit.lerch import UNDERFLOW
-from bohrkit.series import (ORDER_CAP, UNIT_ROUNDOFF, DomainGamma, SchurSampleSpec,
+from bohrkit.series import (UNIT_ROUNDOFF, DomainGamma, SchurSampleSpec,
                             TruncatedPowerSeries, blaschke_coeffs, lemma1_check,
                             majorant_eval, polynomial, sample_schur_omega, truncation_order)
 from oracles import bernardi_integral_oracle, cesaro_integral_oracle, mp_tail_sum
@@ -358,11 +358,11 @@ def test_log_bound_domain():
 
 
 def test_lerch_tail_empty_at_zero():
-    assert lerch_tail_sum(0.0, 3.7, 1) == (0.0, 0.0)
+    assert lerch_tail_sum(0.0, 3.7) == (0.0, 0.0)
 
 
 def test_lerch_tail_closed_form():
-    value, error = lerch_tail_sum(0.5, 1.0, 1)
+    value, error = lerch_tail_sum(0.5, 1.0)
     assert value == pytest.approx(TWO_LN2 - 1.0, abs=1e-12)
     assert error <= 1e-13
 
@@ -370,23 +370,16 @@ def test_lerch_tail_closed_form():
 def test_lerch_tail_brute_force_oracle():
     ns = np.arange(1, 50001)
     expected = math.fsum(np.power(0.9, ns) / (ns + 2.7))
-    value, error = lerch_tail_sum(0.9, 2.7, 1)
+    value, error = lerch_tail_sum(0.9, 2.7)
     assert value == pytest.approx(expected, abs=1e-11)
-
-
-def test_lerch_tail_start_offsets():
-    # sum_{n>=2} x^n/(n+1) = (-ln(1-x) - x - x^2/2)/x at x = 0.4
-    x = 0.4
-    value, _ = lerch_tail_sum(x, 1.0, 2)
-    assert value == pytest.approx((-math.log1p(-x) - x - x * x / 2) / x, abs=1e-12)
 
 
 def test_lerch_tail_monotonicity_grids():
     rs = np.linspace(0.05, 0.9, 10)
-    values = [lerch_tail_sum(r, 1.5, 1)[0] for r in rs]
+    values = [lerch_tail_sum(r, 1.5)[0] for r in rs]
     assert all(b > a for a, b in zip(values, values[1:]))
     betas = np.linspace(0.5, 6.0, 10)
-    values = [lerch_tail_sum(0.6, b, 1)[0] for b in betas]
+    values = [lerch_tail_sum(0.6, b)[0] for b in betas]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -398,11 +391,14 @@ KERNEL_RADII = (0.0, 0.3, 0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-10)
 @pytest.mark.parametrize("beta", KERNEL_BETAS)
 def test_lerch_tail_certified_against_mpmath(beta, start):
     # Both branches (direct sum, ln r expansion near 1): the reported error
-    # bounds the true one and stays within 1e-13 relative.
+    # bounds the true one and stays within 1e-13 relative.  The sum from
+    # n = start has the exponent start + beta, which the sum from n = 1 has
+    # at beta + start - 1.
+    shifted = beta + start - 1
     with mp.workdps(40):
         for r in KERNEL_RADII:
-            value, error = lerch_tail_sum(r, beta, start)
-            ref = mp_tail_sum(r, beta, start)
+            value, error = lerch_tail_sum(r, shifted)
+            ref = mp_tail_sum(r, shifted)
             assert abs(mp.mpf(value) - ref) <= error <= 1e-13 * max(1.0, ref), r
 
 
@@ -412,7 +408,7 @@ def test_lerch_tail_derivative_identity(beta):
     # radius solver uses, against the 40-digit numerical derivative.
     with mp.workdps(40):
         for r in (0.3, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-10):
-            value, _ = lerch_tail_sum(r, beta, 1)
+            value, _ = lerch_tail_sum(r, beta)
             slope = 1.0 / (1.0 - r) - beta / r * value
             ref = mp.diff(lambda t: mp_tail_sum(t, beta, 1), mp.mpf(r))
             assert slope == pytest.approx(float(ref), rel=1e-12), r
@@ -420,39 +416,37 @@ def test_lerch_tail_derivative_identity(beta):
 
 def test_lerch_tail_domain_errors():
     with pytest.raises(DomainError):
-        lerch_tail_sum(1.0, 1.0, 1)
+        lerch_tail_sum(1.0, 1.0)
     with pytest.raises(DomainError):
-        lerch_tail_sum(0.5, -1.0, 1)
-    with pytest.raises(DomainError):
-        lerch_tail_sum(0.5, 1.0, -1)
+        lerch_tail_sum(0.5, -1.0)
 
 
 def test_lerch_tail_order_cap():
     # An exponent above the ln r expansion's range, so the direct sum would
-    # need about 3.5e6 terms; and a first term beyond the cap, which was
-    # answered as 0 with the whole tail as its error.
+    # need about 3.5e6 terms.
     with pytest.raises(NumericalError, match="order cap"):
-        lerch_tail_sum(1.0 - 1e-5, 2e6, 1)
-    with pytest.raises(NumericalError, match="order cap"):
-        lerch_tail_sum(1e-3, 0.5, ORDER_CAP + 1)
+        lerch_tail_sum(1.0 - 1e-5, 2e6)
 
 
 def _assert_direct_sum_accurate(r, beta, start, digits=40):
-    # The value lies within its certified error of the mpmath sum, and that
+    # At the exponent a = start + beta, that of the sum from n = start: the
+    # value lies within its certified error of the mpmath sum, and that
     # error is at most 6u of the sum, plus half a subnormal per rounding
     # where terms fall below the normal range (r <= 1e-14: one or two terms).
-    a = start + beta
+    shifted = beta + start - 1
+    a = 1.0 + shifted
     with mp.workdps(digits):
-        ref = mp_tail_sum(r, beta, start)
-        value, error = lerch_tail_sum(r, beta, start)
+        ref = mp_tail_sum(r, shifted)
+        value, error = lerch_tail_sum(r, shifted)
         assert abs(mp.mpf(value) - ref) <= error, (r, beta, start)
         assert error <= 6.0 * UNIT_ROUNDOFF * ref + (3.0 + 2.0 / a) * UNDERFLOW, (r, beta, start)
 
 
 def test_lerch_tail_start_beyond_truncation_order():
-    # Sums far below the old absolute target 1e-13 came back as 0 with the
-    # whole sum as their error, (0.5, 1, 40) among them, or with a few
-    # digits, like (0.3, 2, 20).
+    # Sums from n = start far below the old absolute target 1e-13 came back
+    # as 0 with the whole sum as their error, (0.5, 1, 40) among them, or
+    # with a few digits, like (0.3, 2, 20).  Such a sum is r^(start-1) times
+    # the sum from n = 1 at beta + start - 1, whose relative error this bounds.
     for r, beta, start in ((1e-3, 0.5, 40), (0.5, 1.0, 40), (0.3, 2.0, 20)):
         _assert_direct_sum_accurate(r, beta, start)
 
@@ -508,8 +502,8 @@ def _rule(call, value) -> str:
 # does: such a rule words its own message.
 REAL_ARGUMENTS = {
     "DomainGamma": (DomainGamma, 0.5, 0, 1.0, "gamma"),
-    "lerch_tail_sum.r": (lambda x: lerch_tail_sum(x, 1.0, 1), 0.6, 0, 1.0, "radius"),
-    "lerch_tail_sum.beta": (lambda x: lerch_tail_sum(0.6, x, 1), 1.5, 2, None, "beta"),
+    "lerch_tail_sum.r": (lambda x: lerch_tail_sum(x, 1.0), 0.6, 0, 1.0, "radius"),
+    "lerch_tail_sum.beta": (lambda x: lerch_tail_sum(0.6, x), 1.5, 2, -1.0, "beta"),
     "BernardiParams.beta": (BernardiParams, 1.5, 2, None, "beta"),
     "log_bound": (log_bound, 0.6, 0, -0.2, "radius"),
     "majorant_eval": (lambda x: majorant_eval(polynomial([1.0, 0.5]), x), 0.6, 0, 1.0,
@@ -594,7 +588,6 @@ def test_real_arguments_follow_one_rule(call, x, k, out, name):
 # (call of one argument, a valid value, a value out of the argument's range,
 # the argument's name in error messages)
 INTEGER_ARGUMENTS = {
-    "lerch_tail_sum": (lambda k: lerch_tail_sum(0.5, 1.0, k), 1, -1, "start"),
     "BernardiParams": (lambda k: BernardiParams(1.0, k), 1, -1, "m"),
     "bernardi_radius_classic": (lambda k: bernardi_radius_classic(1.0, k), 1, -1, "m"),
     "SchurSampleSpec.degree": (lambda k: SchurSampleSpec(k, 1, G0), 2, 17, "degree"),
@@ -637,8 +630,8 @@ def test_float32_arguments_keep_certified_errors():
     # against 1.5e-15.
     r = float(np.float32(0.6))
     with mp.workdps(50):
-        value, error = lerch_tail_sum(np.float32(0.6), 1.0, 1)
-        assert abs(mp.mpf(value) - mp_tail_sum(r, 1.0, 1)) <= error
+        value, error = lerch_tail_sum(np.float32(0.6), 1.0)
+        assert abs(mp.mpf(value) - mp_tail_sum(r, 1.0)) <= error
         value = cesaro_first_order_factor(G0, np.float32(0.6))
         error = _first_order(G0, r, None)[1]
         x = mp.mpf(r)
@@ -661,8 +654,8 @@ def test_tail_targets_and_bounds_are_checked(call, message):
 @pytest.mark.parametrize("beta", [math.nan, math.inf])
 def test_lerch_tail_rejects_non_finite_beta(beta):
     # A NaN beta returned (0.0, nan): a value with no certified error.
-    with pytest.raises(DomainError, match="beta must be a finite real"):
-        lerch_tail_sum(0.5, beta, 1)
+    with pytest.raises(DomainError, match="beta must exceed -1"):
+        lerch_tail_sum(0.5, beta)
 
 
 def test_weighted_geometric_identity_on_grid():

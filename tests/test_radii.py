@@ -13,7 +13,7 @@ from bohrkit.radii import (RadiusResult, bernardi_radius, bernardi_radius_classi
 from bohrkit.series import DomainGamma
 
 from oracles import (mp_bernardi_equation, mp_bernardi_radius, mp_cesaro_equation,
-                     mp_cesaro_radius, mp_findroot)
+                     mp_cesaro_radius, mp_findroot, mp_tail_sum)
 
 # 40-digit roots, frozen; the mpmath consistency tests below
 # recompute a few of them at runtime.
@@ -402,7 +402,7 @@ def test_bernardi_radius_near_gamma_one_limit():
 def test_bernardi_radius_positive_at_zero():
     # h(0) = 1/beta > 0: the bracket never pins the spurious origin.
     for beta in (0.5, 1.0, 4.0):
-        value, error = lerch_tail_sum(0.0, beta, 1)
+        value, error = lerch_tail_sum(0.0, beta)
         assert value == 0.0 and 1.0 / beta > 0.0
 
 
@@ -455,10 +455,31 @@ def test_bernardi_solve_takes_at_most_eight_evaluations(gamma, m):
 def test_bernardi_radius_residual_certificate():
     for (gamma, beta) in [(0.0, 1.0), (0.5, 2.0), (0.25, 5.0)]:
         res = bernardi_radius(DomainGamma(gamma), beta)
-        value, error = lerch_tail_sum(res.value, beta, 1)
+        value, error = lerch_tail_sum(res.value, beta)
         residual = abs(1.0 / beta - 2.0 / (1.0 + gamma) * value)
         assert residual <= 1e-10
         assert error <= 1e-13
+
+
+@pytest.mark.parametrize("beta", [1e12, 1e16, 1e100, 1e300])
+@pytest.mark.parametrize("gamma,m", [(0.0, None), (0.5, None), (0.9, None), (None, 0),
+                                     (None, 5)])
+def test_bernardi_bracket_holds_root_at_large_beta(beta, gamma, m):
+    # Exponents far beyond the benchmark grid, where the tail balance's slope
+    # cancels.  Up to 1e16 the root is the 40-digit mpmath one; beyond, the
+    # limit R0 (1 + 1/beta), R0 = (1+gamma)/(3+gamma), whose next term is
+    # below 1e-24.  The classic equation is the gamma = 0 one at m + beta.
+    res = (bernardi_radius(DomainGamma(gamma), beta) if m is None
+           else bernardi_radius_classic(beta, m))
+    g = gamma if m is None else 0.0
+    assert res.converged
+    with mp.workdps(40):
+        b = mp.mpf(beta) + (m or 0)
+        if beta <= 1e16:
+            root = mp_findroot(mp_bernardi_equation(g, b), mp.mpf("1e-6"), 1 - mp.mpf("1e-15"))
+        else:
+            root = (1 + mp.mpf(g)) / (3 + mp.mpf(g)) * (1 + 1 / b)
+        assert res.bracket_lo <= root <= res.bracket_hi
 
 
 def test_bernardi_radius_monotone_grids():
@@ -507,13 +528,12 @@ def test_classic_radius_m1_closed_form_reduction():
 
 def test_classic_radius_original_equation_residual():
     # The undivided form x^m/(m+beta) - 2 sum_{n>=m+1} x^n/(n+beta) must also
-    # vanish at the root.
+    # vanish at the root; the sum is mpmath's, not the solver's own shift.
     for beta, m in [(1.0, 1), (2.0, 1), (0.5, 2)]:
         root = bernardi_radius_classic(beta, m).value
-        tail, err = lerch_tail_sum(root, beta, m + 1)
-        residual = root ** m / (m + beta) - 2.0 * tail
+        with mp.workdps(40):
+            residual = mp.mpf(root) ** m / (m + beta) - 2 * mp_tail_sum(root, beta, m + 1)
         assert abs(residual) <= 1e-10
-        assert err <= 1e-13
 
 
 def test_classic_radius_domain_errors():

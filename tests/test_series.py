@@ -232,9 +232,10 @@ def test_sample_batches_match_cauchy_oracle(gamma):
     # |z| = 0.95 recover a_0..a_64 to about 1e-14.
     dg = DomainGamma(gamma)
     specs = [SchurSampleSpec(k % 9, 500 + k, dg) for k in range(72)]
-    batches = list(_sample_batches(specs, dg, 64))
+    draws = [spec[:2] for spec in specs]
+    batches = list(_sample_batches(draws, dg, 64))
     assert len(batches) > 1
-    assert [s for batch, _ in batches for s in batch] == specs
+    assert [s for batch, _ in batches for s in batch] == draws
     rows = np.concatenate([rows for _, rows in batches])
     assert rows.shape == (72, 65)
     for spec, row in zip(specs, rows):
@@ -247,12 +248,12 @@ def test_batches_share_fft_buffers_without_stale_rows():
     # live rows at each further factor.  At gamma = 0 there is no matrix
     # product, so each batched row equals a one-sample batch bit for bit.
     dg = DomainGamma(0.0)
-    specs = [SchurSampleSpec(k % 9, 700 + k, dg) for k in range(150)]
-    batches = list(_sample_batches(specs, dg, 64))
+    draws = [(k % 9, 700 + k) for k in range(150)]
+    batches = list(_sample_batches(draws, dg, 64))
     assert len(batches) > 2
     for batch, rows in batches:
-        for spec, row in zip(batch, rows):
-            assert np.array_equal(row, sample_schur_omega(spec, 64).coeffs)
+        for draw, row in zip(batch, rows):
+            assert np.array_equal(row, sample_schur_omega(SchurSampleSpec(*draw, dg), 64).coeffs)
 
 
 def test_lemma1_peak_memory_does_not_grow_with_samples():
