@@ -95,7 +95,7 @@ def bernardi_transform(s: TruncatedPowerSeries,
     keep = n >= p.m
     c[keep] = _divide((1.0 + p.beta) * a[keep], p.beta + n[keep])
     denom = max(s.order + 1, p.m) + p.beta
-    tail = (1.0 + p.beta) * s.tail_bound / denom
+    tail = abs(1.0 + p.beta) * s.tail_bound / denom
     return TruncatedPowerSeries(c, tail)
 
 

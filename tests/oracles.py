@@ -4,24 +4,32 @@ Everything here deliberately avoids the library's own computation paths:
 coefficients come from Cauchy-integral quadrature or exact rational
 bookkeeping, radii from 40-digit bracketed root finding on the defining
 equations, tail sums from mpmath's Gauss function, operator values from
-adaptive quadrature of the defining integrals, and closed forms are written
-out directly.
+tanh-sinh quadrature of the defining integrals with the integrand's
+polynomial evaluated by ``np.polyval``, and closed forms are written out
+directly.
 """
 
 import math
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
-from scipy.integrate import IntegrationWarning, quad
 
 from bohrkit.errors import DomainError, NumericalError, PreconditionError
 from bohrkit.series import TruncatedPowerSeries
 
 QUAD_TARGET = 1e-12
-QUAD_LIMIT = 200
+QUAD_LEVELS = 8  # the finest step is h = 2**-QUAD_LEVELS
+
+# Tanh-sinh (double-exponential) rule on [0, 1] (Takahasi & Mori, 1974) at
+# the finest step, for x = kh in [-6, 6]: nodes t = 1/(1 + exp(-pi sinh x)),
+# with 1 - t = 1/(1 + exp(pi sinh x)) formed directly so that no node near 1
+# cancels, and weights pi cosh(x) t (1-t) per unit of h.  A coarser level
+# takes every 2**(QUAD_LEVELS - level)-th node.
+_TS_X = np.arange(-6 * 2 ** QUAD_LEVELS, 6 * 2 ** QUAD_LEVELS + 1) / 2.0 ** QUAD_LEVELS
+_TS_T = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(_TS_X)))
+_TS_W = np.pi * np.cosh(_TS_X) * _TS_T / (1.0 + np.exp(np.pi * np.sinh(_TS_X)))
 
 
 def cauchy_coeffs(f, n_max, radius=0.5, samples=4096):
@@ -102,11 +110,17 @@ def mp_findroot(f, lo, hi):
     """Root of f on [lo, hi] at mp.dps digits by Anderson's bracketing method.
 
     f(lo) and f(hi) must differ in sign; the sign change is asserted again
-    at root -+ 1e-35, so the root is certified to that width.
+    at root -+ 1e-35, so the root is certified to that width.  mpmath's
+    default stop, ``|f| < 2**10 eps``, lands far from a root where f is
+    small and flat; the tolerance ``(eps max(|f(lo)|, |f(hi)|))**2`` is
+    below anything the iteration reaches, so it runs until the bracket
+    closes or its step limit, and the sign check alone judges the root.
     """
     lo, hi = mp.mpf(lo), mp.mpf(hi)
-    assert mp.sign(f(lo)) != mp.sign(f(hi))
-    root = mp.findroot(f, (lo, hi), solver="anderson")
+    f_lo, f_hi = f(lo), f(hi)
+    assert mp.sign(f_lo) != mp.sign(f_hi)
+    tol = (mp.eps * max(abs(f_lo), abs(f_hi))) ** 2
+    root = mp.findroot(f, (lo, hi), solver="anderson", tol=tol, verify=False)
     eps = mp.mpf("1e-35")
     assert mp.sign(f(root - eps)) * mp.sign(f(root + eps)) < 0
     return root
@@ -208,21 +222,32 @@ def mp_extremal_remainder(a, gamma, r, beta=None, dps=50):
         return majorant - 1 / b - first
 
 
-def _quad_complex(f, a, b, what):
-    """Adaptive quadrature of a complex integrand over [a, b]."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            re, re_err = quad(lambda t: f(t).real, a, b,
-                              epsabs=QUAD_TARGET, epsrel=QUAD_TARGET, limit=QUAD_LIMIT)
-            im, im_err = quad(lambda t: f(t).imag, a, b,
-                              epsabs=QUAD_TARGET, epsrel=QUAD_TARGET, limit=QUAD_LIMIT)
-        except IntegrationWarning as exc:
-            raise NumericalError(f"{what}: quadrature did not converge ({exc})") from exc
-    if re_err + im_err > 1e-8:
-        raise NumericalError(
-            f"{what}: quadrature error estimate {re_err + im_err:.3e} exceeds 1e-8")
-    return complex(re, im)
+def _quad_complex(f, what):
+    """Tanh-sinh quadrature of a vectorized complex integrand over [0, 1].
+
+    The step h halves from 1/2, each level adding the nodes between the
+    previous ones, until two levels agree to QUAD_TARGET relative to the
+    integral of ``|f|``.  The terms at ``x = -+6``, where the rule is cut
+    off, must be that small too, or the cut-off tails are not: an integrand
+    such as ``t^(e-1)`` for e below about 0.05, or the non-integrable
+    ``1/t``, raises NumericalError rather than return a value.
+    """
+    total = mass = 0.0
+    previous = None
+    for level in range(1, QUAD_LEVELS + 1):
+        stride = 2 ** (QUAD_LEVELS - level)
+        new = slice(0, None, stride) if level == 1 else slice(stride, None, 2 * stride)
+        terms = _TS_W[new] * f(_TS_T[new])
+        if level == 1:
+            cut = max(abs(terms[0]), abs(terms[-1]))
+        total += terms.sum()
+        mass += np.abs(terms).sum()
+        value, scale = total * 2.0 ** -level, QUAD_TARGET * mass * 2.0 ** -level
+        if previous is not None and max(abs(value - previous), cut) <= scale:
+            return complex(value)
+        previous = value
+    raise NumericalError(f"{what}: tanh-sinh quadrature did not converge to "
+                         f"{QUAD_TARGET:g} by h = 2**-{QUAD_LEVELS}")
 
 
 def cesaro_integral_oracle(s, z):
@@ -236,32 +261,30 @@ def cesaro_integral_oracle(s, z):
         raise DomainError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
     if z == 0:
         return complex(s.coeffs[0])
-    return _quad_complex(lambda t: s.eval(t * z) / (1.0 - t * z), 0.0, 1.0,
+    coeffs = s.coeffs[::-1]
+    return _quad_complex(lambda t: np.polyval(coeffs, t * z) / (1.0 - t * z),
                          "cesaro_integral_oracle")
 
 
 def bernardi_integral_oracle(s, z, p):
     """Quadrature of ``(1+beta) int_0^1 f(tz) t^(beta-1) dt``.
 
-    The m-fold zero is factored out analytically, leaving the exponent
-    m + beta - 1 > -1; when m + beta < 1 the remaining integrable endpoint
-    singularity is removed exactly by substituting t = u**(1/(m+beta)).
+    The m-fold zero is factored out analytically, leaving the integrand
+    ``g(tz) t^(m+beta-1)`` with exponent m + beta - 1 > -1; the tanh-sinh
+    nodes cluster at t = 0 fast enough to integrate its endpoint
+    singularity as it stands for m + beta down to about 0.05.
     """
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
     if np.max(np.abs(s.coeffs[: p.m]), initial=0.0) > 1e-14:
         raise PreconditionError(f"coefficients a_0..a_{p.m - 1} must vanish for m={p.m}")
-    g = TruncatedPowerSeries(s.coeffs[p.m:] if s.order >= p.m else (0.0,), s.tail_bound)
     if z == 0:
         if p.m >= 1:
             return 0.0 + 0.0j
         return (1.0 + p.beta) * complex(s.coeffs[0]) / p.beta
-    exponent = p.m + p.beta
-    if exponent >= 1.0:
-        val = _quad_complex(lambda t: g.eval(t * z) * t ** (exponent - 1.0),
-                            0.0, 1.0, "bernardi_integral_oracle")
-    else:
-        val = _quad_complex(lambda u: g.eval(u ** (1.0 / exponent) * z) / exponent,
-                            0.0, 1.0, "bernardi_integral_oracle")
+    coeffs = s.coeffs[p.m:][::-1]
+    power = p.m + p.beta - 1.0
+    val = _quad_complex(lambda t: np.polyval(coeffs, t * z) * t ** power,
+                        "bernardi_integral_oracle")
     return (1.0 + p.beta) * z ** p.m * val

@@ -21,7 +21,7 @@ from bohrkit.lerch import UNDERFLOW
 from bohrkit.series import (UNIT_ROUNDOFF, DomainGamma, SchurSampleSpec,
                             TruncatedPowerSeries, blaschke_coeffs, lemma1_check,
                             majorant_eval, polynomial, sample_schur_omega, truncation_order)
-from oracles import bernardi_integral_oracle, cesaro_integral_oracle, mp_tail_sum
+from oracles import _quad_complex, bernardi_integral_oracle, cesaro_integral_oracle, mp_tail_sum
 
 TWO_LN2 = 2.0 * math.log(2.0)
 
@@ -138,6 +138,28 @@ def test_cesaro_below_radius_bound_on_samples():
             assert value <= log_bound(r) + 10.0 * error
 
 
+# ------------------------------------------------- tanh-sinh quadrature
+
+@pytest.mark.parametrize("e", [0.05, 0.5, 1.5, 2.5])
+def test_quad_complex_power_integrals(e):
+    # int_0^1 t^(e-1) dt = 1/e; below e = 1 the endpoint t = 0 is singular.
+    assert _quad_complex(lambda t: t ** (e - 1.0), "power") == pytest.approx(1.0 / e, rel=1e-13)
+
+
+@pytest.mark.parametrize("z", [0.99, 0.9j])
+def test_quad_complex_cesaro_integral_of_one(z):
+    # int_0^1 dt/(1 - tz) = -log(1 - z)/z.
+    val = _quad_complex(lambda t: 1.0 / (1.0 - t * z), "cesaro")
+    assert abs(val - (-np.log(1.0 - z) / z)) <= 1e-13 * abs(val)
+
+
+def test_quad_complex_refuses_non_integrable():
+    # 1/t is not integrable at 0: its terms have not decayed where the rule
+    # is cut off, so the sum is not the integral at any step.
+    with pytest.raises(NumericalError, match="^reciprocal: tanh-sinh quadrature did not converge"):
+        _quad_complex(lambda t: 1.0 / t, "reciprocal")
+
+
 # ----------------------------------------------------- cesaro integral oracle
 
 def test_cesaro_integral_of_constant():
@@ -201,6 +223,18 @@ def test_bernardi_transform_preconditions():
         BernardiParams(-1.0, 1)
     with pytest.raises(DomainError):
         BernardiParams(0.5, -2)
+
+
+@pytest.mark.parametrize("beta,m,coeffs", [
+    (-1.5, 2, [0.0, 0.0, 1.0, 0.5]), (-1.5, 2, [0.0, 0.0]), (-2.5, 3, [0.0, 0.0, 0.0, 1.0]),
+    (-0.5, 1, [0.0, 1.0]), (2.0, 0, [1.0, 0.5, 0.25]),
+])
+def test_bernardi_transform_tail_bounds_every_omitted_coefficient(beta, m, coeffs):
+    # An omitted a_n, n > order, is at most B in modulus, so its image is at
+    # most |1+beta| B/(beta+n); for beta < -1 the prefactor is negative.
+    out = bernardi_transform(TruncatedPowerSeries(coeffs, 0.2), BernardiParams(beta, m))
+    n = np.arange(max(len(coeffs), m), 10000)
+    assert out.tail_bound >= np.max(abs(1.0 + beta) * 0.2 / (beta + n))
 
 
 def test_bernardi_params_is_a_validating_named_tuple():

@@ -482,6 +482,20 @@ def test_bernardi_bracket_holds_root_at_large_beta(beta, gamma, m):
         assert res.bracket_lo <= root <= res.bracket_hi
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_mp_findroot_lands_on_a_flat_root_from_a_narrow_bracket(gamma):
+    # At beta = 1e16 the Bernardi equation is about 1e-16 in size and flat.
+    # From a bracket 1e-10 wide, mpmath's default stop |f| < 2**10 eps gave
+    # a root 8e-32 off, which failed the oracle's own 1e-35 sign check.
+    with mp.workdps(80):
+        ref = mp_findroot(mp_bernardi_equation(gamma, 1e16), mp.mpf("1e-6"),
+                          1 - mp.mpf("1e-15"))
+    with mp.workdps(40):
+        half = mp.mpf("5e-11")
+        root = mp_findroot(mp_bernardi_equation(gamma, 1e16), ref - half, ref + half)
+        assert abs(root - ref) <= mp.mpf("1e-45")
+
+
 def test_bernardi_radius_monotone_grids():
     # Strictly increasing in gamma; strictly monotone in beta.  The beta
     # direction is decreasing: as beta -> 0 the root climbs to 1, as
