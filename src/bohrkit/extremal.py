@@ -53,8 +53,8 @@ from collections import namedtuple
 
 from .errors import (DomainError, InconclusiveError, NumericalError,
                      PreconditionError)
-from .lerch import (ORDER_CAP, UNDERFLOW, UNIT_ROUNDOFF, DomainGamma, _float_range,
-                    _lerch_ln_expansion, finite_real, lerch_tail_sum)
+from .lerch import (ORDER_CAP, UNDERFLOW, UNIT_ROUNDOFF, DomainGamma, _lerch_ln_expansion,
+                    finite_real, lerch_tail_sum)
 from .radii import (_cesaro_equation, _tail_balance_equation, bernardi_radius,
                     cesaro_radius, log_bound)
 
@@ -421,31 +421,31 @@ def remainder_order_check(kind: str, gamma: DomainGamma, r: float, a_values,
 
 
 def identity_suite() -> dict:
-    """Check the closed-form series identities the decompositions rely on.
+    """Check the series identities the decompositions rely on, each series
+    side from the library's tail sum ``L(x) = lerch_tail_sum(x, 1)`` and each
+    closed side from a closed form.
 
-    For each r in 0.1, ..., 0.9: (i) ``sum_{n>=1} n r^n/(n+1) = 1/(1-r) -
-    (1/r)ln(1/(1-r))``, (ii) ``sum_{n>=0} r^n/(n+1) = (1/r)ln(1/(1-r))``,
-    and (iii) the partial geometric resummation ``sum_{n>=1} r^n/(n+1) (1-q^n)/(1-q)`` against its
-    two-logarithm closed form.  Returns per-identity deviations and the max.
+    For each r in 0.1, ..., 0.9: (i) ``sum_{n>=1} n r^n/(n+1) = r/(1-r) -
+    L(r)`` against ``m(tau)/(1-r)``, tau = r/(1-r), from ``_log1p_defect``:
+    Cesaro's level over its width, as ``_remainders`` forms it; (ii)
+    ``sum_{n>=0} r^n/(n+1) = 1 + L(r)`` against ``log_bound(r)``; and (iii)
+    the partial geometric resummation ``sum_{n>=1} r^n/(n+1) (1-q^n)/(1-q)
+    = (L(r) - L(qr))/(1-q)``, q = 0.7, against its two-logarithm closed
+    form.  The grid runs both branches of both kernels.  Returns
+    per-identity deviations and the max.
     """
     r_grid = [round(0.1 * k, 1) for k in range(1, 10)]
-    q = 0.7  # representative geometric ratio for the double-sum identity
-    deviations = {"weighted_geometric": 0.0, "averaged_geometric": 0.0,
-                  "partial_geometric_resummation": 0.0}
+    q = 0.7  # representative geometric ratio for the partial resummation
+    deviations = dict.fromkeys(("weighted_geometric", "averaged_geometric",
+                                "partial_geometric_resummation"), 0.0)
     for r in r_grid:
-        # k = 1 .. n, n the fewest terms with r^(n+1)/(1-r) <= 1e-13, which
-        # bounds each omitted tail; float k gives the same terms, faster.
-        ks = _float_range(math.ceil(math.log(1e-13 * (1.0 - r)) / math.log(r)))[1:]
-        powers = [r ** k for k in ks]
-        lhs1 = math.fsum([k / (k + 1.0) * p for k, p in zip(ks, powers)])
-        rhs1 = 1.0 / (1.0 - r) - log_bound(r)
-        weights = [p / (k + 1.0) for k, p in zip(ks, powers)]
-        lhs2 = 1.0 + math.fsum(weights)
-        rhs2 = log_bound(r)
-        lhs3 = math.fsum([w * (1.0 - q ** k) / (1.0 - q) for k, w in zip(ks, weights)])
-        rhs3 = (log_bound(r) - log_bound(q * r)) / (1.0 - q)
-        for key, gap in zip(list(deviations), (lhs1 - rhs1, lhs2 - rhs2, lhs3 - rhs3)):
-            deviations[key] = max(deviations[key], abs(gap))
+        tail, tau = lerch_tail_sum(r, 1.0)[0], r / (1.0 - r)
+        pairs = ((tau - tail, _log1p_defect(tau)[0] / (1.0 - r)),
+                 (1.0 + tail, log_bound(r)),
+                 ((tail - lerch_tail_sum(q * r, 1.0)[0]) / (1.0 - q),
+                  (log_bound(r) - log_bound(q * r)) / (1.0 - q)))
+        for key, (series, closed) in zip(deviations, pairs):
+            deviations[key] = max(deviations[key], abs(series - closed))
     deviations["max_deviation"] = max(deviations.values())
     deviations["r_grid"] = r_grid
     return deviations

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
@@ -123,7 +124,8 @@ class BernardiParams(namedtuple("BernardiParams", "beta m")):
     """Exponent beta and vanishing order m of the Bernardi transform.
 
     The transform is defined for beta > -m acting on series with an m-fold
-    zero at the origin.  This is the one place that checks that rule: the
+    zero at the origin.  This is the one place that checks that rule, and
+    that m lies within the double range, where m + beta is formed: the
     classic Bernardi radius builds one too.
     """
 
@@ -131,7 +133,9 @@ class BernardiParams(namedtuple("BernardiParams", "beta m")):
     _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
 
     def __new__(cls, beta, m=0):
-        m = nonnegative_int(m, "m")
+        if (m := nonnegative_int(m, "m")) > sys.float_info.max:
+            raise DomainError(f"m must lie within the double range, got an integer of "
+                              f"{m.bit_length()} bits")
         if (beta := finite_real(beta, "beta", "exceed -m")) <= -m:
             raise DomainError(f"beta must exceed -m, got beta={beta}, m={m}")
         return super().__new__(cls, beta, m)
@@ -170,8 +174,8 @@ def _lerch_coefficients(a: float) -> tuple[float, float, tuple]:
     ``|c|_k`` is the same sum with |B_j|, which bounds both |c_k| and, times
     a small multiple of u, the rounding error of c_k.  The powers
     ``a^i/i!`` are running products and each sum runs over j in order.
-    Cached per exponent: a radius solve evaluates the same exponent about
-    eight times.
+    Cached per exponent: a radius solve evaluates the same exponent three to
+    five times.
     """
     psi, psi_err = _digamma(a)
     powers = list(accumulate((a / i for i in range(1, LN_EXPANSION_TERMS + 1)),

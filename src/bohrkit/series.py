@@ -254,6 +254,13 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
+def _check_order_cap(n_out: int) -> None:
+    """Raise NumericalError, before any buffer is allocated, for an output
+    order above ORDER_CAP."""
+    if n_out > ORDER_CAP:
+        raise NumericalError(f"output order {n_out} is above the cap {ORDER_CAP}")
+
+
 def _blaschke_rows(zeros: np.ndarray, degrees: np.ndarray, phases: np.ndarray,
                    n_out: int, spectra: np.ndarray) -> np.ndarray:
     """Coefficients 0..n_out of ``phase * prod (a_j - z)/(1 - conj(a_j) z)``, a row each.
@@ -299,7 +306,8 @@ def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
     """Taylor coefficients of ``phase * prod (a_j - z)/(1 - conj(a_j) z)``.
 
     A finite Blaschke product maps the unit disk onto itself, so the result
-    is Schur-class with tail_bound 1.
+    is Schur-class with tail_bound 1.  An n_out above ORDER_CAP raises
+    NumericalError.
     """
     n_out = nonnegative_int(n_out, "output order", "be >= 0")
     phase = finite_complex(phase, "phase", "be unimodular")
@@ -307,6 +315,7 @@ def blaschke_coeffs(zeros, phase: complex, n_out: int) -> TruncatedPowerSeries:
         raise DomainError(f"phase must be unimodular, got |phase| = {abs(phase)}")
     zeros = [finite_complex(z, "Blaschke zeros", "lie strictly inside the unit disk",
                             lambda w: abs(w) < 1.0) for z in zeros]
+    _check_order_cap(n_out)
     spectra = np.empty((2, 1, _fft_length(2 * n_out + 1)), dtype=complex)
     c = _blaschke_rows(np.array([zeros], dtype=complex), np.array([len(zeros)]),
                        np.array([phase]), n_out, spectra)
@@ -318,9 +327,12 @@ def _sample_batches(draws, gamma: DomainGamma, n_out: int):
     of their samples on gamma, a row each.  A draw is a checked ``(degree,
     seed)`` pair.  A batch holds at most BATCH_ELEMENTS complex entries per
     FFT product and draws are taken one batch at a time, so peak memory does
-    not grow with the number of draws."""
+    not grow with the number of draws.  An order above ORDER_CAP raises
+    NumericalError at every gamma before anything is allocated; for gamma >
+    0 the composition's own check raises first."""
     # G is the identity at gamma = 0: the Blaschke rows are the samples.
     m = _compose_matrix(gamma.gamma, n_out) if gamma.gamma else None
+    _check_order_cap(n_out)
     k_in = n_out if m is None else m.shape[1] - 1
     length = _fft_length(2 * k_in + 1)
     step = max(1, BATCH_ELEMENTS // length)
@@ -351,7 +363,8 @@ def sample_schur_omega(spec: SchurSampleSpec, n_out: int) -> TruncatedPowerSerie
     takes a radius ``0.95 sqrt(u)`` and an angle ``2 pi u``, then the phase
     an angle ``2 pi u``: zeros uniform in the disk of radius 0.95 and a
     uniform phase.  The product is composed with the affine map onto the
-    unit disk.  Identical specs give identical output.
+    unit disk.  Identical specs give identical output.  An n_out above
+    ORDER_CAP raises NumericalError at every gamma.
     """
     n_out = nonnegative_int(n_out, "output order", "be >= 0")
     ((_, rows),) = _sample_batches([spec[:2]], spec.gamma, n_out)

@@ -221,6 +221,8 @@ def test_sweep_validation_messages(cli, argv, message):
      "beta must be a positive real, got 0.0"),
     (("--op", "bernardi-classic", "--parameter", "beta", "--grid=-1.5,2", "--m", "1"),
      "beta must exceed -m, got beta=-1.5, m=1"),
+    (("--op", "bernardi-classic", "--parameter", "beta", "--grid", "1,2", "--m", "1" + "0" * 400),
+     "m must lie within the double range, got an integer of 1329 bits"),
 ])
 def test_sweep_grid_domain_errors(cli, argv, message):
     # The sweep checked these domains itself and exited 1, where radius
@@ -242,6 +244,24 @@ def test_sweep_bernardi_classic_rejects_negative_m_first(cli, grid):
 
 
 # ---------------------------------------------------------------- verify
+
+def test_verify_lemma1_gamma_zero_order_above_cap_exits_three(cli):
+    # At gamma = 0, which composes nothing, any order was taken.
+    proc = cli("verify", "lemma1", "--gamma", "0", "--samples", "1", "--seed", "1",
+               "--order", "20001")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: output order 20001 is above the cap 20000\n"
+
+
+def test_radius_classic_m_beyond_the_double_range_exits_two(cli):
+    # m + beta raised OverflowError: a traceback and exit 1.
+    proc = cli("radius", "bernardi-classic", "--beta", "1", "--m", "1" + "0" * 400)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: m must lie within the double range, got an integer "
+                           "of 1329 bits\n")
+
 
 def test_verify_identities(cli):
     proc = cli("verify", "identities")

@@ -651,6 +651,34 @@ def test_identity_suite_deviation_bound():
     assert report["max_deviation"] <= 1e-10
 
 
+def test_identity_suite_compares_the_kernels_to_rounding():
+    # Each side was a truncated fsum loop with its own 1e-13 cut, so the
+    # deviation, 9.9e-14, measured that cut and no library kernel.
+    report = identity_suite()
+    assert list(report) == ["weighted_geometric", "averaged_geometric",
+                            "partial_geometric_resummation", "max_deviation", "r_grid"]
+    assert report["r_grid"] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    assert report["max_deviation"] <= 1e-14
+
+
+@pytest.mark.parametrize("name, keys", [
+    ("lerch_tail_sum", ["weighted_geometric", "averaged_geometric",
+                        "partial_geometric_resummation"]),
+    ("_log1p_defect", ["weighted_geometric"]),
+])
+def test_identity_suite_reads_the_library_kernels(monkeypatch, name, keys):
+    kernel = getattr(bk.extremal, name)
+
+    def perturbed(*args):
+        value, error = kernel(*args)
+        return value * (1.0 + 1e-10), error
+
+    monkeypatch.setattr(bk.extremal, name, perturbed)
+    report = identity_suite()
+    assert report["max_deviation"] > 1e-12
+    assert all(report[key] > 1e-12 for key in keys)
+
+
 def test_identity_closed_values_at_half():
     r = 0.5
     n = truncation_order(r, 1.0, 1e-13)

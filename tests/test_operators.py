@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -252,6 +253,19 @@ def test_bernardi_params_is_a_validating_named_tuple():
     # exceed -m" in bernardi_radius_classic.
     with pytest.raises(DomainError, match="^beta must exceed -m, got nan$"):
         BernardiParams(math.nan, 1)
+
+
+def test_bernardi_params_rejects_m_beyond_the_double_range():
+    # Such an m was accepted, and m + beta raised OverflowError in the
+    # classic radius and the transform.
+    largest = int(sys.float_info.max)
+    assert BernardiParams(1.0, largest).m == largest
+    for m in (largest + 1, 10 ** 400):
+        with pytest.raises(DomainError, match="^m must lie within the double range, got "
+                                              "an integer of [0-9]+ bits$"):
+            BernardiParams(1.0, m)
+    with pytest.raises(DomainError, match="^m must lie within the double range"):
+        bernardi_radius_classic(1.0, 10 ** 400)
 
 
 # ---------------------------------------------------------- bernardi majorant

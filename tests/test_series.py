@@ -351,8 +351,8 @@ def test_row_search_refuses_like_the_full_search(gamma, n_out):
 
 def test_gamma_zero_samples_need_no_composition_matrix():
     # G is the identity at gamma = 0; an identity matrix of this order
-    # would take about 80 GB.
-    report = bk.lemma1_check(DomainGamma(0.0), 2, 2, 100000, 1)
+    # would take about 3 GB, and for gamma > 0 the composition refuses it.
+    report = bk.lemma1_check(DomainGamma(0.0), 2, 2, ORDER_CAP, 1)
     assert report.samples == 2
     assert report.max_ratio <= 1.0 + 1e-9
 
@@ -362,6 +362,19 @@ def test_composition_order_above_cap_fails_before_allocating():
     assert n_out + 32 > ORDER_CAP
     with pytest.raises(NumericalError, match="above the cap"):
         bk.lemma1_check(DomainGamma(0.4), 1, 8, n_out, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: bk.lemma1_check(DomainGamma(0.0), 1, 8, n, 1),
+    lambda n: sample_schur_omega(SchurSampleSpec(3, 1, 0.0), n),
+    lambda n: blaschke_coeffs([0.5], 1.0, n),
+], ids=["lemma1_check", "sample_schur_omega", "blaschke_coeffs"])
+def test_gamma_zero_order_above_cap_fails_before_allocating(call):
+    # Only the composition, for gamma > 0, checked the order: at gamma = 0
+    # any order was taken, and went on to allocate FFT buffers of twice its
+    # length.
+    with pytest.raises(NumericalError, match="^output order 20001 is above the cap 20000$"):
+        call(ORDER_CAP + 1)
 
 
 def test_composition_matrix_overflow_is_a_numerical_error():
