@@ -101,6 +101,19 @@ def _solve(equation: str, fixed: dict, tol: float) -> RadiusResult:
     return bernardi_radius_classic(fixed["beta"], fixed["m"], tol)
 
 
+def _solve_rows(points: list, tol: float) -> tuple[list[RadiusResult], int]:
+    """Solve each ``(equation, parameters)`` point at ``tol``.  The code is
+    EXIT_NUMERIC, after one error line per row whose certified bracket is
+    wider than ``tol``, if there is such a row, else EXIT_OK."""
+    results = [_solve(equation, fixed, tol) for equation, fixed in points]
+    for (equation, fixed), res in zip(points, results):
+        if not res.converged:
+            names = ", ".join(f"{name}={fixed[name]!r}" for name in EQUATIONS[equation])
+            print(f"error: the {equation} radius at {names} is not converged: its "
+                  f"certified bracket is wider than tol={tol!r}", file=sys.stderr)
+    return results, EXIT_OK if all(res.converged for res in results) else EXIT_NUMERIC
+
+
 def _cmd_radius(args) -> tuple[str, int]:
     fixed = _fixed(args, args.equation)
     result = _solve(args.equation, fixed, args.tol)
@@ -125,15 +138,17 @@ def _cmd_sweep(args) -> tuple[str, int]:
     if parameter not in EQUATIONS[args.equation]:
         raise ValueError(f"{args.equation} has no parameter {parameter!r}")
     fixed = _fixed(args, args.equation, parameter)
-    results = [(v, _solve(args.equation, {**fixed, parameter: v}, args.tol)) for v in grid]
+    solved, code = _solve_rows([(args.equation, {**fixed, parameter: v}) for v in grid],
+                               args.tol)
+    results = list(zip(grid, solved))
     if args.format == "json":
         return _json_doc([{parameter: v, "radius": res.value, "residual": res.residual,
-                           "iterations": res.iterations} for v, res in results]), EXIT_OK
+                           "iterations": res.iterations} for v, res in results]), code
     # No CSV field needs quoting: fixed names, numbers in .17g and integers.
     lines = [f"{parameter},radius,residual,iterations"]
     lines += [f"{v:.17g},{res.value:.17g},{res.residual:.17g},{res.iterations}"
               for v, res in results]
-    return "\n".join(lines) + "\n", EXIT_OK
+    return "\n".join(lines) + "\n", code
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -186,7 +201,7 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
 
 def _cmd_table(args) -> tuple[str, int]:
     points = TABLES[args.name]
-    results = [_solve(equation, fixed, DEFAULT_TOL) for equation, fixed in points]
+    results, code = _solve_rows(points, DEFAULT_TOL)
     if args.name == "paper-constants":
         headers = ["quantity", "computed", "reference"]
         rows = [["bohr gamma=0", f"{bohr_radius_omega(UNIT_DISK):.6f}", "1/3"]]
@@ -198,7 +213,7 @@ def _cmd_table(args) -> tuple[str, int]:
         rows = [[*(f"{v:{PARAMETER_FORMATS[k]}}" for k, v in fixed.items()),
                  f"{res.value:.6f}", f"{res.residual:.1e}"]
                 for (_, fixed), res in zip(points, results)]
-    return _format_table(headers, rows), EXIT_OK
+    return _format_table(headers, rows), code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+import cli_corpus
 from bohrkit.cli import main
+
+CORPUS = cli_corpus.load()
 
 BOHRKIT = [sys.executable, "-m", "bohrkit"]
 
@@ -24,6 +29,25 @@ def cli(capsys):
         captured = capsys.readouterr()
         return subprocess.CompletedProcess(args, code, captured.out, captured.err)
     return run
+
+
+# ---------------------------------------------------------------- corpus
+
+@pytest.mark.parametrize("entry", CORPUS, ids=[" ".join(e["argv"]) for e in CORPUS])
+def test_cli_corpus_entry(entry):
+    report = cli_corpus.check_in_process(entry)
+    assert report is None, report
+
+
+def test_readme_cli_block_is_in_the_corpus():
+    readme = os.path.join(os.path.dirname(cli_corpus.HERE), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("bohrkit ")]
+    assert len(commands) == 12
+    assert [argv for argv in commands if argv not in [e["argv"] for e in CORPUS]] == []
 
 
 # ---------------------------------------------------------------- radius
@@ -476,75 +500,6 @@ def test_table_theorem_grids(cli):
     assert len(t2.stdout.splitlines()) == 13
 
 
-# Frozen stdout of the three tables and of two classic sweeps: every table row
-# and every classic radius is solved through the same path as `radius`, and
-# must print these bytes.  The second sweep's CSV holds a negative field and
-# a residual in exponent form, as the csv module wrote them.
-GOLDEN_STDOUT = {
-    ('table', 'theorem1'): (
-        'gamma  radius    residual\n'
-        '0.00   0.533589  0.0e+00\n'
-        '0.10   0.559874  0.0e+00\n'
-        '0.20   0.583723  0.0e+00\n'
-        '0.30   0.605442  0.0e+00\n'
-        '0.40   0.625288  2.2e-16\n'
-        '0.50   0.643479  0.0e+00\n'
-        '0.60   0.660203  2.2e-16\n'
-        '0.70   0.675620  0.0e+00\n'
-        '0.80   0.689869  0.0e+00\n'
-        '0.90   0.703072  0.0e+00\n'
-    ),
-    ('table', 'theorem2'): (
-        'gamma  beta  radius    residual\n'
-        '0.00   1.0   0.582812  0.0e+00\n'
-        '0.00   2.0   0.474278  0.0e+00\n'
-        '0.00   5.0   0.394909  0.0e+00\n'
-        '0.25   1.0   0.655129  0.0e+00\n'
-        '0.25   2.0   0.541327  5.6e-17\n'
-        '0.25   5.0   0.454381  2.8e-17\n'
-        '0.50   1.0   0.712698  0.0e+00\n'
-        '0.50   2.0   0.597090  1.1e-16\n'
-        '0.50   5.0   0.504946  2.8e-17\n'
-        '0.75   1.0   0.759073  0.0e+00\n'
-        '0.75   2.0   0.643984  1.1e-16\n'
-        '0.75   5.0   0.548411  2.8e-17\n'
-    ),
-    ('table', 'paper-constants'): (
-        'quantity                     computed  reference\n'
-        'bohr gamma=0                 0.333333  1/3\n'
-        'cesaro gamma=0               0.533589  0.5335\n'
-        'bernardi-classic beta=1 m=1  0.474278  -\n'
-    ),
-    ('sweep', '--op', 'bernardi-classic', '--parameter', 'beta', '--grid', '0.5,1,2,5,50',
-     '--m', '2'): (
-        'beta,radius,residual,iterations\n'
-        '0.5,0.4492155939293902,0,3\n'
-        '1,0.43177179173199198,0,3\n'
-        '2,0.40906195499102077,5.5511151231257827e-17,3\n'
-        '5,0.37819655441432271,2.7755575615628914e-17,3\n'
-        '50,0.33968416165501475,0,3\n'
-    ),
-    ('sweep', '--op', 'bernardi-classic', '--parameter', 'beta', '--grid=-0.5,1e9', '--m', '1'): (
-        'beta,radius,residual,iterations\n'
-        '-0.5,0.73712464966759828,4.4408920985006262e-16,3\n'
-        '1000000000,0.33333333366665979,3.0812477817600281e-23,9\n'
-    ),
-}
-
-
-def _golden_id(argv):
-    """The command's first two words, and an inline ``--grid=``, which tells
-    the two sweeps apart."""
-    return " ".join([*argv[:2], *(arg for arg in argv if arg.startswith("--grid="))])
-
-
-@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=_golden_id)
-def test_tables_and_classic_sweep_print_frozen_stdout(cli, argv):
-    proc = cli(*argv)
-    assert proc.returncode == 0
-    assert proc.stdout == GOLDEN_STDOUT[argv]
-
-
 def test_table_unknown_name_exit_one(cli):
     proc = cli("table", "nosuch")
     assert proc.returncode == 1
@@ -564,64 +519,24 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# The README's radius, sweep, table and Cesaro verify examples, and --version.
-NUMPY_FREE_COMMANDS = [
-    ["--version"],
-    ["radius", "cesaro", "--gamma", "0"],
-    ["radius", "bernardi", "--gamma", "0.5", "--beta", "2"],
-    ["radius", "bernardi-classic", "--beta", "1", "--m", "1"],
-    ["sweep", "--op", "cesaro", "--parameter", "gamma", "--grid", "0,0.1,0.2,0.3,0.4,0.5"],
-    ["sweep", "--op", "bernardi", "--parameter", "beta", "--grid", "1,2,5",
-     "--gamma", "0.2", "--format", "json"],
-    ["table", "paper-constants"],
-    ["table", "theorem1"],
-    ["table", "theorem2"],
-    ["verify", "identities"],
-    ["verify", "sharpness", "--op", "cesaro", "--gamma", "0", "--r", "0.55"],
-    ["verify", "remainder-order", "--op", "cesaro", "--gamma", "0.3", "--r", "0.4"],
-]
-# Modules the commands above must not load: numpy, dataclasses with the
-# inspect it pulls in, typing, and csv (sweep joins its fields itself).  The
-# interpreter's own start may load some of them (site loads typing on some
-# installs), so only new ones count.
-HEAVY_MODULES = ["numpy", "dataclasses", "inspect", "typing", "csv"]
-COLD_SESSION = """
-import contextlib, io, json, sys
-before = set(sys.modules)
-from bohrkit.cli import main
-codes = []
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(main(argv))
-loaded = sorted(set(sys.modules) - before)
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = main(["verify", "lemma1", "--gamma", "0.4", "--samples", "10", "--seed", "7"])
-print(json.dumps([codes, loaded, code, json.loads(out.getvalue())["pass"]]))
-"""
-
-
 def test_radius_sweep_table_and_version_import_no_numpy():
-    # One fresh interpreter runs the commands in turn; verify lemma1, whose
-    # sampler imports numpy on first use, still works after them.  The three
-    # verify commands loaded numpy and dataclasses through the module that
-    # also held the Lemma-1 suite.
-    proc = subprocess.run([sys.executable, "-c", COLD_SESSION,
-                           json.dumps(NUMPY_FREE_COMMANDS)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    codes, loaded, code, passed = json.loads(proc.stdout)
-    assert codes == [0] * len(NUMPY_FREE_COMMANDS)
-    assert [name for name in HEAVY_MODULES if name in loaded] == []
-    assert code == 0 and passed
+    # One fresh interpreter runs the corpus's numpy-free entries in order and
+    # checks after each that it loaded no heavy module, and that it printed
+    # what the entry pins.  The three verify commands loaded numpy and
+    # dataclasses through the module that also held the Lemma-1 suite.
+    assert cli_corpus.check_cold(CORPUS) == []
 
 
 def test_bernardi_params_import_no_numpy():
     # BernardiParams lived in operators, beside the numpy transforms, and was
-    # a dataclass.
+    # a dataclass.  The tail sum is taken on both of its branches.
     code = ("import sys\nbefore = set(sys.modules)\nimport bohrkit\n"
-            "bohrkit.BernardiParams(1.0, 1)\nprint(' '.join(set(sys.modules) - before))")
+            "bohrkit.BernardiParams(1.0, 1)\n"
+            "bohrkit.lerch_tail_sum(0.999, 2.0); bohrkit.lerch_tail_sum(0.5, 2.0)\n"
+            "print(' '.join(set(sys.modules) - before))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert [name for name in HEAVY_MODULES if name in proc.stdout.split()] == []
+    assert [name for name in cli_corpus.HEAVY_MODULES if name in proc.stdout.split()] == []
 
 
 def test_package_exports_resolve_lazily():
