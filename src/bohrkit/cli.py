@@ -116,7 +116,7 @@ def _solve_rows(points: list, tol: float) -> tuple[list[RadiusResult], int]:
 
 def _cmd_radius(args) -> tuple[str, int]:
     fixed = _fixed(args, args.equation)
-    result = _solve(args.equation, fixed, args.tol)
+    (result,), code = _solve_rows([(args.equation, fixed)], args.tol)
     doc = {
         "equation": args.equation,
         "parameters": {**fixed, "tol": args.tol},
@@ -127,7 +127,7 @@ def _cmd_radius(args) -> tuple[str, int]:
         "converged": result.converged,
         "version": __version__,
     }
-    return _json_doc(doc), EXIT_OK if result.converged else EXIT_NUMERIC
+    return _json_doc(doc), code
 
 
 def _cmd_sweep(args) -> tuple[str, int]:

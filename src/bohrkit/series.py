@@ -41,6 +41,8 @@ ZERO_SAMPLING_RADIUS = 0.95
 # Complex entries (rows times FFT length) one batch of Schur samples holds,
 # so peak memory does not grow with the number of samples.
 BATCH_ELEMENTS = 2 ** 13
+# (degree, seed) pairs lemma1_check's master generator draws per call.
+MASTER_DRAW_CHUNK = 256
 # Certified bound on what the composition with G drops from each coefficient.
 COMPOSE_TARGET = 1e-13
 # lemma1_check skips samples with 1 - |a_0|^2 below this.
@@ -329,7 +331,15 @@ def _sample_batches(draws, gamma: DomainGamma, n_out: int):
     FFT product and draws are taken one batch at a time, so peak memory does
     not grow with the number of draws.  An order above ORDER_CAP raises
     NumericalError at every gamma before anything is allocated; for gamma >
-    0 the composition's own check raises first."""
+    0 the composition's own check raises first.
+
+    Each draw makes the one ``default_rng(seed).random(2 degree + 1)`` call
+    of ``sample_schur_omega``'s recipe, written into its row of one
+    zero-padded buffer per batch.  The radii, angles, zeros and phases of
+    the whole batch are then formed from that buffer at once, with the
+    same operations on the same values as for a draw on its own, so every
+    coefficient is bit for bit what the recipe gives one draw at a time.
+    Zero slots beyond a draw's degree hold 0."""
     # G is the identity at gamma = 0: the Blaschke rows are the samples.
     m = _compose_matrix(gamma.gamma, n_out) if gamma.gamma else None
     _check_order_cap(n_out)
@@ -340,15 +350,18 @@ def _sample_batches(draws, gamma: DomainGamma, n_out: int):
     draws = iter(draws)
     while batch := list(islice(draws, step)):
         degrees = np.array([draw[0] for draw in batch])
-        zeros = np.zeros((len(batch), degrees.max()), dtype=complex)
-        phases = np.empty(len(batch), dtype=complex)
-        for row, (degree, seed) in enumerate(batch):  # one random(2d+1) call, 2d+1 uniforms
-            u = np.random.default_rng(seed).random(2 * degree + 1)
-            angle = 2.0 * math.pi * u[1::2]
-            zeros[row, :degree] = (ZERO_SAMPLING_RADIUS * np.sqrt(u[:-1:2])
-                                   * (np.cos(angle) + 1j * np.sin(angle)))
-            theta = 2.0 * math.pi * u[-1]
-            phases[row] = complex(math.cos(theta), math.sin(theta))
+        width = int(degrees.max())
+        # Row i: radius and angle uniforms of each zero in turn, then the
+        # phase's, at column 2 degrees[i]; 0 after it.
+        u = np.zeros((len(batch), 2 * width + 1))
+        for row, (degree, seed) in zip(u, batch):
+            np.random.default_rng(seed).random(2 * degree + 1, out=row[: 2 * degree + 1])
+        angle = 2.0 * math.pi * u[:, 1::2]
+        zeros = (ZERO_SAMPLING_RADIUS * np.sqrt(u[:, :-1:2])
+                 * (np.cos(angle) + 1j * np.sin(angle)))
+        zeros[np.arange(width) >= degrees[:, None]] = 0.0
+        thetas = 2.0 * math.pi * u[np.arange(len(batch)), 2 * degrees]
+        phases = np.array([complex(math.cos(t), math.sin(t)) for t in thetas.tolist()])
         rows = _blaschke_rows(zeros, degrees, phases, k_in, spectra)
         if m is not None:  # the composition with G: one real matrix product
             parts = np.concatenate([rows.real, rows.imag]) @ m.T
@@ -394,6 +407,20 @@ class Lemma1Report(namedtuple("Lemma1Report", "gamma samples max_ratio worst_spe
             "degree": spec.degree, "seed": spec.seed, "gamma": spec.gamma.gamma})
 
 
+def _master_draws(seed: int, count: int, degree_max: int):
+    """Yield ``count`` ``(degree, seed)`` pairs from ``default_rng(seed)``:
+    per sample a degree in [0, degree_max], then a child seed in
+    [0, 2**63).  They come MASTER_DRAW_CHUNK rows per ``integers`` call.
+    numpy draws array bounds element by element with the routine it uses
+    for scalar ones, so the pairs are those of two scalar calls per sample,
+    ``integers(0, degree_max + 1)`` and ``integers(0, 2**63)``."""
+    master = np.random.default_rng(seed)
+    for start in range(0, count, MASTER_DRAW_CHUNK):
+        size = (min(MASTER_DRAW_CHUNK, count - start), 2)
+        yield from map(tuple, master.integers(0, [degree_max, 2 ** 63 - 1], size=size,
+                                              endpoint=True).tolist())
+
+
 def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
                  n_out: int, seed: int) -> Lemma1Report:
     """Stress the bound ``|a_n| <= (1-|a_0|^2)/(1+gamma)`` over random samples.
@@ -402,6 +429,11 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
     Samples with ``1 - |a_0|^2 < 1e-8`` (near-unimodular constants) are
     skipped and counted in the report's ``skipped``: the bound forces their
     higher coefficients to vanish and the ratio degenerates to 0/0.
+
+    A master ``default_rng(seed)`` draws each sample's degree in
+    [0, degree_max] and child seed in [0, 2**63), in bounded chunks, and
+    the samples are built and checked a batch at a time; neither grows
+    memory with num_samples.
     """
     num_samples = nonnegative_int(num_samples, "num_samples", "be a positive integer",
                                   lambda n: n >= 1)
@@ -409,13 +441,10 @@ def lemma1_check(gamma: DomainGamma, num_samples: int, degree_max: int,
                                  lambda d: d <= MAX_BLASCHKE_DEGREE)
     n_out = nonnegative_int(n_out, "output order", "be >= 1", lambda n: n >= 1)
     seed = nonnegative_int(seed, "seed")
-    master = np.random.default_rng(seed)
-    # Per sample the master draws a degree, then a child seed: both in range.
-    draws = ((int(master.integers(0, degree_max + 1)), int(master.integers(0, 2 ** 63)))
-             for _ in range(num_samples))
     g = gamma.gamma
     max_ratio, worst, skipped = 0.0, None, 0
-    for batch, rows in _sample_batches(draws, gamma, n_out):
+    for batch, rows in _sample_batches(_master_draws(seed, num_samples, degree_max),
+                                       gamma, n_out):
         mags = np.abs(rows)
         denom = 1.0 - mags[:, 0] ** 2
         keep = denom >= DEGENERATE_A0_TOL

@@ -9,11 +9,11 @@ import pytest
 
 import bohrkit as bk
 from bohrkit.errors import DomainError, NumericalError
-from bohrkit.series import (COMPOSE_TARGET, ORDER_CAP, UNIT_ROUNDOFF,
+from bohrkit.series import (COMPOSE_TARGET, MASTER_DRAW_CHUNK, ORDER_CAP, UNIT_ROUNDOFF,
                             ZERO_SAMPLING_RADIUS, DomainGamma, SchurSampleSpec,
-                            TruncatedPowerSeries, _compose_matrix, _sample_batches,
-                            blaschke_coeffs, majorant_eval, polynomial, sample_schur_omega,
-                            truncation_order)
+                            TruncatedPowerSeries, _compose_matrix, _master_draws,
+                            _sample_batches, blaschke_coeffs, majorant_eval, polynomial,
+                            sample_schur_omega, truncation_order)
 
 from oracles import blaschke_eval, cauchy_coeffs, rational_blaschke_coeffs
 
@@ -257,6 +257,46 @@ def test_batches_share_fft_buffers_without_stale_rows():
     for batch, rows in batches:
         for draw, row in zip(batch, rows):
             assert np.array_equal(row, sample_schur_omega(SchurSampleSpec(*draw, dg), 64).coeffs)
+
+
+@pytest.mark.parametrize("degree_max", [0, 1, 8, 16])
+def test_master_draws_equal_two_scalar_calls_per_sample(degree_max):
+    # Chunked array-bound draws take the stream of the scalar calls they
+    # replace, across chunk boundaries; degree_max 0 draws no degree bits.
+    for seed in (0, 1, 7, 2 ** 40):
+        for count in (1, MASTER_DRAW_CHUNK - 1, MASTER_DRAW_CHUNK, MASTER_DRAW_CHUNK + 1, 1000):
+            master = np.random.default_rng(seed)
+            expected = [(int(master.integers(0, degree_max + 1)), int(master.integers(0, 2 ** 63)))
+                        for _ in range(count)]
+            assert list(_master_draws(seed, count, degree_max)) == expected
+    # Lazy: the first pair of any count costs one chunk.
+    assert next(_master_draws(seed, 10 ** 15, degree_max)) == expected[0]
+
+
+def _recipe_zeros_and_phase(degree, seed):
+    """Zeros and phase of one draw by sample_schur_omega's recipe, with its
+    2 degree + 1 uniforms drawn one scalar call at a time."""
+    rng = np.random.default_rng(seed)
+    u = np.array([rng.random() for _ in range(2 * degree + 1)])
+    angle = 2.0 * math.pi * u[1::2]
+    zeros = ZERO_SAMPLING_RADIUS * np.sqrt(u[:-1:2]) * (np.cos(angle) + 1j * np.sin(angle))
+    theta = 2.0 * math.pi * u[-1]
+    return zeros, complex(math.cos(theta), math.sin(theta))
+
+
+@pytest.mark.parametrize("draws", [
+    [(0, 800 + k) for k in range(5)],  # a zero-width buffer: the phase column alone
+    [(k % 17, 900 + k) for k in range(150)],
+], ids=["degree-0-batch", "degrees-0-to-16"])
+def test_batched_draws_equal_the_recipe_bit_for_bit(draws):
+    # At gamma = 0 no matrix product follows the Blaschke rows, so each
+    # batched row is exactly blaschke_coeffs of its own draw's zeros and phase.
+    batches = list(_sample_batches(draws, DomainGamma(0.0), 64))
+    assert [draw for batch, _ in batches for draw in batch] == draws
+    for batch, rows in batches:
+        for (degree, seed), row in zip(batch, rows):
+            expected = blaschke_coeffs(*_recipe_zeros_and_phase(degree, seed), 64)
+            assert row.tobytes() == expected.coeffs.tobytes()
 
 
 def test_lemma1_peak_memory_does_not_grow_with_samples():
